@@ -16,6 +16,7 @@ import numpy as np
 
 from .cloud import read_ply, write_ply
 from .degrade import (
+    DENSITY_RESOLUTIONS,
     NoiseParams,
     OcclusionParams,
     UnevenParams,
@@ -67,7 +68,6 @@ _SCAN_FLAGS = [
     ("hit-tolerance", "hit_tolerance", float),
     ("normal-mode", "normal_mode", str),
     ("pca-k", "pca_k", int),
-    ("scan-seed", "seed", int),
 ]
 
 
@@ -195,7 +195,7 @@ def _cmd_degrade_density(args) -> int:
     surface = load_surface(args.surface)
     cfg = _apply_flags(ScanConfig(), args, _SCAN_FLAGS)
     clouds = density_variants(surface, cfg, _min_feature(args, surface))
-    for res, cloud in zip((50, 100, 150), clouds):
+    for res, cloud in zip(DENSITY_RESOLUTIONS, clouds):
         path = f"{args.out_prefix}_density_{res:03d}.ply"
         write_ply(cloud, path)
         print(f"wrote {path} ({len(cloud)} points)")

@@ -12,7 +12,7 @@ moved cloud gives the rigidly moved degraded cloud.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -223,18 +223,8 @@ def uneven_density(cloud: PointCloud, p: UnevenParams, diagnostics: dict | None 
 
 
 def density_variants(surface, base_cfg: ScanConfig, min_feature: float | None = None):
-    """Fresh scans at resolutions 50/100/150 with the base views and seed."""
-    clouds = []
-    for res in DENSITY_RESOLUTIONS:
-        cfg = ScanConfig(
-            resolution=res,
-            views=base_cfg.views,
-            standoff=base_cfg.standoff,
-            march_step=base_cfg.march_step,
-            hit_tolerance=base_cfg.hit_tolerance,
-            normal_mode=base_cfg.normal_mode,
-            pca_k=base_cfg.pca_k,
-            seed=base_cfg.seed,
-        )
-        clouds.append(scan_surface(surface, cfg, min_feature))
-    return tuple(clouds)
+    """Fresh scans at resolutions 50/100/150, otherwise as configured in base_cfg."""
+    return tuple(
+        scan_surface(surface, replace(base_cfg, resolution=res), min_feature)
+        for res in DENSITY_RESOLUTIONS
+    )

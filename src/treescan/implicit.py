@@ -153,26 +153,27 @@ def weight(x, t, epsilon: float):
     return 1.0 / (d2 + epsilon * epsilon) ** 2
 
 
-def _weighted_moments(center: np.ndarray, tris: np.ndarray, epsilon: float, order: int):
-    """Per-triangle integrals of w and x*w by fixed barycentric quadrature.
-
-    tris has shape (k, 3, 3).  Returns (int_w (k,), int_xw (k, 3), areas,
-    unit normals); zero-area triangles get zero integrals.
-    """
+def _quadrature_points(v0, v1, v2, order: int):
+    """Quadrature points (k, q, 3) of k triangles and the rule's weights (q,)."""
     bary, omega = _QUADRATURE[order]
-    v0, v1, v2 = tris[:, 0], tris[:, 1], tris[:, 2]
-    areas, normals = triangle_areas_normals(v0, v1, v2)
-    # quadrature points: (k, q, 3)
     pts = (
         bary[None, :, 0, None] * v0[:, None, :]
         + bary[None, :, 1, None] * v1[:, None, :]
         + bary[None, :, 2, None] * v2[:, None, :]
     )
-    d2 = np.sum((pts - center) ** 2, axis=-1)
-    w = 1.0 / (d2 + epsilon * epsilon) ** 2
+    return pts, omega
+
+
+def _pair_moments(centers, quad_pts, omega, areas, epsilon: float):
+    """Integrals of w and x*w over a triangle, one per (center, triangle) pair.
+
+    centers (p, 3), quad_pts (p, q, 3) and areas (p,) are row-aligned.
+    Returns (int_w (p,), int_xw (p, 3)); zero-area triangles integrate to 0.
+    """
+    w = weight(quad_pts, centers[:, None, :], epsilon)
     int_w = areas * (w @ omega)
-    int_xw = areas[:, None] * np.einsum("kq,q,kqd->kd", w, omega, pts)
-    return int_w, int_xw, areas, normals
+    int_xw = areas[:, None] * np.einsum("pq,q,pqd->pd", w, omega, quad_pts)
+    return int_w, int_xw
 
 
 def fit_cell(center, triangles, cfg: FitConfig, radius: float = 1.0) -> CellFit:
@@ -180,7 +181,8 @@ def fit_cell(center, triangles, cfg: FitConfig, radius: float = 1.0) -> CellFit:
 
     `triangles` is a (k, 3, 3) array of member triangle vertices.  The
     radius is carried into the returned CellFit unchanged; membership is the
-    caller's responsibility.
+    caller's responsibility.  This is the kernel `build_surface` runs, for
+    one cell.
     """
     cfg.validate()
     center = np.asarray(center, dtype=np.float64)
@@ -190,8 +192,14 @@ def fit_cell(center, triangles, cfg: FitConfig, radius: float = 1.0) -> CellFit:
             f"cell got {len(tris)} triangles, needs {cfg.min_triangles_for_fit}"
         )
     epsilon = cfg.epsilon if cfg.epsilon is not None else _auto_epsilon_from_tris(tris)
-    normal, offset = _affine_from_moments(center, tris, epsilon, cfg.quadrature_order)
-    return CellFit(center=center, radius=float(radius), avg_normal=normal, offset=offset)
+    v0, v1, v2 = tris[:, 0], tris[:, 1], tris[:, 2]
+    areas, tri_normals = triangle_areas_normals(v0, v1, v2)
+    quad_pts, omega = _quadrature_points(v0, v1, v2, cfg.quadrature_order)
+    k = len(tris)
+    normals, offsets = _batched_affines(
+        center[None], np.zeros(k, dtype=np.int64), np.arange(k), quad_pts, omega, areas, tri_normals, epsilon
+    )
+    return CellFit(center=center, radius=float(radius), avg_normal=normals[0], offset=float(offsets[0]))
 
 
 def _auto_epsilon_from_tris(tris: np.ndarray) -> float:
@@ -201,28 +209,11 @@ def _auto_epsilon_from_tris(tris: np.ndarray) -> float:
     return DEFAULT_EPSILON_SCALE * diag if diag > 0.0 else 1e-3
 
 
-def _affine_from_moments(center, tris, epsilon, order):
-    int_w, int_xw, areas, normals = _weighted_moments(center, tris, epsilon, order)
-    live = areas > 0.0
-    total_w = float(np.sum(int_w[live]))
-    if total_w <= 0.0:
-        raise InsufficientTrianglesError("all member triangles are degenerate")
-    avg_normal = (normals[live] * int_w[live, None]).sum(axis=0) / total_w
-    avg_point = int_xw[live].sum(axis=0) / total_w
-    if np.linalg.norm(avg_normal) < 1e-12:
-        # opposing normals cancelled; fall back to the nearest triangle's
-        centroids = tris.mean(axis=1)
-        nearest = int(np.argmin(np.sum((centroids - center) ** 2, axis=1)))
-        avg_normal = normals[nearest].copy()
-    return avg_normal, float(avg_point @ avg_normal)
-
-
 class _CellIndex:
-    """Uniform voxel grid over sphere AABBs, CSR layout, plus a short list
-    of oversized spheres checked against every query."""
+    """Uniform voxel grid over sphere AABBs, CSR layout: each voxel lists
+    every sphere whose box overlaps it, in ascending cell order."""
 
     def __init__(self, centers: np.ndarray, radii: np.ndarray):
-        n = len(centers)
         med = float(np.median(radii))
         self.voxel = max(med, 1e-12)
         lo = (centers - radii[:, None]).min(axis=0)
@@ -233,35 +224,36 @@ class _CellIndex:
         self.lo = lo
         self.dims = dims
 
-        big = radii > 8.0 * self.voxel
-        self.big_ids = np.flatnonzero(big)
-        small_ids = np.flatnonzero(~big)
-
-        if len(small_ids):
-            # every sphere covers a small box of voxels; expand all boxes at
-            # once by flattening (sphere, dx, dy, dz) into one index array
-            i0 = self._vox_floor(centers[small_ids] - radii[small_ids, None])
-            i1 = self._vox_floor(centers[small_ids] + radii[small_ids, None])
-            span = i1 - i0 + 1
-            per = span[:, 0] * span[:, 1] * span[:, 2]
-            total = int(per.sum())
-            owner = np.repeat(np.arange(len(small_ids)), per)
-            ends = np.cumsum(per)
-            pos = np.arange(total) - np.repeat(ends - per, per)
-            yz = span[owner, 1] * span[owner, 2]
-            ax = pos // yz
-            rem = pos - ax * yz
-            ay = rem // span[owner, 2]
-            az = rem - ay * span[owner, 2]
-            vox = (
-                (i0[owner, 0] + ax) * dims[1] + (i0[owner, 1] + ay)
-            ) * dims[2] + (i0[owner, 2] + az)
-            order = np.argsort(vox, kind="stable")
-            self.csr_cells = small_ids[owner[order]]
-            counts = np.bincount(vox, minlength=int(np.prod(dims)))
-        else:
-            self.csr_cells = np.empty(0, dtype=np.int64)
-            counts = np.zeros(int(np.prod(dims)), dtype=np.int64)
+        # every sphere covers a box of voxels; expand all boxes at once by
+        # flattening (sphere, dx, dy, dz) into one index array.  Every value
+        # below is under 160**3 (a voxel id or a place within one box), so
+        # int32 arrays, updated in place, keep the build's memory down.
+        i0 = self._vox_floor(centers - radii[:, None])
+        span = (self._vox_floor(centers + radii[:, None]) - i0 + 1).astype(np.int32)
+        per = span[:, 0] * span[:, 1] * span[:, 2]
+        base = ((i0[:, 0] * dims[1] + i0[:, 1]) * dims[2] + i0[:, 2]).astype(np.int32)
+        owner = np.repeat(np.arange(len(centers), dtype=np.int32), per)
+        # pos counts 0, 1, ... within each box: a running sum of ones that
+        # drops back to 0 where the next box starts
+        pos = np.ones(len(owner), dtype=np.int32)
+        pos[0] = 0
+        pos[np.cumsum(per[:-1])] = 1 - per[:-1]
+        np.cumsum(pos, dtype=np.int32, out=pos)
+        # split pos into (ax, ay, az); vox = (ax * dims[1] + ay) * dims[2] + az
+        step = (span[:, 1] * span[:, 2])[owner]
+        vox = pos // step
+        pos -= vox * step
+        np.take(span[:, 2], owner, out=step)
+        ay = pos // step
+        pos -= ay * step
+        vox *= dims[1]
+        vox += ay
+        vox *= dims[2]
+        vox += pos
+        vox += base[owner]
+        del pos, ay, step
+        self.csr_cells = owner[np.argsort(vox, kind="stable")]
+        counts = np.bincount(vox, minlength=int(np.prod(dims)))
         self.csr_start = np.concatenate([[0], np.cumsum(counts)])
 
     def _vox_floor(self, p: np.ndarray) -> np.ndarray:
@@ -285,10 +277,7 @@ class _CellIndex:
             take = np.arange(total) - np.repeat(offsets, lens) + np.repeat(starts, lens)
             cells = self.csr_cells[take]
         else:
-            cells = np.empty(0, dtype=np.int64)
-        if len(self.big_ids):
-            rows = np.concatenate([rows, np.repeat(np.arange(n), len(self.big_ids))])
-            cells = np.concatenate([cells, np.tile(self.big_ids, n)])
+            cells = np.empty(0, dtype=self.csr_cells.dtype)
         return rows, cells
 
 
@@ -435,8 +424,9 @@ def _pair_distances(points: np.ndarray, tri_ids: np.ndarray, v0, v1, v2) -> np.n
 def _batched_affines(centers, pair_cells, pair_tris, quad_pts, omega, areas, tri_normals, epsilon):
     """Fit every cell's shape function from flat (cell, triangle) pairs.
 
-    Same math as _affine_from_moments, summed with bincount instead of a per
-    cell loop.  Cells whose weighted normal cancels are fixed up afterwards.
+    n_avg and p_avg of the module docstring are the pair moments summed per
+    cell with bincount, in pair order.  Cells whose weighted normal cancels
+    take the nearest member triangle's normal.
     """
     n = len(centers)
     num_n = np.zeros((n, 3))
@@ -445,11 +435,7 @@ def _batched_affines(centers, pair_cells, pair_tris, quad_pts, omega, areas, tri
     for a in range(0, len(pair_cells), _PAIR_CHUNK):
         b = min(a + _PAIR_CHUNK, len(pair_cells))
         cid, tid = pair_cells[a:b], pair_tris[a:b]
-        pts = quad_pts[tid]  # (p, q, 3)
-        d2 = np.sum((pts - centers[cid][:, None, :]) ** 2, axis=-1)
-        w = 1.0 / (d2 + epsilon * epsilon) ** 2
-        int_w = areas[tid] * (w @ omega)  # degenerate triangles contribute 0
-        int_xw = areas[tid, None] * np.einsum("pq,q,pqd->pd", w, omega, pts)
+        int_w, int_xw = _pair_moments(centers[cid], quad_pts[tid], omega, areas[tid], epsilon)
         den += np.bincount(cid, weights=int_w, minlength=n)
         for axis in range(3):
             num_n[:, axis] += np.bincount(cid, weights=int_w * tri_normals[tid, axis], minlength=n)
@@ -655,12 +641,7 @@ def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitS
         pair_cells = np.concatenate(extra_c)
         pair_tris = np.concatenate(extra_t)
 
-    bary, omega = _QUADRATURE[cfg.quadrature_order]
-    quad_pts = (
-        bary[None, :, 0, None] * v0[:, None, :]
-        + bary[None, :, 1, None] * v1[:, None, :]
-        + bary[None, :, 2, None] * v2[:, None, :]
-    )
+    quad_pts, omega = _quadrature_points(v0, v1, v2, cfg.quadrature_order)
     normals_out, offsets_out = _batched_affines(
         centers, pair_cells, pair_tris, quad_pts, omega, areas, tri_normals, epsilon
     )

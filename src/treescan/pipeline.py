@@ -24,6 +24,7 @@ from pathlib import Path
 from . import __version__
 from .cloud import PointCloud, write_ply
 from .degrade import (
+    DENSITY_RESOLUTIONS,
     NoiseParams,
     OcclusionParams,
     UnevenParams,
@@ -94,6 +95,8 @@ class PipelineConfig:
                 sub["branches_per_node_range"] = tuple(sub["branches_per_node_range"])
             if key == "tree" and "branch_angle_range" in sub and sub["branch_angle_range"] is not None:
                 sub["branch_angle_range"] = tuple(sub["branch_angle_range"])
+            if key == "scan":
+                sub.pop("seed", None)  # older configs carry a scan seed that nothing read
             return klass(**sub)
 
         return cls(
@@ -165,7 +168,6 @@ def run_pipeline(config: PipelineConfig) -> DatasetManifest:
 
     seeds = {
         "skeleton": derive_seed(config.master_seed, "skeleton"),
-        "scan": derive_seed(config.master_seed, "scan"),
         "noise": derive_seed(config.master_seed, "noise"),
         "occlusion": derive_seed(config.master_seed, "occlusion"),
         "uneven": derive_seed(config.master_seed, "uneven"),
@@ -223,8 +225,7 @@ def run_pipeline(config: PipelineConfig) -> DatasetManifest:
         stage = "scan"
         t0 = time.perf_counter()
         min_feature = skeleton.min_radius()
-        scan_cfg = replace(config.scan, seed=seeds["scan"])
-        clean = scan_surface(surface, scan_cfg, min_feature)
+        clean = scan_surface(surface, config.scan, min_feature)
         if len(clean) == 0:
             warnings.append("clean scan produced no points; check standoff/frustum")
         path = emit("clean", f"{config.name}_clean.ply", len(clean))
@@ -290,8 +291,8 @@ def run_pipeline(config: PipelineConfig) -> DatasetManifest:
         if entry is not None:
             stage = "density"
             t0 = time.perf_counter()
-            variants = density_variants(surface, scan_cfg, min_feature)
-            for res, cloud in zip((50, 100, 150), variants):
+            variants = density_variants(surface, config.scan, min_feature)
+            for res, cloud in zip(DENSITY_RESOLUTIONS, variants):
                 path = emit(f"density-{res}", f"{config.name}_density_{res:03d}.ply", len(cloud))
                 write_ply(cloud, path)
             timings["density"] = time.perf_counter() - t0

@@ -41,7 +41,6 @@ class ScanConfig:
     hit_tolerance: float = 1e-6
     normal_mode: str = "analytic"
     pca_k: int = 16
-    seed: int = 0
 
     def validate(self) -> None:
         if self.resolution < 2:
@@ -297,7 +296,7 @@ def scan_view(
     return PointCloud(points)
 
 
-def merge_scans(scans: list[PointCloud], poses: list[Pose] | None = None) -> PointCloud:
+def merge_scans(scans: list[PointCloud]) -> PointCloud:
     """Concatenate world-frame scans in view order; poses are already baked in."""
     if not scans:
         return PointCloud(np.empty((0, 3)))
@@ -315,7 +314,7 @@ def scan_surface(surface: ImplicitSurface, cfg: ScanConfig, min_feature: float |
     cfg.validate()
     poses = viewpoints((surface.bbox_lo, surface.bbox_hi), cfg.views, cfg.standoff)
     clouds = [scan_view(surface, pose, cfg, min_feature) for pose in poses]
-    merged = merge_scans(clouds, poses)
+    merged = merge_scans(clouds)
     if cfg.normal_mode == "pca-mst" and len(merged) >= cfg.pca_k:
         merged = orient_normals(estimate_normals(merged, cfg.pca_k), cfg.pca_k)
     return merged

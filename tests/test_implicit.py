@@ -13,11 +13,13 @@ from treescan.errors import (
     InvalidParameterError,
     SurfaceCacheError,
 )
-from treescan.geometry import triangle_areas_normals
+from treescan.geometry import dist_points_to_triangles, triangle_areas_normals
 from treescan.implicit import (
     DEFAULT_EPSILON_SCALE,
     FitConfig,
-    _weighted_moments,
+    ImplicitSurface,
+    _pair_moments,
+    _quadrature_points,
     build_surface,
     cell_markers,
     eval as eval_field,
@@ -164,17 +166,22 @@ def test_weight_decreases_with_distance(near, gap, eps):
 # -- quadrature vs Monte-Carlo ---------------------------------------------------
 
 
+def tri_moments(center, tri, epsilon, order):
+    """The fit kernel's (int_w, int_xw, area) for one (center, triangle) pair."""
+    v0, v1, v2 = tri[None, 0], tri[None, 1], tri[None, 2]
+    areas, _ = triangle_areas_normals(v0, v1, v2)
+    quad_pts, omega = _quadrature_points(v0, v1, v2, order)
+    int_w, int_xw = _pair_moments(np.asarray(center)[None], quad_pts, omega, areas, epsilon)
+    return int_w[0], int_xw[0], areas[0]
+
+
 def test_moments_match_monte_carlo():
     center = np.zeros(3)
     eps = 0.05
     mc_w, mc_xw = mc_weight_moments(center, SKEW_TRI, eps)
-    int_w, int_xw, areas, normals = _weighted_moments(center, SKEW_TRI[None], eps, order=7)
-    assert abs(int_w[0] - mc_w) / mc_w <= 1e-3
-    assert np.linalg.norm(int_xw[0] - mc_xw) / np.linalg.norm(mc_xw) <= 1e-3
-    # the bookkeeping outputs agree with direct geometry
-    a, n = triangle_areas_normals(SKEW_TRI[None, 0], SKEW_TRI[None, 1], SKEW_TRI[None, 2])
-    assert areas[0] == pytest.approx(a[0])
-    assert np.allclose(normals[0], n[0])
+    int_w, int_xw, _ = tri_moments(center, SKEW_TRI, eps, order=7)
+    assert abs(int_w - mc_w) / mc_w <= 1e-3
+    assert np.linalg.norm(int_xw - mc_xw) / np.linalg.norm(mc_xw) <= 1e-3
 
 
 @pytest.mark.parametrize("order,tol", [(1, 5e-2), (3, 1e-2), (7, 1e-3)])
@@ -182,16 +189,16 @@ def test_quadrature_orders_converge(order, tol):
     center = np.zeros(3)
     eps = 0.05
     mc_w, _ = mc_weight_moments(center, SKEW_TRI, eps)
-    int_w, _, _, _ = _weighted_moments(center, SKEW_TRI[None], eps, order=order)
-    assert abs(int_w[0] - mc_w) / mc_w <= tol
+    int_w, _, _ = tri_moments(center, SKEW_TRI, eps, order=order)
+    assert abs(int_w - mc_w) / mc_w <= tol
 
 
 def test_moments_zero_area_triangle():
     tri = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [2.0, 0.0, 1.0]])
-    int_w, int_xw, areas, _ = _weighted_moments(np.zeros(3), tri[None], 0.05, order=7)
-    assert areas[0] == 0.0
-    assert int_w[0] == 0.0
-    assert np.all(int_xw[0] == 0.0)
+    int_w, int_xw, area = tri_moments(np.zeros(3), tri, 0.05, order=7)
+    assert area == 0.0
+    assert int_w == 0.0
+    assert np.all(int_xw == 0.0)
 
 
 # -- per-cell fits ---------------------------------------------------------------
@@ -246,6 +253,24 @@ def test_fit_cell_all_degenerate_rejected():
 def test_fit_cell_radius_carried():
     cell = fit_cell(np.zeros(3), SKEW_TRI[None], FitConfig(epsilon=0.05), radius=0.7)
     assert cell.radius == 0.7
+
+
+def test_fit_cell_is_the_build_kernel(sphere_mesh_320, sphere_surface_320):
+    # every cell of this default build is an octree leaf whose members are
+    # the triangles within its radius, in ascending id order
+    surf = sphere_surface_320
+    assert surf.diagnostics["grown_spheres"] == 0
+    assert surf.diagnostics["coverage_regrown"] == 0
+    v0, v1, v2 = sphere_mesh_320.corners()
+    cfg = FitConfig(epsilon=surf.epsilon)
+    for i in np.linspace(0, len(surf.centers) - 1, 7).astype(int):
+        center = surf.centers[i]
+        d = dist_points_to_triangles(np.broadcast_to(center, v0.shape).copy(), v0, v1, v2)
+        members = np.flatnonzero(d <= surf.radii[i])
+        tris = np.stack([v0[members], v1[members], v2[members]], axis=1)
+        cell = fit_cell(center, tris, cfg, radius=surf.radii[i])
+        assert np.array_equal(cell.avg_normal, surf.normals[i])
+        assert cell.offset == surf.offsets[i]
 
 
 @pytest.mark.parametrize(
@@ -337,7 +362,42 @@ def test_build_is_deterministic(sphere_mesh_320):
     assert np.array_equal(a.offsets, b.offsets)
 
 
-# -- field evaluation --------------------------------------------------------------
+# -- cell index ----------------------------------------------------------------------
+
+
+def test_cell_index_pairs_match_brute_force():
+    # many small spheres plus a few far wider than the voxel (sized by the
+    # median radius); every sphere must be found through the one grid
+    rng = np.random.default_rng(5)
+    small = 300
+    centers = rng.uniform(0.0, 1.0, (small + 4, 3))
+    radii = np.concatenate([rng.uniform(0.02, 0.06, small), [0.5, 0.7, 0.9, 1.2]])
+    surf = ImplicitSurface(
+        centers,
+        radii,
+        np.tile([0.0, 0.0, 1.0], (len(centers), 1)),
+        np.zeros(len(centers)),
+        np.zeros(3),
+        np.ones(3),
+        0.01,
+    )
+    assert np.all(radii[small:] > 8.0 * surf.index.voxel)
+    pts = rng.uniform(-1.5, 2.5, (3000, 3))
+    grid_hi = surf.index.lo + surf.index.voxel * surf.index.dims
+    outside = np.any((pts < surf.index.lo) | (pts >= grid_hi), axis=1)
+    assert outside.sum() >= 100
+    rows, cells, r = surf._pairs(pts)
+    dist = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2)
+    want_rows, want_cells = np.nonzero(dist < radii[None, :])
+    got = np.lexsort((cells, rows))
+    assert np.array_equal(rows[got], want_rows)
+    assert np.array_equal(cells[got], want_cells)
+    assert np.array_equal(r[got], dist[want_rows, want_cells])
+    # the grid spans every sphere's box, so no sphere holds a point outside it
+    assert not np.any(outside[want_rows])
+
+
+# -- field evaluation ----------------------------------------------------------
 
 
 def test_eval_planar_zero_on_plane(plane_surface):

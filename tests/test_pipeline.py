@@ -77,8 +77,9 @@ def test_manifest_counts_and_seeds(tmp_path):
     assert by_role["skeleton"]["count"] == len(skeleton.nodes)
     assert by_role["mesh"]["count"] == len(mesh.vertices)
     assert by_role["clean"]["count"] == len(clean)
-    for label in ("skeleton", "scan", "noise", "occlusion", "uneven", "region"):
+    for label in ("skeleton", "noise", "occlusion", "uneven", "region"):
         assert manifest.seeds[label] == derive_seed(31, label)
+    assert "scan" not in manifest.seeds  # the scanner draws no random numbers
     disk = json.loads((out / "manifest.json").read_text())
     assert disk["seeds"] == manifest.seeds
     # JSON renders the tree's range tuples as lists
@@ -192,6 +193,17 @@ def test_config_save_load_round_trip(tmp_path):
     assert back.to_dict() == cfg.to_dict()
     assert isinstance(back.tree.branches_per_node_range, tuple)
     assert isinstance(back.tree.branch_angle_range, tuple)
+
+
+def test_config_load_drops_legacy_scan_seed(tmp_path):
+    cfg = tiny_config(tmp_path / "x")
+    legacy = cfg.to_dict()
+    legacy["scan"]["seed"] = 1234
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps(legacy))
+    back = load_config(path)
+    assert back.scan == cfg.scan
+    assert "seed" not in back.to_dict()["scan"]
 
 
 @pytest.mark.parametrize(
