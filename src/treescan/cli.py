@@ -26,7 +26,14 @@ from .degrade import (
     occlude,
     uneven_density,
 )
-from .implicit import FitConfig, build_surface, cell_markers, load_surface, save_surface
+from .implicit import (
+    FitConfig,
+    build_surface,
+    cell_markers,
+    load_surface,
+    save_surface,
+    surface_key,
+)
 from .mesh import load_obj, save_obj, sweep_mesh
 from .metrics import evaluate, report_json
 from .pipeline import (
@@ -120,7 +127,7 @@ def _cmd_fit(args) -> int:
     mesh = load_obj(args.mesh)
     cfg = _apply_flags(FitConfig(), args, _FIT_FLAGS)
     surface = build_surface(mesh, cfg)
-    save_surface(surface, args.out)
+    save_surface(surface, args.out, surface_key(Path(args.mesh).read_bytes(), cfg))
     print(f"wrote {args.out} ({len(surface.centers)} cells)")
     if args.dump_debug_obj:
         save_obj(cell_markers(surface), args.dump_debug_obj)

@@ -222,9 +222,18 @@ def uneven_density(cloud: PointCloud, p: UnevenParams, diagnostics: dict | None 
     return PointCloud(points, normals)
 
 
-def density_variants(surface, base_cfg: ScanConfig, min_feature: float | None = None):
-    """Fresh scans at resolutions 50/100/150, otherwise as configured in base_cfg."""
+def density_variants(
+    surface, base_cfg: ScanConfig, min_feature: float | None = None, clean: PointCloud | None = None
+):
+    """Scans at resolutions 50/100/150, otherwise as configured in base_cfg.
+
+    clean, when given, is the `scan_surface(surface, base_cfg, min_feature)`
+    result; it is returned as is for the resolution equal to
+    base_cfg.resolution instead of scanning the same rays again.
+    """
     return tuple(
-        scan_surface(surface, replace(base_cfg, resolution=res), min_feature)
+        clean
+        if clean is not None and res == base_cfg.resolution
+        else scan_surface(surface, replace(base_cfg, resolution=res), min_feature)
         for res in DENSITY_RESOLUTIONS
     )

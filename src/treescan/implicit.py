@@ -37,8 +37,10 @@ ray marching needs to know the sign.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -209,9 +211,26 @@ def _auto_epsilon_from_tris(tris: np.ndarray) -> float:
     return DEFAULT_EPSILON_SCALE * diag if diag > 0.0 else 1e-3
 
 
+def _running_index(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, ..., n-1 for each n in `lengths` (all > 0), concatenated, int32.
+
+    A running sum of ones that drops back to 0 where the next block starts.
+    """
+    pos = np.ones(int(lengths.sum()), dtype=np.int32)
+    pos[0] = 0
+    pos[np.cumsum(lengths[:-1])] = 1 - lengths[:-1]
+    return np.cumsum(pos, dtype=np.int32, out=pos)
+
+
+# Relative slack on a sphere's radius when deciding which voxels its ball
+# reaches.  Voxel faces, gaps and point binning each round by a few ulp of
+# the coordinates; the slack only ever adds (sphere, voxel) entries.
+_BALL_SLACK = 1e-10
+
+
 class _CellIndex:
-    """Uniform voxel grid over sphere AABBs, CSR layout: each voxel lists
-    every sphere whose box overlaps it, in ascending cell order."""
+    """Uniform voxel grid over the support spheres, CSR layout: each voxel
+    lists every sphere whose ball reaches it, in ascending cell order."""
 
     def __init__(self, centers: np.ndarray, radii: np.ndarray):
         med = float(np.median(radii))
@@ -224,35 +243,47 @@ class _CellIndex:
         self.lo = lo
         self.dims = dims
 
-        # every sphere covers a box of voxels; expand all boxes at once by
-        # flattening (sphere, dx, dy, dz) into one index array.  Every value
-        # below is under 160**3 (a voxel id or a place within one box), so
-        # int32 arrays, updated in place, keep the build's memory down.
+        # A sphere's voxel box, walked as (x, y) columns: the x and y gaps
+        # from the center to a column leave a radius under which the z run
+        # of reached voxels is one floor() per end.  Only the runs are
+        # expanded.  Every int value is under 160**3 (a voxel id or a place
+        # within one box), so int32 arrays keep the build's memory down.
         i0 = self._vox_floor(centers - radii[:, None])
-        span = (self._vox_floor(centers + radii[:, None]) - i0 + 1).astype(np.int32)
-        per = span[:, 0] * span[:, 1] * span[:, 2]
-        base = ((i0[:, 0] * dims[1] + i0[:, 1]) * dims[2] + i0[:, 2]).astype(np.int32)
-        owner = np.repeat(np.arange(len(centers), dtype=np.int32), per)
-        # pos counts 0, 1, ... within each box: a running sum of ones that
-        # drops back to 0 where the next box starts
-        pos = np.ones(len(owner), dtype=np.int32)
-        pos[0] = 0
-        pos[np.cumsum(per[:-1])] = 1 - per[:-1]
-        np.cumsum(pos, dtype=np.int32, out=pos)
-        # split pos into (ax, ay, az); vox = (ax * dims[1] + ay) * dims[2] + az
-        step = (span[:, 1] * span[:, 2])[owner]
-        vox = pos // step
-        pos -= vox * step
-        np.take(span[:, 2], owner, out=step)
-        ay = pos // step
-        pos -= ay * step
-        vox *= dims[1]
-        vox += ay
-        vox *= dims[2]
-        vox += pos
-        vox += base[owner]
-        del pos, ay, step
-        self.csr_cells = owner[np.argsort(vox, kind="stable")]
+        i1 = self._vox_floor(centers + radii[:, None])
+        span = (i1 - i0 + 1).astype(np.int32)
+        col_owner = np.repeat(np.arange(len(centers), dtype=np.int32), span[:, 0] * span[:, 1])
+        pos = _running_index(span[:, 0] * span[:, 1])
+        col_y = span[col_owner, 1]
+        col_x = pos // col_y
+        col_y = pos - col_x * col_y + i0[col_owner, 1]
+        col_x += i0[col_owner, 0]
+        del pos
+        reach = radii + _BALL_SLACK * (radii + float(np.abs(np.concatenate([lo, hi])).max()))
+        left = reach[col_owner] ** 2
+        for axis, col in ((0, col_x), (1, col_y)):
+            face = lo[axis] + col * self.voxel
+            c = centers[col_owner, axis]
+            gap = np.maximum(np.maximum(face - c, c - (face + self.voxel)), 0.0)
+            left -= gap * gap
+        hit = left > 0.0
+        col_owner, col_x, col_y = col_owner[hit], col_x[hit], col_y[hit]
+        half = np.sqrt(left[hit])
+        del left, hit
+        cz = centers[col_owner, 2]
+        z0 = np.maximum(np.floor((cz - half - lo[2]) / self.voxel).astype(np.int32), i0[col_owner, 2])
+        z1 = np.minimum(np.floor((cz + half - lo[2]) / self.voxel).astype(np.int32), i1[col_owner, 2])
+        del cz, half
+        run = z1 - z0 + 1
+        # vox = (x * dims[1] + y) * dims[2] + z for z in z0..z1; a column's
+        # runs stay in sphere order, so each voxel lists ascending cells
+        col_x *= dims[1]
+        col_x += col_y
+        col_x *= dims[2]
+        col_x += z0
+        del col_y, z0, z1
+        vox = _running_index(run)
+        vox += np.repeat(col_x, run)
+        self.csr_cells = np.repeat(col_owner, run)[np.argsort(vox, kind="stable")]
         counts = np.bincount(vox, minlength=int(np.prod(dims)))
         self.csr_start = np.concatenate([[0], np.cumsum(counts)])
 
@@ -261,7 +292,7 @@ class _CellIndex:
         return np.clip(idx, 0, self.dims - 1)
 
     def candidate_pairs(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(row, cell) pairs whose sphere AABB voxel contains the point."""
+        """(row, cell) pairs whose sphere reaches the voxel holding the point."""
         n = len(points)
         idx = np.floor((points - self.lo) / self.voxel).astype(int)
         inside = np.all((idx >= 0) & (idx < self.dims), axis=1)
@@ -674,15 +705,29 @@ def cell_markers(surface: ImplicitSurface) -> TriangleMesh:
 # -- binary cache ------------------------------------------------------------
 
 _MAGIC = b"MPUF"
-_VERSION = 1
+_VERSION = 2
+_HEADER = 4 + 4 + 32 + 8 + 48 + 8
 
 
-def save_surface(surface: ImplicitSurface, path) -> None:
-    """Binary cache: magic, version, epsilon, bbox, then the cell arrays."""
+def surface_key(mesh_obj: bytes, cfg: FitConfig) -> bytes:
+    """Cache key of a fit: SHA-256 over the mesh's .obj bytes and the
+    sorted-key JSON of the fit config."""
+    h = hashlib.sha256(mesh_obj)
+    h.update(json.dumps(asdict(cfg), sort_keys=True).encode("utf-8"))
+    return h.digest()
+
+
+def save_surface(surface: ImplicitSurface, path, key: bytes | None = None) -> None:
+    """Binary cache: magic, version, key (`surface_key`, or zeros), epsilon,
+    bbox, then the cell arrays."""
     n = len(surface.centers)
+    key = bytes(32) if key is None else key
+    if len(key) != 32:
+        raise InvalidParameterError("a surface cache key is 32 bytes")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
+        fh.write(key)
         fh.write(struct.pack("<d", surface.epsilon))
         fh.write(struct.pack("<6d", *surface.bbox_lo, *surface.bbox_hi))
         fh.write(struct.pack("<Q", n))
@@ -692,21 +737,30 @@ def save_surface(surface: ImplicitSurface, path) -> None:
         fh.write(surface.offsets.astype("<f8").tobytes())
 
 
-def load_surface(path) -> ImplicitSurface:
+def load_surface(path, key: bytes | None = None) -> ImplicitSurface:
+    """Read a cache written by `save_surface`.
+
+    With a key, a cache saved under any other key (another mesh or fit
+    config) raises SurfaceCacheError, as do other versions and damage.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 4 + 4 + 8 + 48 + 8 or blob[:4] != _MAGIC:
+    if len(blob) < 8 or blob[:4] != _MAGIC:
         raise SurfaceCacheError(f"{path}: not a surface cache file")
     version = struct.unpack_from("<I", blob, 4)[0]
     if version != _VERSION:
         raise SurfaceCacheError(f"{path}: unsupported cache version {version}")
-    epsilon = struct.unpack_from("<d", blob, 8)[0]
-    box = struct.unpack_from("<6d", blob, 16)
-    n = struct.unpack_from("<Q", blob, 64)[0]
-    need = 72 + n * (3 + 1 + 3 + 1) * 8
+    if len(blob) < _HEADER:
+        raise SurfaceCacheError(f"{path}: truncated cache ({len(blob)} of {_HEADER} header bytes)")
+    if key is not None and blob[8:40] != key:
+        raise SurfaceCacheError(f"{path}: cache key differs from this mesh and fit config")
+    epsilon = struct.unpack_from("<d", blob, 40)[0]
+    box = struct.unpack_from("<6d", blob, 48)
+    n = struct.unpack_from("<Q", blob, 96)[0]
+    need = _HEADER + n * (3 + 1 + 3 + 1) * 8
     if len(blob) < need:
         raise SurfaceCacheError(f"{path}: truncated cache ({len(blob)} of {need} bytes)")
-    off = 72
+    off = _HEADER
     centers = np.frombuffer(blob, dtype="<f8", count=3 * n, offset=off).reshape(n, 3)
     off += 24 * n
     radii = np.frombuffer(blob, dtype="<f8", count=n, offset=off)

@@ -34,8 +34,15 @@ from .degrade import (
     occlude,
     uneven_density,
 )
-from .errors import InvalidParameterError, PipelineStageError
-from .implicit import FitConfig, build_surface, cell_markers, load_surface, save_surface
+from .errors import InvalidParameterError, PipelineStageError, SurfaceCacheError
+from .implicit import (
+    FitConfig,
+    build_surface,
+    cell_markers,
+    load_surface,
+    save_surface,
+    surface_key,
+)
 from .mesh import save_obj, sweep_mesh
 from .rng import derive_seed
 from .scanner import ScanConfig, scan_surface
@@ -202,19 +209,25 @@ def run_pipeline(config: PipelineConfig) -> DatasetManifest:
         stage = "mesh"
         t0 = time.perf_counter()
         mesh = sweep_mesh(skeleton, sides=config.sides)
-        path = emit("mesh", f"{config.name}.obj", len(mesh.vertices))
-        save_obj(mesh, path)
+        mesh_path = emit("mesh", f"{config.name}.obj", len(mesh.vertices))
+        save_obj(mesh, mesh_path)
         timings["mesh"] = time.perf_counter() - t0
 
         stage = "fit"
         t0 = time.perf_counter()
         cache_path = out / f"{config.name}.mpuf"
-        if config.cache_surface and cache_path.exists():
-            surface = load_surface(cache_path)
-        else:
+        surface = None
+        if config.cache_surface:
+            key = surface_key(mesh_path.read_bytes(), config.fit)
+            if cache_path.exists():
+                try:
+                    surface = load_surface(cache_path, key)
+                except SurfaceCacheError as exc:
+                    warnings.append(f"surface cache refitted: {exc}")
+        if surface is None:
             surface = build_surface(mesh, config.fit)
             if config.cache_surface:
-                save_surface(surface, cache_path)
+                save_surface(surface, cache_path, key)
         if config.cache_surface:
             emit("surface-cache", cache_path.name, len(surface.centers))
         if config.debug_obj:
@@ -291,7 +304,7 @@ def run_pipeline(config: PipelineConfig) -> DatasetManifest:
         if entry is not None:
             stage = "density"
             t0 = time.perf_counter()
-            variants = density_variants(surface, config.scan, min_feature)
+            variants = density_variants(surface, config.scan, min_feature, clean=clean)
             for res, cloud in zip(DENSITY_RESOLUTIONS, variants):
                 path = emit(f"density-{res}", f"{config.name}_density_{res:03d}.ply", len(cloud))
                 write_ply(cloud, path)

@@ -7,7 +7,7 @@ import pytest
 
 from treescan.cli import main
 from treescan.cloud import read_ply
-from treescan.implicit import FitConfig, load_surface
+from treescan.implicit import FitConfig, load_surface, surface_key
 from treescan.mesh import load_obj
 from treescan.pipeline import PipelineConfig, save_config
 from treescan.rng import derive_seed
@@ -58,7 +58,7 @@ def test_stage_subcommands_chain(tmp_path, capsys):
     assert len(mesh.triangles) > 0
 
     assert main(["fit", "--mesh", str(obj), "--out", str(surf)]) == 0
-    surface = load_surface(surf)
+    surface = load_surface(surf, surface_key(obj.read_bytes(), FitConfig()))
     assert len(surface.centers) > 0
 
     # two spiral views would look straight down the trunk axis and see

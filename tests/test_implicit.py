@@ -27,6 +27,7 @@ from treescan.implicit import (
     gradient,
     load_surface,
     save_surface,
+    surface_key,
     weight,
 )
 from treescan.mesh import TriangleMesh
@@ -365,14 +366,9 @@ def test_build_is_deterministic(sphere_mesh_320):
 # -- cell index ----------------------------------------------------------------------
 
 
-def test_cell_index_pairs_match_brute_force():
-    # many small spheres plus a few far wider than the voxel (sized by the
-    # median radius); every sphere must be found through the one grid
-    rng = np.random.default_rng(5)
-    small = 300
-    centers = rng.uniform(0.0, 1.0, (small + 4, 3))
-    radii = np.concatenate([rng.uniform(0.02, 0.06, small), [0.5, 0.7, 0.9, 1.2]])
-    surf = ImplicitSurface(
+def sphere_set_surface(centers, radii):
+    """A surface over bare spheres: every cell is the plane z = 0."""
+    return ImplicitSurface(
         centers,
         radii,
         np.tile([0.0, 0.0, 1.0], (len(centers), 1)),
@@ -381,20 +377,106 @@ def test_cell_index_pairs_match_brute_force():
         np.ones(3),
         0.01,
     )
-    assert np.all(radii[small:] > 8.0 * surf.index.voxel)
+
+
+def mixed_spheres():
+    """300 small spheres plus 4 far wider than the voxel (sized by the
+    median radius)."""
+    rng = np.random.default_rng(5)
+    centers = rng.uniform(0.0, 1.0, (304, 3))
+    radii = np.concatenate([rng.uniform(0.02, 0.06, 300), [0.5, 0.7, 0.9, 1.2]])
+    return centers, radii
+
+
+VOXEL_16 = 1.0 / 16.0
+
+
+def corner_spheres():
+    """Spheres on the exact grid lo = 0, voxel 1/16, dims 16 whose surfaces
+    pass through voxel corners: centers on grid nodes (or face centers) and
+    radii of 1, 3, 5 (or 2.5) voxels, Pythagorean in voxel units."""
+    v = VOXEL_16
+    frame = [([1, 1, 1], 1), ([15, 15, 15], 1)]  # pins the grid to [0, 1]
+    unit = [((i, j, k), 1) for i in (2, 5, 8, 11, 14) for j in (2, 5, 8, 11, 14) for k in (2, 5, 8, 11, 14)]
+    three = [((i, j, k), 3) for i in (4, 8, 12) for j in (4, 8, 12) for k in (4, 8, 12)]
+    wide = [((8, 8, 8), 5), ((6, 7, 9), 5), ((5.5, 8, 8), 2.5), ((9, 4.5, 10), 2.5)]
+    spheres = frame + unit + three + wide
+    centers = np.array([c for c, _ in spheres], dtype=np.float64) * v
+    radii = np.array([r for _, r in spheres], dtype=np.float64) * v
+    return centers, radii
+
+
+def assert_pairs_match_brute_force(surf, pts):
+    rows, cells, r = surf._pairs(pts)
+    dist = np.linalg.norm(pts[:, None, :] - surf.centers[None, :, :], axis=2)
+    want_rows, want_cells = np.nonzero(dist < surf.radii[None, :])
+    # same pairs in the same order (by point, then ascending cell), so the
+    # blend's sums are accumulated in one fixed order
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(cells, want_cells)
+    assert np.array_equal(r, dist[want_rows, want_cells])
+    return want_rows
+
+
+def test_cell_index_pairs_match_brute_force():
+    # every sphere, however wide, must be found through the one grid
+    centers, radii = mixed_spheres()
+    surf = sphere_set_surface(centers, radii)
+    assert np.all(radii[300:] > 8.0 * surf.index.voxel)
+    rng = np.random.default_rng(5)
     pts = rng.uniform(-1.5, 2.5, (3000, 3))
     grid_hi = surf.index.lo + surf.index.voxel * surf.index.dims
     outside = np.any((pts < surf.index.lo) | (pts >= grid_hi), axis=1)
     assert outside.sum() >= 100
-    rows, cells, r = surf._pairs(pts)
-    dist = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2)
-    want_rows, want_cells = np.nonzero(dist < radii[None, :])
-    got = np.lexsort((cells, rows))
-    assert np.array_equal(rows[got], want_rows)
-    assert np.array_equal(cells[got], want_cells)
-    assert np.array_equal(r[got], dist[want_rows, want_cells])
+    want_rows = assert_pairs_match_brute_force(surf, pts)
     # the grid spans every sphere's box, so no sphere holds a point outside it
     assert not np.any(outside[want_rows])
+
+    # queries on voxel faces, edges and corners, exactly and one ulp off,
+    # against spheres whose surfaces pass through voxel corners
+    surf = sphere_set_surface(*corner_spheres())
+    assert np.array_equal(surf.index.lo, np.zeros(3))
+    assert surf.index.voxel == VOXEL_16 and np.array_equal(surf.index.dims, [16, 16, 16])
+    ticks = np.arange(33) * (VOXEL_16 / 2.0)  # corners, edge midpoints, face centers
+    lattice = np.stack(np.meshgrid(ticks, ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 3)
+    nodes = lattice[np.all(np.isin(lattice, ticks[::2]), axis=1)]
+    pts = np.concatenate([lattice, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf)])
+    on_surface = np.abs(
+        np.linalg.norm(nodes[:, None, :] - surf.centers[None], axis=2) - surf.radii[None]
+    ) == 0.0
+    assert on_surface.sum() >= 500
+    assert_pairs_match_brute_force(surf, pts)
+
+
+@pytest.mark.parametrize("spheres", [mixed_spheres, corner_spheres])
+def test_cell_index_lists_the_voxels_each_ball_reaches(spheres):
+    # a sphere is listed in a voxel exactly when its ball reaches the voxel:
+    # every voxel at gap < radius, none past a rounding margin (far below
+    # the gap of a box corner), each voxel's cells ascending
+    centers, radii = spheres()
+    index = sphere_set_surface(centers, radii).index
+    n_vox = int(np.prod(index.dims))
+    entry_vox = np.repeat(np.arange(n_vox), np.diff(index.csr_start))
+    assert np.all((np.diff(index.csr_cells) > 0) | (np.diff(entry_vox) > 0))
+    listed = index.csr_cells.astype(np.int64) * n_vox + entry_vox
+
+    must, may = [], []
+    margin = 1e-6 * index.voxel
+    for i, (c, r) in enumerate(zip(centers, radii)):
+        lo = np.clip(np.floor((c - r - index.lo) / index.voxel).astype(int), 0, index.dims - 1)
+        hi = np.clip(np.floor((c + r - index.lo) / index.voxel).astype(int), 0, index.dims - 1)
+        gaps = []
+        for axis in range(3):
+            face = index.lo[axis] + np.arange(lo[axis], hi[axis] + 1) * index.voxel
+            gaps.append(np.maximum(np.maximum(face - c[axis], c[axis] - face - index.voxel), 0.0))
+        gap = np.sqrt(gaps[0][:, None, None] ** 2 + gaps[1][None, :, None] ** 2 + gaps[2][None, None, :] ** 2)
+        ax, ay, az = np.meshgrid(*(np.arange(lo[a], hi[a] + 1) for a in range(3)), indexing="ij")
+        key = i * n_vox + (ax * index.dims[1] + ay) * index.dims[2] + az
+        must.append(key[gap < r])
+        may.append(key[gap < r + margin])
+    must, may = np.concatenate(must), np.concatenate(may)
+    assert np.all(np.isin(must, listed))
+    assert np.all(np.isin(listed, may))
 
 
 # -- field evaluation ----------------------------------------------------------
@@ -574,7 +656,31 @@ def test_surface_cache_rejects_corruption(tmp_path, sphere_surface_320):
     with pytest.raises(SurfaceCacheError):
         load_surface(stub)
 
-    bad_version = tmp_path / "version.mpuf"
-    bad_version.write_bytes(blob[:4] + struct.pack("<I", 999) + blob[8:])
-    with pytest.raises(SurfaceCacheError, match="version"):
-        load_surface(bad_version)
+    for version in (1, 999):
+        bad_version = tmp_path / "version.mpuf"
+        bad_version.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
+        with pytest.raises(SurfaceCacheError, match="version"):
+            load_surface(bad_version)
+
+
+def test_surface_cache_key(tmp_path, sphere_mesh_320, sphere_surface_320):
+    obj = b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
+    key = surface_key(obj, FitConfig())
+    assert len(key) == 32
+    assert surface_key(obj, FitConfig()) == key
+    assert surface_key(obj + b"\n", FitConfig()) != key
+    assert surface_key(obj, FitConfig(max_depth=9)) != key
+    assert surface_key(obj, FitConfig(epsilon=0.01)) != key
+
+    path = tmp_path / "keyed.mpuf"
+    save_surface(sphere_surface_320, path, key)
+    assert np.array_equal(load_surface(path, key).centers, sphere_surface_320.centers)
+    assert np.array_equal(load_surface(path).centers, sphere_surface_320.centers)
+    with pytest.raises(SurfaceCacheError, match="key"):
+        load_surface(path, surface_key(obj, FitConfig(max_depth=9)))
+    unkeyed = tmp_path / "unkeyed.mpuf"
+    save_surface(sphere_surface_320, unkeyed)
+    with pytest.raises(SurfaceCacheError, match="key"):
+        load_surface(unkeyed, key)
+    # the key sits in the header; the cell arrays are written as before
+    assert path.read_bytes()[40:] == unkeyed.read_bytes()[40:]

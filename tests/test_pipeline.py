@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from treescan import degrade, pipeline
 from treescan.cloud import read_ply
 from treescan.errors import InvalidParameterError, PipelineStageError
 from treescan.implicit import FitConfig, load_surface
@@ -149,6 +150,64 @@ def test_cache_and_debug_artifacts(tmp_path):
     assert by_role["surface-cache"]["count"] == len(surface.centers)
     markers = load_obj(out / "dbg_cells.obj")
     assert len(markers.vertices) == 6 * len(surface.centers)
+
+
+def counting(monkeypatch, module, name) -> list:
+    """Count the calls `module` makes to its global `name`."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_surface_cache_refits_when_stale(tmp_path, monkeypatch):
+    out = tmp_path / "cached"
+    run_pipeline(tiny_config(out, name="model", cache_surface=True, master_seed=1))
+    fresh = run_pipeline(tiny_config(tmp_path / "fresh", name="model", master_seed=2))
+    fits = counting(monkeypatch, pipeline, "build_surface")
+    # another master seed makes another mesh, so the cache is stale
+    second = run_pipeline(tiny_config(out, name="model", cache_surface=True, master_seed=2))
+    assert len(fits) == 1
+    assert any("surface cache refitted" in w for w in second.warnings)
+    assert (out / "model_clean.ply").read_bytes() == (tmp_path / "fresh" / "model_clean.ply").read_bytes()
+    assert role_digests(second)["clean"] == role_digests(fresh)["clean"]
+    # the refit overwrote the cache: an unchanged rerun loads it
+    again = run_pipeline(tiny_config(out, name="model", cache_surface=True, master_seed=2))
+    assert len(fits) == 1
+    assert not again.warnings
+    assert role_digests(again) == role_digests(second)
+    # a changed fit config, a truncated cache and an old version all refit
+    run_pipeline(tiny_config(out, name="model", cache_surface=True, master_seed=2, fit=FitConfig(max_depth=9)))
+    assert len(fits) == 2
+    cache = out / "model.mpuf"
+    cache.write_bytes(cache.read_bytes()[:100])
+    run_pipeline(tiny_config(out, name="model", cache_surface=True, master_seed=2))
+    assert len(fits) == 3
+    blob = cache.read_bytes()
+    cache.write_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[8:])
+    third = run_pipeline(tiny_config(out, name="model", cache_surface=True, master_seed=2))
+    assert len(fits) == 4
+    assert any("version 1" in w for w in third.warnings)
+    assert role_digests(third) == role_digests(second)
+
+
+@pytest.mark.parametrize("resolution, scans", [(100, 3), (60, 4)])
+def test_density_reuses_the_clean_scan(tmp_path, monkeypatch, resolution, scans):
+    calls = counting(monkeypatch, pipeline, "scan_surface")
+    density_calls = counting(monkeypatch, degrade, "scan_surface")
+    out = tmp_path / "d"
+    scan = ScanConfig(resolution=resolution, views=2)
+    manifest = run_pipeline(tiny_config(out, name="model", degradations=ALL_DEGRADATIONS, scan=scan))
+    assert len(calls) + len(density_calls) == scans
+    clean = (out / "model_clean.ply").read_bytes()
+    assert ((out / "model_density_100.ply").read_bytes() == clean) == (resolution == 100)
+    counts = {f["role"]: f["count"] for f in manifest.files}
+    assert counts["density-50"] < counts["density-100"] < counts["density-150"]
 
 
 def test_occlusion_lambda_key_alias(tmp_path):
