@@ -5,6 +5,9 @@ Each case runs the whole pipeline (all four degradations, surface cache on)
 in a fresh directory and records {case: {file: sha256}}. A `.mpuf` cache
 also gets a `<file> cells` entry: the digest of the cell arrays, epsilon
 and bbox it loads to, which stays comparable when only the header changes.
+`manifest.json` is hashed as its sorted-key JSON without `timings` and
+without `config.output_dir` (the temporary directory), so file order,
+roles, seeds, warnings, occlusion balls and the config echo are compared.
 With --against, every difference from a saved set is listed and the exit
 status is 1 if there is any.
 
@@ -69,6 +72,9 @@ def case_digests(case: str) -> dict[str, str]:
             for a in (s.centers, s.radii, s.normals, s.offsets, [s.epsilon], s.bbox_lo, s.bbox_hi):
                 h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
             digests[f"{name} cells"] = h.hexdigest()
+        recorded = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        del recorded["timings"], recorded["config"]["output_dir"]
+        digests["manifest.json"] = hashlib.sha256(json.dumps(recorded, sort_keys=True).encode("utf-8")).hexdigest()
     return digests
 
 

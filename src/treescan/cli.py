@@ -10,16 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from .cloud import read_ply, write_ply
 from .degrade import (
     DENSITY_RESOLUTIONS,
-    NoiseParams,
-    OcclusionParams,
-    UnevenParams,
     add_noise,
     default_region,
     density_variants,
@@ -37,9 +33,11 @@ from .implicit import (
 from .mesh import load_obj, save_obj, sweep_mesh
 from .metrics import evaluate, report_json
 from .pipeline import (
+    DEGRADATION_KINDS,
+    DEGRADATIONS,
     PipelineConfig,
     batch,
-    default_workers,
+    degradation_params,
     load_config,
     run_pipeline,
 )
@@ -135,7 +133,7 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _min_feature(args, surface) -> float | None:
+def _min_feature(args) -> float | None:
     if getattr(args, "min_feature", None) is not None:
         return args.min_feature
     if getattr(args, "skeleton", None):
@@ -146,15 +144,22 @@ def _min_feature(args, surface) -> float | None:
 def _cmd_scan(args) -> int:
     surface = load_surface(args.surface)
     cfg = _apply_flags(ScanConfig(), args, _SCAN_FLAGS)
-    cloud = scan_surface(surface, cfg, _min_feature(args, surface))
+    cloud = scan_surface(surface, cfg, _min_feature(args))
     write_ply(cloud, args.out)
     print(f"wrote {args.out} ({len(cloud)} points)")
     return 0
 
 
+def _params_from_flags(kind: str, args):
+    """The params of `kind` from its flags; flags left out keep the dataclass defaults."""
+    keys = {f.name for f in fields(DEGRADATIONS[kind][0])} - {"seed"}
+    entry = {k: v for k, v in vars(args).items() if k in keys and v is not None}
+    return degradation_params({"kind": kind, **entry}, args.seed)
+
+
 def _cmd_degrade_noise(args) -> int:
     cloud = read_ply(args.input)
-    out = add_noise(cloud, NoiseParams(s=args.s, d=args.d, seed=args.seed))
+    out = add_noise(cloud, _params_from_flags("noise", args))
     write_ply(out, args.out)
     print(f"wrote {args.out} ({len(out)} points)")
     return 0
@@ -166,7 +171,7 @@ def _cmd_degrade_occlude(args) -> int:
         bbox = load_skeleton(args.skeleton).bbox()
     else:
         bbox = cloud.bbox()
-    out, balls = occlude(cloud, bbox, OcclusionParams(N=args.n, lam=args.lam, seed=args.seed))
+    out, balls = occlude(cloud, bbox, _params_from_flags("occlusion", args))
     write_ply(out, args.out)
     print(f"wrote {args.out} ({len(out)} points, {len(balls)} balls)")
     if args.balls_out:
@@ -181,17 +186,10 @@ def _cmd_degrade_occlude(args) -> int:
 def _cmd_degrade_uneven(args) -> int:
     cloud = read_ply(args.input)
     if args.region is not None:
-        r = np.asarray(args.region, dtype=np.float64)
-        region = (r[:3], r[3:])
-    else:
-        region = default_region(cloud.bbox(), args.seed)
-    params = UnevenParams(
-        region=region,
-        r=args.r,
-        lambda1_range=tuple(args.lambda1_range) if args.lambda1_range else None,
-        lambda2_range=tuple(args.lambda2_range) if args.lambda2_range else None,
-        seed=args.seed,
-    )
+        args.region = [args.region[:3], args.region[3:]]
+    params = _params_from_flags("uneven", args)
+    if params.region is None:
+        params = replace(params, region=default_region(cloud.bbox(), params.seed))
     out = uneven_density(cloud, params)
     write_ply(out, args.out)
     print(f"wrote {args.out} ({len(out)} points)")
@@ -201,7 +199,7 @@ def _cmd_degrade_uneven(args) -> int:
 def _cmd_degrade_density(args) -> int:
     surface = load_surface(args.surface)
     cfg = _apply_flags(ScanConfig(), args, _SCAN_FLAGS)
-    clouds = density_variants(surface, cfg, _min_feature(args, surface))
+    clouds = density_variants(surface, cfg, _min_feature(args))
     for res, cloud in zip(DENSITY_RESOLUTIONS, clouds):
         path = f"{args.out_prefix}_density_{res:03d}.ply"
         write_ply(cloud, path)
@@ -305,29 +303,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = dsub.add_parser("noise", help="Gaussian noise along normals")
     d.add_argument("--in", dest="input", required=True)
-    d.add_argument("--s", type=float, default=0.02)
-    d.add_argument("--d", type=int, default=10)
-    d.add_argument("--seed", type=int, default=0)
+    d.add_argument("--s", type=float, default=None)
+    d.add_argument("--d", type=int, default=None)
+    d.add_argument("--seed", type=int, default=None)
     d.add_argument("--out", required=True)
     d.set_defaults(func=_cmd_degrade_noise)
 
     d = dsub.add_parser("occlude", help="remove occlusion-ball interiors")
     d.add_argument("--in", dest="input", required=True)
     d.add_argument("--skeleton", default=None, help="bbox source; defaults to the cloud bbox")
-    d.add_argument("--n", type=int, default=2)
-    d.add_argument("--lambda", dest="lam", type=float, default=0.05)
-    d.add_argument("--seed", type=int, default=0)
+    d.add_argument("--n", dest="N", type=int, default=None)
+    d.add_argument("--lambda", dest="lam", type=float, default=None)
+    d.add_argument("--seed", type=int, default=None)
     d.add_argument("--out", required=True)
     d.add_argument("--balls-out", default=None)
     d.set_defaults(func=_cmd_degrade_occlude)
 
     d = dsub.add_parser("uneven", help="locally uneven density by PCA insertion")
     d.add_argument("--in", dest="input", required=True)
-    d.add_argument("--r", type=float, default=0.05)
+    d.add_argument("--r", type=float, default=None)
     d.add_argument("--region", type=float, nargs=6, default=None, metavar=("X0", "Y0", "Z0", "X1", "Y1", "Z1"))
     _range_flag(d, "--lambda1-range")
     _range_flag(d, "--lambda2-range")
-    d.add_argument("--seed", type=int, default=0)
+    d.add_argument("--seed", type=int, default=None)
     d.add_argument("--out", required=True)
     d.set_defaults(func=_cmd_degrade_uneven)
 
@@ -361,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--degradations",
         nargs="*",
         default=None,
-        choices=["noise", "occlusion", "uneven", "density"],
+        choices=DEGRADATION_KINDS,
         help="replace the config's degradation list",
     )
     p.set_defaults(func=_cmd_pipeline)

@@ -70,12 +70,14 @@ class UnevenParams:
         if not self.r > 0.0:
             raise InvalidParameterError("r must be positive")
         if self.region is not None:
+            if len(self.region) != 2 or any(len(corner) != 3 for corner in self.region):
+                raise InvalidParameterError("region must be a (lo, hi) pair of 3-vectors")
             lo, hi = np.asarray(self.region[0]), np.asarray(self.region[1])
             if not np.all(hi > lo):
                 raise InvalidParameterError("region must have positive extent on every axis")
         for rng_ in (self.lambda1_range, self.lambda2_range):
-            if rng_ is not None and not rng_[1] >= rng_[0]:
-                raise InvalidParameterError("lambda ranges must be ordered")
+            if rng_ is not None and not (len(rng_) == 2 and rng_[1] >= rng_[0]):
+                raise InvalidParameterError("lambda ranges must be ordered (lo, hi) pairs")
 
 
 def add_noise(cloud: PointCloud, p: NoiseParams) -> PointCloud:

@@ -18,7 +18,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -37,6 +37,7 @@ from .degrade import (
 from .errors import InvalidParameterError, PipelineStageError, SurfaceCacheError
 from .implicit import (
     FitConfig,
+    ImplicitSurface,
     build_surface,
     cell_markers,
     load_surface,
@@ -46,10 +47,99 @@ from .implicit import (
 from .mesh import save_obj, sweep_mesh
 from .rng import derive_seed
 from .scanner import ScanConfig, scan_surface
-from .skeleton import TreeParams, generate_skeleton, save_skeleton
+from .skeleton import SkeletonGraph, TreeParams, generate_skeleton, save_skeleton
 
-DEGRADATION_KINDS = ("noise", "occlusion", "uneven", "density")
 WORKERS_ENV = "TREESCAN_WORKERS"
+
+
+def _coerced(default, value):
+    """A JSON value in the type of its field's default: numbers cast, lists to tuples."""
+    if isinstance(default, (bool, int, float)):
+        return type(default)(value)
+    if isinstance(value, list) and not isinstance(default, list):
+        return tuple(_coerced(None, v) for v in value)
+    return value
+
+
+@dataclass
+class StageContext:
+    """What a degradation runner reads besides its params and the clean cloud."""
+
+    skeleton: SkeletonGraph
+    surface: ImplicitSurface
+    scan: ScanConfig
+    region_seed: int
+    warnings: list
+    occlusion_balls: list
+
+
+# Runners call the degradation and write functions through this module's
+# globals at run time, so wrappers installed on those names see every call.
+def _noise(params: NoiseParams, clean: PointCloud, ctx: StageContext):
+    yield "noise", "noise", add_noise(clean, params)
+
+
+def _occlusion(params: OcclusionParams, clean: PointCloud, ctx: StageContext):
+    occluded, balls = occlude(clean, ctx.skeleton.bbox(), params)
+    ctx.occlusion_balls.extend({"center": list(map(float, c)), "radius": float(r)} for c, r in balls)
+    if len(occluded) == len(clean) and params.N > 0:
+        ctx.warnings.append("occlusion removed no points")
+    yield "occlusion", "occlusion", occluded
+
+
+def _uneven(params: UnevenParams, clean: PointCloud, ctx: StageContext):
+    if params.region is None:
+        params = replace(params, region=default_region(clean.bbox(), ctx.region_seed))
+    uneven = uneven_density(clean, params)
+    if len(uneven) == len(clean):
+        ctx.warnings.append("uneven density inserted no points")
+    yield "uneven", "uneven", uneven
+
+
+def _density(params: None, clean: PointCloud, ctx: StageContext):
+    variants = density_variants(ctx.surface, ctx.scan, ctx.skeleton.min_radius(), clean=clean)
+    for res, cloud in zip(DENSITY_RESOLUTIONS, variants):
+        yield f"density-{res}", f"density_{res:03d}", cloud
+
+
+# kind -> (params dataclass or None, runner(params, clean, ctx) yielding
+# (role, file stem, cloud)); run order is table order
+DEGRADATIONS = {
+    "noise": (NoiseParams, _noise),
+    "occlusion": (OcclusionParams, _occlusion),
+    "uneven": (UnevenParams, _uneven),
+    "density": (None, _density),
+}
+DEGRADATION_KINDS = tuple(DEGRADATIONS)
+
+
+def degradation_params(entry: dict, seed: int | None = None):
+    """The validated params of one degradation entry, e.g. {"kind": "noise", "s": 0.01}.
+
+    Keys are the params fields except seed; occlusion also takes "lambda"
+    for lam. Missing keys keep the dataclass defaults, and so does seed when
+    it is None. Unknown kinds and keys raise InvalidParameterError.
+    """
+    kind = entry.get("kind") if isinstance(entry, dict) else None
+    if kind not in DEGRADATIONS:
+        raise InvalidParameterError(f"unknown degradation kind: {kind!r}")
+    klass = DEGRADATIONS[kind][0]
+    defaults = {f.name: f.default for f in fields(klass) if f.name != "seed"} if klass else {}
+    given = {k: v for k, v in entry.items() if k != "kind"}
+    if "lam" in defaults and "lambda" in given:
+        given["lam"] = given.pop("lambda")
+    unknown = sorted(set(given) - set(defaults))
+    if unknown:
+        raise InvalidParameterError(f"unknown {kind} key(s): {', '.join(unknown)}")
+    if klass is None:
+        return None
+    try:
+        values = {k: _coerced(defaults[k], v) for k, v in given.items()}
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"{kind}: {exc}") from exc
+    params = klass(**values) if seed is None else klass(**values, seed=seed)
+    params.validate()
+    return params
 
 
 @dataclass
@@ -73,51 +163,29 @@ class PipelineConfig:
             raise InvalidParameterError("name must be a plain file stem")
         seen = set()
         for entry in self.degradations:
-            kind = entry.get("kind")
-            if kind not in DEGRADATION_KINDS:
-                raise InvalidParameterError(f"unknown degradation kind: {kind!r}")
-            if kind in seen:
-                raise InvalidParameterError(f"duplicate degradation kind: {kind}")
-            seen.add(kind)
+            degradation_params(entry)
+            if entry["kind"] in seen:
+                raise InvalidParameterError(f"duplicate degradation kind: {entry['kind']}")
+            seen.add(entry["kind"])
 
     def to_dict(self) -> dict:
-        return {
-            "tree": asdict(self.tree),
-            "fit": asdict(self.fit),
-            "scan": asdict(self.scan),
-            "degradations": [dict(d) for d in self.degradations],
-            "output_dir": str(self.output_dir),
-            "master_seed": self.master_seed,
-            "name": self.name,
-            "sides": self.sides,
-            "cache_surface": self.cache_surface,
-            "debug_obj": self.debug_obj,
-        }
+        return {**asdict(self), "output_dir": str(self.output_dir)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        def pick(klass, key):
-            sub = dict(data.get(key) or {})
-            if key == "tree" and "branches_per_node_range" in sub and sub["branches_per_node_range"] is not None:
-                sub["branches_per_node_range"] = tuple(sub["branches_per_node_range"])
-            if key == "tree" and "branch_angle_range" in sub and sub["branch_angle_range"] is not None:
-                sub["branch_angle_range"] = tuple(sub["branch_angle_range"])
-            if key == "scan":
-                sub.pop("seed", None)  # older configs carry a scan seed that nothing read
-            return klass(**sub)
-
-        return cls(
-            tree=pick(TreeParams, "tree"),
-            fit=pick(FitConfig, "fit"),
-            scan=pick(ScanConfig, "scan"),
-            degradations=[dict(d) for d in (data.get("degradations") or [])],
-            output_dir=data.get("output_dir", "out"),
-            master_seed=int(data.get("master_seed", 0)),
-            name=data.get("name", "model"),
-            sides=int(data.get("sides", 24)),
-            cache_surface=bool(data.get("cache_surface", False)),
-            debug_obj=bool(data.get("debug_obj", False)),
-        )
+        default = cls()
+        values = {}
+        for f in fields(cls):
+            if data.get(f.name) is None:
+                continue  # absent or null: the default
+            base, value = getattr(default, f.name), data[f.name]
+            if is_dataclass(base):
+                section = dict(value)
+                if f.name == "scan":
+                    section.pop("seed", None)  # older configs carry a scan seed that nothing read
+                value = replace(base, **{k: _coerced(getattr(base, k, None), v) for k, v in section.items()})
+            values[f.name] = _coerced(base, value)
+        return cls(**values)
 
 
 @dataclass
@@ -131,15 +199,7 @@ class DatasetManifest:
     warnings: list
 
     def to_dict(self) -> dict:
-        return {
-            "tool": self.tool,
-            "config": self.config,
-            "seeds": self.seeds,
-            "files": self.files,
-            "occlusion_balls": self.occlusion_balls,
-            "timings": self.timings,
-            "warnings": self.warnings,
-        }
+        return asdict(self)
 
 
 def _sha256(path: Path) -> str:
@@ -161,25 +221,13 @@ def save_config(config: PipelineConfig, path) -> None:
         fh.write("\n")
 
 
-def _degradation(config: PipelineConfig, kind: str) -> dict | None:
-    for entry in config.degradations:
-        if entry.get("kind") == kind:
-            return entry
-    return None
-
-
 def run_pipeline(config: PipelineConfig) -> DatasetManifest:
     config.validate()
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    seeds = {
-        "skeleton": derive_seed(config.master_seed, "skeleton"),
-        "noise": derive_seed(config.master_seed, "noise"),
-        "occlusion": derive_seed(config.master_seed, "occlusion"),
-        "uneven": derive_seed(config.master_seed, "uneven"),
-        "region": derive_seed(config.master_seed, "region"),
-    }
+    labels = ("skeleton", "noise", "occlusion", "uneven", "region")
+    seeds = {label: derive_seed(config.master_seed, label) for label in labels}
 
     files: list[dict] = []
     written: list[Path] = []
@@ -237,78 +285,25 @@ def run_pipeline(config: PipelineConfig) -> DatasetManifest:
 
         stage = "scan"
         t0 = time.perf_counter()
-        min_feature = skeleton.min_radius()
-        clean = scan_surface(surface, config.scan, min_feature)
+        clean = scan_surface(surface, config.scan, skeleton.min_radius())
         if len(clean) == 0:
             warnings.append("clean scan produced no points; check standoff/frustum")
         path = emit("clean", f"{config.name}_clean.ply", len(clean))
         write_ply(clean, path)
         timings["scan"] = time.perf_counter() - t0
 
-        entry = _degradation(config, "noise")
-        if entry is not None:
-            stage = "noise"
+        ctx = StageContext(skeleton, surface, config.scan, seeds["region"], warnings, occlusion_balls)
+        entries = {entry["kind"]: entry for entry in config.degradations}
+        for kind, (_, run) in DEGRADATIONS.items():
+            if kind not in entries:
+                continue
+            stage = kind
             t0 = time.perf_counter()
-            params = NoiseParams(
-                s=float(entry.get("s", 0.02)),
-                d=int(entry.get("d", 10)),
-                seed=seeds["noise"],
-            )
-            noisy = add_noise(clean, params)
-            path = emit("noise", f"{config.name}_noise.ply", len(noisy))
-            write_ply(noisy, path)
-            timings["noise"] = time.perf_counter() - t0
-
-        entry = _degradation(config, "occlusion")
-        if entry is not None:
-            stage = "occlusion"
-            t0 = time.perf_counter()
-            params = OcclusionParams(
-                N=int(entry.get("N", 2)),
-                lam=float(entry.get("lambda", entry.get("lam", 0.05))),
-                seed=seeds["occlusion"],
-            )
-            occluded, balls = occlude(clean, skeleton.bbox(), params)
-            occlusion_balls = [
-                {"center": [float(c) for c in center], "radius": float(radius)}
-                for center, radius in balls
-            ]
-            if len(occluded) == len(clean) and params.N > 0:
-                warnings.append("occlusion removed no points")
-            path = emit("occlusion", f"{config.name}_occlusion.ply", len(occluded))
-            write_ply(occluded, path)
-            timings["occlusion"] = time.perf_counter() - t0
-
-        entry = _degradation(config, "uneven")
-        if entry is not None:
-            stage = "uneven"
-            t0 = time.perf_counter()
-            region = entry.get("region")
-            if region is None:
-                region = default_region(clean.bbox(), seeds["region"])
-            params = UnevenParams(
-                region=(tuple(region[0]), tuple(region[1])),
-                r=float(entry.get("r", 0.05)),
-                lambda1_range=tuple(entry["lambda1_range"]) if entry.get("lambda1_range") else None,
-                lambda2_range=tuple(entry["lambda2_range"]) if entry.get("lambda2_range") else None,
-                seed=seeds["uneven"],
-            )
-            uneven = uneven_density(clean, params)
-            if len(uneven) == len(clean):
-                warnings.append("uneven density inserted no points")
-            path = emit("uneven", f"{config.name}_uneven.ply", len(uneven))
-            write_ply(uneven, path)
-            timings["uneven"] = time.perf_counter() - t0
-
-        entry = _degradation(config, "density")
-        if entry is not None:
-            stage = "density"
-            t0 = time.perf_counter()
-            variants = density_variants(surface, config.scan, min_feature, clean=clean)
-            for res, cloud in zip(DENSITY_RESOLUTIONS, variants):
-                path = emit(f"density-{res}", f"{config.name}_density_{res:03d}.ply", len(cloud))
+            params = degradation_params(entries[kind], seeds.get(kind))
+            for role, stem, cloud in run(params, clean, ctx):
+                path = emit(role, f"{config.name}_{stem}.ply", len(cloud))
                 write_ply(cloud, path)
-            timings["density"] = time.perf_counter() - t0
+            timings[kind] = time.perf_counter() - t0
 
         stage = "manifest"
         finish_digests()

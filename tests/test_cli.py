@@ -1,12 +1,23 @@
 """Command line coverage: every subcommand, flag precedence, batch exit codes."""
 
+import argparse
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from treescan.cli import main
-from treescan.cloud import read_ply
+from treescan.cli import build_parser, main
+from treescan.cloud import PointCloud, read_ply, write_ply
+from treescan.degrade import (
+    NoiseParams,
+    OcclusionParams,
+    UnevenParams,
+    add_noise,
+    default_region,
+    occlude,
+    uneven_density,
+)
 from treescan.implicit import FitConfig, load_surface, surface_key
 from treescan.mesh import load_obj
 from treescan.pipeline import PipelineConfig, save_config
@@ -301,3 +312,69 @@ def test_unknown_degradation_choice_rejected(tmp_path):
                 "blur",
             ]
         )
+
+
+_SCAN = "--resolution --views --standoff --march-step --hit-tolerance --normal-mode --pca-k"
+_TREE = (
+    "--size-class --trunk-length --trunk-radius --branch-levels --radius-decay --length-decay"
+    " --gravity --bend --nodes-per-curve --seed"
+)
+_FIT = (
+    "--epsilon --max-depth --max-triangles-per-cell --min-triangles-for-fit --quadrature-order"
+    " --sphere-radius-scale"
+)
+CLI_SURFACE = {
+    "skeleton": f"{_TREE} --branch-angle-range --branches-per-node-range --out",
+    "mesh": "--skeleton --sides --out",
+    "fit": f"--mesh {_FIT} --out --dump-debug-obj",
+    "scan": f"--surface {_SCAN} --skeleton --min-feature --out",
+    "degrade": "",
+    "degrade noise": "--in --s --d --seed --out",
+    "degrade occlude": "--in --skeleton --n --lambda --seed --out --balls-out",
+    "degrade uneven": "--in --r --region --lambda1-range --lambda2-range --seed --out",
+    "degrade density": f"--surface {_SCAN} --skeleton --min-feature --out-prefix",
+    "eval": "--ground-truth --extracted --spacing --out",
+    "pipeline": (
+        f"--config {_TREE} {_FIT} {_SCAN} --output-dir --name --master-seed --sides"
+        " --cache-surface --dump-debug-obj --degradations"
+    ),
+    "batch": "--configs --workers --index",
+}
+
+
+def option_strings(parser, command=""):
+    """{subcommand path: its option strings in declaration order, --help left out}."""
+    found = {}
+    if command:
+        opts = [o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help")]
+        found[command] = " ".join(opts)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found.update(option_strings(sub, f"{command} {name}".strip()))
+    return found
+
+
+def test_cli_surface_is_unchanged():
+    assert option_strings(build_parser()) == CLI_SURFACE
+
+
+def test_degrade_flags_default_to_the_params_dataclasses(tmp_path):
+    rng = np.random.default_rng(5)
+    normals = rng.normal(size=(2000, 3))
+    cloud = PointCloud(rng.uniform(-0.1, 0.1, size=(2000, 3)), normals / np.linalg.norm(normals, axis=1)[:, None])
+    src = tmp_path / "in.ply"
+    write_ply(cloud, src)
+    cloud = read_ply(src)
+    bbox = cloud.bbox()
+    expected = {
+        "noise": add_noise(cloud, NoiseParams()),
+        "occlude": occlude(cloud, bbox, OcclusionParams())[0],
+        "uneven": uneven_density(cloud, replace(UnevenParams(), region=default_region(bbox, 0))),
+    }
+    for kind, want in expected.items():
+        assert len(want) != len(cloud)
+        out, ref = tmp_path / f"{kind}.ply", tmp_path / f"{kind}_ref.ply"
+        assert main(["degrade", kind, "--in", str(src), "--out", str(out)]) == 0
+        write_ply(want, ref)
+        assert out.read_bytes() == ref.read_bytes()

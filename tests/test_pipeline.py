@@ -87,9 +87,19 @@ def test_manifest_counts_and_seeds(tmp_path):
     assert disk["config"] == json.loads(json.dumps(cfg.to_dict()))
 
 
-def test_all_degradations_write_ten_files(tmp_path):
+def test_all_degradations_write_ten_files(tmp_path, monkeypatch):
+    # the stages call these through the pipeline module, where tracing wraps them
+    names = ("add_noise", "occlude", "uneven_density", "density_variants", "write_ply")
+    calls = {name: counting(monkeypatch, pipeline, name) for name in names}
     out = tmp_path / "full"
     manifest = run_pipeline(tiny_config(out, name="full", degradations=ALL_DEGRADATIONS))
+    assert {name: len(c) for name, c in calls.items()} == {
+        "add_noise": 1,
+        "occlude": 1,
+        "uneven_density": 1,
+        "density_variants": 1,
+        "write_ply": 7,
+    }
     assert len(list(out.iterdir())) == 10
     roles = [f["role"] for f in manifest.files]
     assert roles == [
@@ -245,13 +255,45 @@ def test_stage_error_reports_stage_and_cleans_up(tmp_path):
 
 
 def test_config_save_load_round_trip(tmp_path):
-    cfg = tiny_config(tmp_path / "x", degradations=ALL_DEGRADATIONS, master_seed=9)
+    uneven = {
+        "kind": "uneven",
+        "r": 0.05,
+        "region": [[-1.0, -1.0, 0.0], [1.0, 1.0, 0.5]],
+        "lambda1_range": [-0.01, 0.02],
+        "lambda2_range": [0.0, 0.01],
+    }
+    degradations = [*ALL_DEGRADATIONS[:2], uneven, ALL_DEGRADATIONS[3]]
+    cfg = tiny_config(
+        tmp_path / "x",
+        degradations=degradations,
+        master_seed=9,
+        fit=FitConfig(epsilon=0.003),
+        cache_surface=True,
+        debug_obj=True,
+    )
     path = tmp_path / "config.json"
     save_config(cfg, path)
     back = load_config(path)
+    assert back == cfg
     assert back.to_dict() == cfg.to_dict()
     assert isinstance(back.tree.branches_per_node_range, tuple)
     assert isinstance(back.tree.branch_angle_range, tuple)
+    params = pipeline.degradation_params(back.degradations[2])
+    assert params.region == ((-1.0, -1.0, 0.0), (1.0, 1.0, 0.5))
+    assert params.lambda1_range == (-0.01, 0.02)
+    # the manifest's config echo is a loadable config
+    run_pipeline(cfg)
+    echo = json.loads((tmp_path / "x" / "manifest.json").read_text())["config"]
+    assert PipelineConfig.from_dict(echo) == cfg
+
+
+def test_degradation_params_coerce_alias_and_seed():
+    noise = pipeline.degradation_params({"kind": "noise", "d": 10.0, "s": "0.01"}, seed=5)
+    assert noise == degrade.NoiseParams(s=0.01, d=10, seed=5)
+    assert type(noise.d) is int  # a hand-written 10.0 still indexes
+    assert pipeline.degradation_params({"kind": "occlusion", "lambda": 0.08}) == degrade.OcclusionParams(lam=0.08)
+    assert pipeline.degradation_params({"kind": "uneven"}) == degrade.UnevenParams()
+    assert pipeline.degradation_params({"kind": "density"}) is None
 
 
 def test_config_load_drops_legacy_scan_seed(tmp_path):
@@ -272,6 +314,14 @@ def test_config_load_drops_legacy_scan_seed(tmp_path):
         lambda c: setattr(c, "name", ""),
         lambda c: c.degradations.append({"kind": "blur"}),
         lambda c: c.degradations.extend([{"kind": "noise"}, {"kind": "noise"}]),
+        lambda c: c.degradations.append({"kind": "noise", "sigma": 0.5}),
+        lambda c: c.degradations.append({"kind": "noise", "d": 0}),
+        lambda c: c.degradations.append({"kind": "occlusion", "lambda": 0}),
+        lambda c: c.degradations.append({"kind": "uneven", "lambda": 0.01}),
+        lambda c: c.degradations.append({"kind": "density", "resolution": 50}),
+        lambda c: c.degradations.append({"kind": "uneven", "lambda1_range": [0.01]}),
+        lambda c: c.degradations.append({"kind": "uneven", "region": [[0, 0, 0], [1, 1]]}),
+        lambda c: c.degradations.append("noise"),
     ],
 )
 def test_config_validation_rejects(tmp_path, mutate):
