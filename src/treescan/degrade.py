@@ -13,12 +13,14 @@ moved cloud gives the rigidly moved degraded cloud.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
 from .errors import EmptyCloudError, InvalidParameterError, MissingNormalsError
+from .geometry import principal_axes
 from .rng import normal, uniform, uniform_int
 from .scanner import ScanConfig, scan_surface
 
@@ -162,7 +164,6 @@ def uneven_density(cloud: PointCloud, p: UnevenParams, diagnostics: dict | None 
     degenerate in diagnostics.
     """
     p.validate()
-    n = len(cloud)
     if p.region is None:
         raise InvalidParameterError("uneven_density needs a region (see default_region)")
     lo = np.asarray(p.region[0], dtype=np.float64)
@@ -170,58 +171,39 @@ def uneven_density(cloud: PointCloud, p: UnevenParams, diagnostics: dict | None 
     lam1_lo, lam1_hi = p.lambda1_range if p.lambda1_range is not None else (-p.r / 2, p.r / 2)
     lam2_lo, lam2_hi = p.lambda2_range if p.lambda2_range is not None else (-p.r / 2, p.r / 2)
 
-    if n == 0:
-        return PointCloud(cloud.points.copy())
+    points = cloud.points
+    in_region = np.flatnonzero(np.all((points >= lo) & (points <= hi), axis=1))
+    balls = cKDTree(points).query_ball_point(points[in_region], p.r, return_sorted=False)
+    sizes = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
+    enough = sizes >= 4  # self plus at least 3 others
+    donors = in_region[enough]
+    flat = np.fromiter(chain.from_iterable(balls), dtype=np.intp, count=int(sizes.sum()))
+    neighbours = flat[np.repeat(enough, sizes)]
+    starts = np.cumsum(sizes[enough]) - sizes[enough]
+    centroids, _, eigvecs = principal_axes(points, neighbours, starts)
 
-    in_region = np.all((cloud.points >= lo) & (cloud.points <= hi), axis=1)
-    tree = cKDTree(cloud.points)
-    degenerate = 0
-    skipped = 0
-    donor_idx = []
-    inserts = []
-    for i in np.flatnonzero(in_region):
-        nbr = tree.query_ball_point(cloud.points[i], p.r)
-        if len(nbr) < 4:  # self plus at least 3 others
-            skipped += 1
-            continue
-        neigh = cloud.points[nbr]
-        centroid = neigh.mean(axis=0)
-        centered = neigh - centroid
-        cov = centered.T @ centered / len(nbr)
-        _, vecs = np.linalg.eigh(cov)
-        pd, sd = vecs[:, 2], vecs[:, 1]
-        offset = cloud.points[i] - centroid
-        flipped = False
-        for v_idx, v in ((2, pd), (1, sd)):
-            d = float(v @ offset)
-            if abs(d) > 1e-12 * p.r:
-                if d < 0.0:
-                    v *= -1.0
-            else:
-                big = np.flatnonzero(np.abs(v) > 1e-12)
-                if len(big) and v[big[0]] < 0.0:
-                    v *= -1.0
-                flipped = True
-        if flipped:
-            degenerate += 1
-        lam1 = lam1_lo + float(uniform(p.seed, STREAM_UNEVEN_L1, i)) * (lam1_hi - lam1_lo)
-        lam2 = lam2_lo + float(uniform(p.seed, STREAM_UNEVEN_L2, i)) * (lam2_hi - lam2_lo)
-        donor_idx.append(i)
-        inserts.append(cloud.points[i] + lam1 * pd + lam2 * sd)
+    # columns: leading (P_D) then second (S_D) principal direction
+    axes = eigvecs[:, :, [2, 1]]
+    dots = np.einsum("ni,nij->nj", points[donors] - centroids, axes)
+    degenerate = np.abs(dots) <= 1e-12 * p.r
+    first = np.argmax(np.abs(axes) > 1e-12, axis=1)  # a unit vector always has one
+    first_big = np.take_along_axis(axes, first[:, None, :], axis=1)[:, 0, :]
+    negative = np.where(degenerate, first_big < 0.0, dots < 0.0)
+    axes = np.where(negative[:, None, :], -axes, axes)
+
+    lam1 = lam1_lo + uniform(p.seed, STREAM_UNEVEN_L1, donors) * (lam1_hi - lam1_lo)
+    lam2 = lam2_lo + uniform(p.seed, STREAM_UNEVEN_L2, donors) * (lam2_hi - lam2_lo)
+    inserts = points[donors] + lam1[:, None] * axes[:, :, 0] + lam2[:, None] * axes[:, :, 1]
 
     if diagnostics is not None:
-        diagnostics["degenerate"] = degenerate
-        diagnostics["skipped"] = skipped
-        diagnostics["inserted"] = len(inserts)
+        diagnostics["degenerate"] = int(np.count_nonzero(degenerate.any(axis=1)))
+        diagnostics["skipped"] = int(np.count_nonzero(~enough))
+        diagnostics["inserted"] = len(donors)
 
-    if not inserts:
-        normals = cloud.normals.copy() if cloud.has_normals() else None
-        return PointCloud(cloud.points.copy(), normals)
-    points = np.concatenate([cloud.points, np.array(inserts)], axis=0)
     normals = None
     if cloud.has_normals():
-        normals = np.concatenate([cloud.normals, cloud.normals[np.array(donor_idx)]], axis=0)
-    return PointCloud(points, normals)
+        normals = np.concatenate([cloud.normals, cloud.normals[donors]], axis=0)
+    return PointCloud(np.concatenate([points, inserts], axis=0), normals)
 
 
 def density_variants(

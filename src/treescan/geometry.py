@@ -47,13 +47,39 @@ def rotate_align(frame_u: np.ndarray, d_from: np.ndarray, d_to: np.ndarray) -> n
     )
 
 
-def dist_point_to_segment_axis(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances from points to the infinite line through a and b."""
-    d = b - a
-    d = d / np.linalg.norm(d)
-    rel = points - a
-    t = rel @ d
-    return np.linalg.norm(rel - np.outer(t, d), axis=1)
+# neighbourhoods per batch; it bounds the (6, entries) temporaries and, each
+# neighbourhood being summed on its own, does not change the result
+_PCA_CHUNK = 4096
+
+
+def principal_axes(points: np.ndarray, neighbours: np.ndarray, starts: np.ndarray):
+    """Centroid and covariance eigen-decomposition of every neighbourhood.
+
+    Neighbourhood j is points[neighbours[starts[j]:starts[j + 1]]] (the last
+    runs to the end), never empty; its covariance divides by its size.
+    Returns centroids (m, 3), ascending eigenvalues (m, 3) and eigenvectors
+    as columns (m, 3, 3), as np.linalg.eigh gives them.
+    """
+    m = len(starts)
+    bounds = np.append(starts, len(neighbours))
+    row, col = np.triu_indices(3)
+    centroids = np.empty((m, 3))
+    cov = np.empty((m, 3, 3))
+    for lo in range(0, m, _PCA_CHUNK):
+        hi = min(lo + _PCA_CHUNK, m)
+        local = bounds[lo:hi] - bounds[lo]
+        counts = np.diff(bounds[lo : hi + 1])
+        # coordinates as rows, so each sum runs over contiguous memory
+        neigh = np.take(points.T, neighbours[bounds[lo] : bounds[hi]], axis=1)
+        mean = np.add.reduceat(neigh, local, axis=1) / counts
+        centered = neigh - np.repeat(mean, counts, axis=1)
+        products = centered[row] * centered[col]
+        moments = (np.add.reduceat(products, local, axis=1) / counts).T
+        centroids[lo:hi] = mean.T
+        cov[lo:hi, row, col] = moments
+        cov[lo:hi, col, row] = moments
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    return centroids, eigvals, eigvecs
 
 
 def triangle_areas_normals(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray):

@@ -19,6 +19,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from numbers import Integral
 from pathlib import Path
 
 from . import __version__
@@ -49,15 +50,27 @@ from .rng import derive_seed
 from .scanner import ScanConfig, scan_surface
 from .skeleton import SkeletonGraph, TreeParams, generate_skeleton, save_skeleton
 
-WORKERS_ENV = "TREESCAN_WORKERS"
 
+def _coerced(name: str, default, value):
+    """The JSON value of field `name` in the type of its default, lists to tuples.
 
-def _coerced(default, value):
-    """A JSON value in the type of its field's default: numbers cast, lists to tuples."""
+    A bool field takes only true/false and an int field only an integral
+    number, so no value is silently changed; anything else raises.
+    """
     if isinstance(default, (bool, int, float)):
-        return type(default)(value)
+        exact = isinstance(value, bool) == isinstance(default, bool) and (
+            not isinstance(default, int)
+            or isinstance(value, Integral)
+            or (isinstance(value, float) and value.is_integer())
+        )
+        try:
+            if exact:
+                return type(default)(value)
+        except (TypeError, ValueError):
+            pass
+        raise InvalidParameterError(f"{name}: {value!r} is not a valid {type(default).__name__}")
     if isinstance(value, list) and not isinstance(default, list):
-        return tuple(_coerced(None, v) for v in value)
+        return tuple(_coerced(name, None, v) for v in value)
     return value
 
 
@@ -133,10 +146,7 @@ def degradation_params(entry: dict, seed: int | None = None):
         raise InvalidParameterError(f"unknown {kind} key(s): {', '.join(unknown)}")
     if klass is None:
         return None
-    try:
-        values = {k: _coerced(defaults[k], v) for k, v in given.items()}
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"{kind}: {exc}") from exc
+    values = {k: _coerced(f"{kind} {k}", defaults[k], v) for k, v in given.items()}
     params = klass(**values) if seed is None else klass(**values, seed=seed)
     params.validate()
     return params
@@ -183,8 +193,10 @@ class PipelineConfig:
                 section = dict(value)
                 if f.name == "scan":
                     section.pop("seed", None)  # older configs carry a scan seed that nothing read
-                value = replace(base, **{k: _coerced(getattr(base, k, None), v) for k, v in section.items()})
-            values[f.name] = _coerced(base, value)
+                value = replace(
+                    base, **{k: _coerced(f"{f.name}.{k}", getattr(base, k, None), v) for k, v in section.items()}
+                )
+            values[f.name] = _coerced(f.name, base, value)
         return cls(**values)
 
 
@@ -351,16 +363,6 @@ def _run_one(config_dict: dict) -> dict:
         }
 
 
-def default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
-
-
 def batch(configs: list[PipelineConfig], workers: int | None = None, index_path=None):
     """Run many models, isolating failures; returns (records, any_failed).
 
@@ -368,7 +370,7 @@ def batch(configs: list[PipelineConfig], workers: int | None = None, index_path=
     parent) summarizing every model and its digests.
     """
     if workers is None:
-        workers = default_workers()
+        workers = max(1, os.cpu_count() or 1)
     for config in configs:
         config.validate()
     payloads = [c.to_dict() for c in configs]

@@ -18,12 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
 from .errors import InvalidParameterError, MissingNormalsError, TooFewPointsError
-from .geometry import least_aligned_axis, normalize
+from .geometry import least_aligned_axis, normalize, principal_axes
 from .implicit import ImplicitSurface
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -327,12 +328,8 @@ def estimate_normals(cloud: PointCloud, k: int, diagnostics: dict | None = None)
     n = len(cloud)
     if n < k:
         raise TooFewPointsError(f"need at least k={k} points, got {n}")
-    tree = cKDTree(cloud.points)
-    _, nbr = tree.query(cloud.points, k=k)
-    neigh = cloud.points[nbr]  # (n, k, 3), includes the point itself
-    centered = neigh - neigh.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / k
-    eigvals, eigvecs = np.linalg.eigh(cov)
+    _, nbr = cKDTree(cloud.points).query(cloud.points, k=k)  # includes the point itself
+    _, eigvals, eigvecs = principal_axes(cloud.points, nbr.ravel(), np.arange(0, n * k, k))
     normals = eigvecs[:, :, 0]  # smallest eigenvalue first
     lengths = np.linalg.norm(normals, axis=1, keepdims=True)
     normals = normals / np.where(lengths > 0.0, lengths, 1.0)
@@ -361,43 +358,32 @@ def orient_normals(cloud: PointCloud, k: int = 16) -> PointCloud:
     points = cloud.points
     normals = cloud.normals.copy()
     kk = min(k, n - 1)
-    tree = cKDTree(points)
-    dist, nbr = tree.query(points, k=kk + 1)
-    rows = np.repeat(np.arange(n), kk)
-    cols = nbr[:, 1:].ravel()
+    dist, nbr = cKDTree(points).query(points, k=kk + 1)
     weights = np.maximum(dist[:, 1:].ravel(), 1e-300)
-
-    from scipy.sparse import coo_matrix
-
-    graph = coo_matrix((weights, (rows, cols)), shape=(n, n))
+    graph = coo_matrix((weights, (np.repeat(np.arange(n), kk), nbr[:, 1:].ravel())), shape=(n, n))
     mst = minimum_spanning_tree(graph).tocoo()
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in zip(mst.row, mst.col):
-        adj[a].append(b)
-        adj[b].append(a)
-    for neighbors in adj:
-        neighbors.sort()
 
-    centroid = points.mean(axis=0)
-    visited = np.zeros(n, dtype=bool)
+    # every component hangs off a virtual root n by its seed, so one
+    # traversal gives each point its parent on the path from its seed
+    _, labels = connected_components(mst, directed=False)
     order = np.lexsort((np.arange(n), -points[:, 2]))
-    for seed in order:
-        if visited[seed]:
-            continue
-        outward = points[seed] - centroid
-        if np.linalg.norm(outward) < 1e-12:
-            outward = np.array([0.0, 0.0, 1.0])
-        if normals[seed] @ outward < 0.0:
-            normals[seed] *= -1.0
-        visited[seed] = True
-        queue = [seed]
-        while queue:
-            here = queue.pop(0)
-            for other in adj[here]:
-                if visited[other]:
-                    continue
-                if normals[other] @ normals[here] < 0.0:
-                    normals[other] *= -1.0
-                visited[other] = True
-                queue.append(other)
+    _, first = np.unique(labels[order], return_index=True)
+    seeds = order[first]
+    edges = (np.concatenate([mst.row, np.full(len(seeds), n)]), np.concatenate([mst.col, seeds]))
+    tree_graph = coo_matrix((np.ones(len(edges[0])), edges), shape=(n + 1, n + 1)).tocsr()
+    _, parent = breadth_first_order(tree_graph, n, directed=False, return_predecessors=True)
+
+    # flip[i]: i's normal points against its parent's, or for a seed, towards
+    # the centroid
+    outward = points[seeds] - points.mean(axis=0)
+    outward[np.linalg.norm(outward, axis=1) < 1e-12] = (0.0, 0.0, 1.0)
+    up = np.append(parent[:n], n)
+    reference = normals[np.minimum(up[:n], n - 1)]
+    reference[seeds] = outward
+    flip = np.append(np.einsum("ij,ij->i", normals, reference) < 0.0, False)
+    # pointer jumping: flip becomes the parity of flips on the path to the root
+    while np.any(up != n):
+        flip ^= flip[up]
+        up = up[up]
+    normals[flip[:n]] *= -1.0
     return PointCloud(points.copy(), normals)

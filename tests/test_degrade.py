@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from scipy.spatial import cKDTree
 
 from treescan.cloud import PointCloud
 from treescan.degrade import (
     DENSITY_RESOLUTIONS,
+    STREAM_UNEVEN_L1,
+    STREAM_UNEVEN_L2,
     NoiseParams,
     OcclusionParams,
     UnevenParams,
@@ -23,6 +26,7 @@ from treescan.errors import (
     InvalidParameterError,
     MissingNormalsError,
 )
+from treescan.rng import uniform
 from treescan.scanner import ScanConfig, scan_surface
 
 
@@ -306,6 +310,72 @@ def test_uneven_inherits_donor_normals():
     assert diag["inserted"] > 0
     assert out.has_normals()
     assert np.array_equal(out.normals[: len(cloud)], cloud.normals)
+
+
+def loop_uneven(cloud, p):
+    """Reference uneven density: one ball query, eigh and pair of draws per point."""
+    lo, hi = np.asarray(p.region[0]), np.asarray(p.region[1])
+    lam1_lo, lam1_hi = p.lambda1_range if p.lambda1_range is not None else (-p.r / 2, p.r / 2)
+    lam2_lo, lam2_hi = p.lambda2_range if p.lambda2_range is not None else (-p.r / 2, p.r / 2)
+    in_region = np.all((cloud.points >= lo) & (cloud.points <= hi), axis=1)
+    tree = cKDTree(cloud.points)
+    diag = {"degenerate": 0, "skipped": 0}
+    donors, inserts = [], []
+    for i in np.flatnonzero(in_region):
+        nbr = tree.query_ball_point(cloud.points[i], p.r)
+        if len(nbr) < 4:
+            diag["skipped"] += 1
+            continue
+        neigh = cloud.points[nbr]
+        centroid = neigh.mean(axis=0)
+        centered = neigh - centroid
+        _, vecs = np.linalg.eigh(centered.T @ centered / len(nbr))
+        pd, sd = vecs[:, 2], vecs[:, 1]
+        offset = cloud.points[i] - centroid
+        flipped = False
+        for v in (pd, sd):
+            d = float(v @ offset)
+            if abs(d) > 1e-12 * p.r:
+                if d < 0.0:
+                    v *= -1.0
+            else:
+                big = np.flatnonzero(np.abs(v) > 1e-12)
+                if len(big) and v[big[0]] < 0.0:
+                    v *= -1.0
+                flipped = True
+        diag["degenerate"] += flipped
+        lam1 = lam1_lo + float(uniform(p.seed, STREAM_UNEVEN_L1, i)) * (lam1_hi - lam1_lo)
+        lam2 = lam2_lo + float(uniform(p.seed, STREAM_UNEVEN_L2, i)) * (lam2_hi - lam2_lo)
+        donors.append(i)
+        inserts.append(cloud.points[i] + lam1 * pd + lam2 * sd)
+    diag["inserted"] = len(inserts)
+    return np.array(inserts).reshape(-1, 3), cloud.normals[np.array(donors, dtype=int)], diag
+
+
+def test_uneven_matches_the_per_point_loop():
+    rng = np.random.default_rng(53)
+    plane = np.column_stack([rng.uniform(0.0, 1.0, (400, 2)), 0.02 * rng.normal(size=400)])
+    line = np.column_stack([np.linspace(0.0, 1.0, 41), np.full(41, 2.0), np.zeros(41)])
+    sparse = rng.uniform(0.0, 1.0, (30, 3)) * [1.0, 1.0, 10.0] + [0.0, 4.0, 0.0]
+    # tilted stars: the centre sits on its neighbourhood's centroid, so both
+    # axes take the fallback sign, and the spreads keep the axes well defined
+    stars = []
+    for x in np.linspace(0.3, 0.8, 6):
+        axes = np.linalg.qr(rng.normal(size=(3, 3)))[0].T * [[0.04], [0.02], [0.01]]
+        stars.append(np.concatenate([np.zeros((1, 3)), axes, -axes]) + [x, 3.0, 0.0])
+    pts = np.concatenate([plane, line, sparse, *stars])
+    nrm = rng.normal(size=pts.shape)
+    cloud = PointCloud(pts, nrm / np.linalg.norm(nrm, axis=1, keepdims=True))
+    region = (np.array([0.2, -1.0, -1.0]), np.array([0.9, 5.0, 10.0]))
+    p = UnevenParams(region=region, r=0.1, lambda1_range=(-0.03, 0.01), seed=8)
+    diag: dict = {}
+    out = uneven_density(cloud, p, diagnostics=diag)
+    inserts, normals, expected = loop_uneven(cloud, p)
+    assert diag == expected
+    assert diag["skipped"] > 0 and diag["degenerate"] > 0 and diag["inserted"] > diag["degenerate"]
+    assert np.array_equal(out.points[: len(pts)], pts)
+    assert np.allclose(out.points[len(pts) :], inserts, rtol=0.0, atol=1e-12)
+    assert np.array_equal(out.normals, np.concatenate([cloud.normals, normals]))
 
 
 def test_default_region_is_a_30_percent_box():

@@ -1,17 +1,19 @@
 """Geometry kernels against closed forms and a sampling oracle."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from treescan import geometry
 from treescan.geometry import (
-    dist_point_to_segment_axis,
     dist_point_to_triangle_set,
     dist_points_to_triangles,
     least_aligned_axis,
     normalize,
     perpendicular_frame,
+    principal_axes,
     rotate_align,
     triangle_areas_normals,
 )
@@ -148,14 +150,6 @@ def test_rotate_align_identity_and_flip():
     assert abs(np.dot(flipped, d)) < 1e-12
 
 
-def test_segment_axis_distance_matches_formula():
-    a = np.array([0.0, 0.0, 0.0])
-    b = np.array([0.0, 0.0, 5.0])
-    pts = np.array([[1.0, 0.0, 2.0], [0.0, 2.0, -7.0], [3.0, 4.0, 100.0]])
-    d = dist_point_to_segment_axis(pts, a, b)
-    assert np.allclose(d, [1.0, 2.0, 5.0], atol=1e-12)
-
-
 def test_triangle_areas_normals_reference_triangle():
     v0 = np.array([[0.0, 0.0, 0.0]])
     v1 = np.array([[1.0, 0.0, 0.0]])
@@ -167,3 +161,38 @@ def test_triangle_areas_normals_reference_triangle():
     areas, normals = triangle_areas_normals(v0, v0, v2)
     assert areas[0] == 0.0
     assert np.all(np.isfinite(normals))
+
+
+def ragged_neighbourhoods(seed=3, m=40):
+    """A cloud and CSR neighbourhoods of 1 to 30 points, some repeating indices."""
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(200, 3)) * [1.0, 0.3, 0.01]
+    sizes = rng.integers(1, 31, m)
+    neighbours = rng.integers(0, len(points), sizes.sum())
+    return points, neighbours, np.cumsum(sizes) - sizes
+
+
+def test_principal_axes_match_per_neighbourhood_eigh():
+    points, neighbours, starts = ragged_neighbourhoods()
+    centroids, eigvals, eigvecs = principal_axes(points, neighbours, starts)
+    for j, part in enumerate(np.split(neighbours, starts[1:])):
+        neigh = points[part]
+        centered = neigh - neigh.mean(axis=0)
+        vals, vecs = np.linalg.eigh(centered.T @ centered / len(part))
+        assert np.allclose(centroids[j], neigh.mean(axis=0), rtol=0.0, atol=1e-12)
+        assert np.allclose(eigvals[j], vals, rtol=0.0, atol=1e-12)
+        # eigenvectors up to sign, where the eigenvalue is simple
+        for col in range(3):
+            gaps = np.abs(vals - vals[col])
+            if np.all(np.delete(gaps, col) > 1e-6):
+                assert abs(abs(eigvecs[j, :, col] @ vecs[:, col]) - 1.0) < 1e-12
+    assert np.allclose(np.linalg.norm(eigvecs, axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_principal_axes_chunking_is_bit_identical(monkeypatch, chunk):
+    points, neighbours, starts = ragged_neighbourhoods(seed=4, m=30)
+    whole = principal_axes(points, neighbours, starts)
+    monkeypatch.setattr(geometry, "_PCA_CHUNK", chunk)
+    for a, b in zip(whole, principal_axes(points, neighbours, starts)):
+        assert np.array_equal(a, b)

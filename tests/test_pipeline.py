@@ -308,6 +308,29 @@ def test_config_load_drops_legacy_scan_seed(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "data",
+    [
+        {"sides": 23.9},
+        {"sides": "24"},
+        {"cache_surface": "false"},
+        {"debug_obj": 1},
+        {"master_seed": True},
+        {"tree": {"branch_levels": 1.5}},
+        {"fit": {"max_depth": "10"}},
+    ],
+)
+def test_config_load_rejects_inexact_values(data):
+    with pytest.raises(InvalidParameterError):
+        PipelineConfig.from_dict(data)
+
+
+def test_config_load_takes_integral_floats():
+    cfg = PipelineConfig.from_dict({"sides": 23.0, "tree": {"branch_levels": 2.0}, "cache_surface": False})
+    assert (cfg.sides, cfg.tree.branch_levels, cfg.cache_surface) == (23, 2, False)
+    assert type(cfg.sides) is int and type(cfg.tree.branch_levels) is int
+
+
+@pytest.mark.parametrize(
     "mutate",
     [
         lambda c: setattr(c, "name", "a/b"),
@@ -316,6 +339,7 @@ def test_config_load_drops_legacy_scan_seed(tmp_path):
         lambda c: c.degradations.extend([{"kind": "noise"}, {"kind": "noise"}]),
         lambda c: c.degradations.append({"kind": "noise", "sigma": 0.5}),
         lambda c: c.degradations.append({"kind": "noise", "d": 0}),
+        lambda c: c.degradations.append({"kind": "noise", "d": 10.7}),
         lambda c: c.degradations.append({"kind": "occlusion", "lambda": 0}),
         lambda c: c.degradations.append({"kind": "uneven", "lambda": 0.01}),
         lambda c: c.degradations.append({"kind": "density", "resolution": 50}),

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.spatial import cKDTree
 
 from treescan.cloud import PointCloud
 from treescan.errors import (
@@ -246,6 +249,62 @@ def test_orientation_sphere_mostly_outward():
     radial = pts / np.linalg.norm(pts, axis=1, keepdims=True)
     outward = np.einsum("ij,ij->i", cloud.normals, radial) > 0.0
     assert outward.mean() >= 0.99
+
+
+def bfs_orient(points, normals, k):
+    """Reference orientation: queue-based BFS over MST adjacency lists, one
+    component at a time, seeded in (highest z, lowest index) order."""
+    n = len(points)
+    normals = normals.copy()
+    kk = min(k, n - 1)
+    dist, nbr = cKDTree(points).query(points, k=kk + 1)
+    rows = np.repeat(np.arange(n), kk)
+    graph = coo_matrix((np.maximum(dist[:, 1:].ravel(), 1e-300), (rows, nbr[:, 1:].ravel())), shape=(n, n))
+    mst = minimum_spanning_tree(graph).tocoo()
+    adj = [[] for _ in range(n)]
+    for a, b in zip(mst.row, mst.col):
+        adj[a].append(b)
+        adj[b].append(a)
+    for neighbors in adj:
+        neighbors.sort()
+    centroid = points.mean(axis=0)
+    visited = np.zeros(n, dtype=bool)
+    for seed in np.lexsort((np.arange(n), -points[:, 2])):
+        if visited[seed]:
+            continue
+        outward = points[seed] - centroid
+        if np.linalg.norm(outward) < 1e-12:
+            outward = np.array([0.0, 0.0, 1.0])
+        if normals[seed] @ outward < 0.0:
+            normals[seed] *= -1.0
+        visited[seed] = True
+        queue = [seed]
+        while queue:
+            here = queue.pop(0)
+            for other in adj[here]:
+                if visited[other]:
+                    continue
+                if normals[other] @ normals[here] < 0.0:
+                    normals[other] *= -1.0
+                visited[other] = True
+                queue.append(other)
+    return normals
+
+
+def test_orientation_matches_bfs_on_separate_patches():
+    rng = np.random.default_rng(13)
+    patches = []
+    for center in ([0.0, 0.0, 0.0], [5.0, 0.0, 1.0], [0.0, 5.0, 2.0]):
+        u, v = rng.uniform(-1.0, 1.0, (2, 300))
+        patches.append(np.column_stack([u, v, 0.3 * u * v]) + center)
+    pts = np.concatenate(patches)
+    cloud = estimate_normals(PointCloud(pts), k=12)
+    flipped = cloud.normals * rng.choice([-1.0, 1.0], (len(pts), 1))
+    oriented = orient_normals(PointCloud(pts, flipped), k=12)
+    assert np.array_equal(oriented.normals, bfs_orient(pts, flipped, 12))
+    # each patch ends up with one consistent side
+    for part in np.split(oriented.normals[:, 2], 3):
+        assert np.all(part > 0.0) or np.all(part < 0.0)
 
 
 def test_orientation_single_point_noop():
