@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """SHA-256 of every artifact `run_pipeline` writes, for a list of cases.
 
-Each case runs the whole pipeline (all four degradations, surface cache on)
+Each pipeline case runs the whole pipeline (all four degradations, surface cache on)
 in a fresh directory and records {case: {file: sha256}}. A `.mpuf` cache
 also gets a `<file> cells` entry: the digest of the cell arrays, epsilon
 and bbox it loads to, which stays comparable when only the header changes.
@@ -14,9 +14,17 @@ status is 1 if there is any.
     PYTHONPATH=src python scripts/digests.py --out before.json
     PYTHONPATH=src python scripts/digests.py --out after.json --against before.json
     PYTHONPATH=src python scripts/digests.py --case small:1:2:100:analytic --out one.json
+    PYTHONPATH=src python scripts/digests.py --case cloud:1:100000 --out cloud.json
 
-A case is SIZE:MASTER_SEED:VIEWS:RESOLUTION:NORMAL_MODE. Without --case the
-default list below runs (about ten minutes on a 2-core host).
+A pipeline case is SIZE:MASTER_SEED:VIEWS:RESOLUTION:NORMAL_MODE. A cloud
+case, cloud:SEED:POINTS, runs no pipeline: it samples POINTS points by
+area on the 24-sided tube mesh of the medium tree grown from SEED, and
+hashes the normals of `estimate_normals` and `orient_normals` (k = 16) and
+the points and normals of `uneven_density` over a cube holding 15 % of the
+points. Scanned clouds are a few hundred points in ray order, where the
+order and thread split of neighbour queries hardly act; a large sampled
+cloud exercises them. Without --case the default list below runs (about
+ten minutes on a 2-core host).
 """
 
 from __future__ import annotations
@@ -30,9 +38,13 @@ from pathlib import Path
 
 import numpy as np
 
-from treescan import PipelineConfig, ScanConfig, TreeParams, run_pipeline
+from treescan import PipelineConfig, PointCloud, ScanConfig, TreeParams, run_pipeline
+from treescan.degrade import UnevenParams, uneven_density
 from treescan.implicit import load_surface
+from treescan.mesh import sweep_mesh
 from treescan.pipeline import DEGRADATION_KINDS
+from treescan.scanner import estimate_normals, orient_normals
+from treescan.skeleton import generate_skeleton
 
 DEFAULT_CASES = [
     *(f"small:{seed}:2:100:analytic" for seed in (1, 2, 3, 4)),
@@ -41,7 +53,11 @@ DEFAULT_CASES = [
     "small:1:2:100:pca-mst",
     "small:2:3:150:analytic",
     "medium:1:4:60:analytic",
+    "cloud:1:100000",
 ]
+CLOUD_K = 16
+CLOUD_REGION_SHARE = 0.15
+CLOUD_UNEVEN_NEIGHBOURS = 24  # expected points within the uneven radius
 
 
 def case_config(case: str, out: Path) -> PipelineConfig:
@@ -61,17 +77,55 @@ def case_config(case: str, out: Path) -> PipelineConfig:
     )
 
 
+def array_digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def cloud_digests(case: str) -> dict[str, str]:
+    try:
+        _, seed, count = case.split(":")
+        seed, count = int(seed), int(count)
+    except ValueError:
+        raise SystemExit(f"bad case {case!r}, expected cloud:SEED:POINTS")
+    rng = np.random.default_rng(seed)
+    mesh = sweep_mesh(generate_skeleton(TreeParams.preset("medium", seed=seed)), sides=24)
+    v0, v1, v2 = mesh.corners()
+    areas, normals = mesh.areas_normals()
+    tri = rng.choice(len(areas), size=count, p=areas / areas.sum())
+    u, v = rng.random(count), rng.random(count)
+    fold = u + v > 1.0
+    u[fold], v[fold] = 1.0 - u[fold], 1.0 - v[fold]
+    points = v0[tri] + u[:, None] * (v1[tri] - v0[tri]) + v[:, None] * (v2[tri] - v0[tri])
+    center = points[rng.integers(count)]
+    half = np.sort(np.max(np.abs(points - center), axis=1))[int(CLOUD_REGION_SHARE * count) - 1]
+    r = float(np.sqrt(CLOUD_UNEVEN_NEIGHBOURS * areas.sum() / (np.pi * count)))
+
+    est = estimate_normals(PointCloud(points), CLOUD_K)
+    oriented = orient_normals(est, CLOUD_K)
+    uneven = uneven_density(
+        PointCloud(points, normals[tri]), UnevenParams(region=(center - half, center + half), r=r, seed=seed)
+    )
+    return {
+        "estimate_normals": array_digest(est.normals),
+        "orient_normals": array_digest(oriented.normals),
+        "uneven_density": array_digest(uneven.points, uneven.normals),
+    }
+
+
 def case_digests(case: str) -> dict[str, str]:
+    if case.startswith("cloud:"):
+        return cloud_digests(case)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         manifest = run_pipeline(case_config(case, out))
         digests = {f["path"]: f["sha256"] for f in manifest.files}
         for name in [n for n in digests if n.endswith(".mpuf")]:
             s = load_surface(out / name)
-            h = hashlib.sha256()
-            for a in (s.centers, s.radii, s.normals, s.offsets, [s.epsilon], s.bbox_lo, s.bbox_hi):
-                h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
-            digests[f"{name} cells"] = h.hexdigest()
+            cells = (s.centers, s.radii, s.normals, s.offsets, [s.epsilon], s.bbox_lo, s.bbox_hi)
+            digests[f"{name} cells"] = array_digest(*cells)
         recorded = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         del recorded["timings"], recorded["config"]["output_dir"]
         digests["manifest.json"] = hashlib.sha256(json.dumps(recorded, sort_keys=True).encode("utf-8")).hexdigest()
@@ -93,7 +147,9 @@ def differences(old: dict, new: dict) -> list[str]:
 
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--case", action="append", help="SIZE:SEED:VIEWS:RESOLUTION:NORMAL_MODE (repeatable)")
+    p.add_argument(
+        "--case", action="append", help="SIZE:SEED:VIEWS:RESOLUTION:NORMAL_MODE or cloud:SEED:POINTS (repeatable)"
+    )
     p.add_argument("--out", required=True, help="JSON file to write")
     p.add_argument("--against", help="saved JSON to compare with")
     args = p.parse_args()
@@ -101,7 +157,7 @@ def main() -> int:
     result = {}
     for case in args.case or DEFAULT_CASES:
         result[case] = case_digests(case)
-        print(f"{case}: {len(result[case])} files", flush=True)
+        print(f"{case}: {len(result[case])} digests", flush=True)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")

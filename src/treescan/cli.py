@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="run many pipeline configs")
     p.add_argument("--configs", nargs="+", required=True)
-    p.add_argument("--workers", type=int, default=None, help="default: CPU count")
+    p.add_argument("--workers", type=int, default=None, help="default: usable CPU count")
     p.add_argument("--index", default=None)
     p.set_defaults(func=_cmd_batch)
 

@@ -16,11 +16,10 @@ from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
 from .errors import EmptyCloudError, InvalidParameterError, MissingNormalsError
-from .geometry import principal_axes
+from .geometry import principal_axes, tree_order_neighbours
 from .rng import normal, uniform, uniform_int
 from .scanner import ScanConfig, scan_surface
 
@@ -161,7 +160,9 @@ def uneven_density(cloud: PointCloud, p: UnevenParams, diagnostics: dict | None 
     equivariant under rigid motion. When the offset is (numerically)
     perpendicular to the eigenvector, the sign falls back to making the
     first non-negligible component positive, and the point is counted as
-    degenerate in diagnostics.
+    degenerate in diagnostics. A colinear neighborhood (two vanishing
+    eigenvalues) has no S_D, so its point's companion lies on the line:
+    q + lambda1*P_D.
     """
     p.validate()
     if p.region is None:
@@ -172,20 +173,24 @@ def uneven_density(cloud: PointCloud, p: UnevenParams, diagnostics: dict | None 
     lam2_lo, lam2_hi = p.lambda2_range if p.lambda2_range is not None else (-p.r / 2, p.r / 2)
 
     points = cloud.points
-    in_region = np.flatnonzero(np.all((points >= lo) & (points <= hi), axis=1))
-    balls = cKDTree(points).query_ball_point(points[in_region], p.r, return_sorted=False)
+    # donors come in k-d tree order; inserts are put back in index order
+    rows, balls = tree_order_neighbours(points, r=p.r, where=np.all((points >= lo) & (points <= hi), axis=1))
     sizes = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
     enough = sizes >= 4  # self plus at least 3 others
-    donors = in_region[enough]
+    donors = rows[enough]
     flat = np.fromiter(chain.from_iterable(balls), dtype=np.intp, count=int(sizes.sum()))
     neighbours = flat[np.repeat(enough, sizes)]
     starts = np.cumsum(sizes[enough]) - sizes[enough]
-    centroids, _, eigvecs = principal_axes(points, neighbours, starts)
+    centroids, eigvals, eigvecs = principal_axes(points, neighbours, starts)
 
     # columns: leading (P_D) then second (S_D) principal direction
     axes = eigvecs[:, :, [2, 1]]
+    # a colinear neighbourhood has no second direction: S_D would be any unit
+    # vector across the line, so its donor inserts on the line
+    colinear = eigvals[:, 1] <= 1e-12 * eigvals[:, 2]
     dots = np.einsum("ni,nij->nj", points[donors] - centroids, axes)
     degenerate = np.abs(dots) <= 1e-12 * p.r
+    degenerate[:, 1] &= ~colinear
     first = np.argmax(np.abs(axes) > 1e-12, axis=1)  # a unit vector always has one
     first_big = np.take_along_axis(axes, first[:, None, :], axis=1)[:, 0, :]
     negative = np.where(degenerate, first_big < 0.0, dots < 0.0)
@@ -193,7 +198,10 @@ def uneven_density(cloud: PointCloud, p: UnevenParams, diagnostics: dict | None 
 
     lam1 = lam1_lo + uniform(p.seed, STREAM_UNEVEN_L1, donors) * (lam1_hi - lam1_lo)
     lam2 = lam2_lo + uniform(p.seed, STREAM_UNEVEN_L2, donors) * (lam2_hi - lam2_lo)
+    lam2[colinear] = 0.0
     inserts = points[donors] + lam1[:, None] * axes[:, :, 0] + lam2[:, None] * axes[:, :, 1]
+    by_index = np.argsort(donors)
+    donors, inserts = donors[by_index], inserts[by_index]
 
     if diagnostics is not None:
         diagnostics["degenerate"] = int(np.count_nonzero(degenerate.any(axis=1)))

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
+from scipy.spatial import cKDTree
 
 AXES = np.eye(3)
 
@@ -45,6 +48,50 @@ def rotate_align(frame_u: np.ndarray, d_from: np.ndarray, d_to: np.ndarray) -> n
         + np.cross(axis, frame_u) * s
         + axis * np.dot(axis, frame_u) * (1.0 - c)
     )
+
+
+def usable_cores() -> int:
+    """CPUs this process may run on: its affinity mask, not the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# threads per neighbour query, None for usable_cores(); the only writer is
+# query_on_one_thread, which runs once in each batch pool worker process
+_query_threads: int | None = None
+
+
+def query_on_one_thread() -> None:
+    """Pool initializer: every neighbour query of this process uses one thread,
+    so that pool processes times query threads stays within the usable cores."""
+    global _query_threads
+    _query_threads = 1
+
+
+def query_threads() -> int:
+    """Threads each neighbour query of this process runs on."""
+    return _query_threads or usable_cores()
+
+
+def tree_order_neighbours(
+    points: np.ndarray, k: int | None = None, r: float | None = None, where: np.ndarray | None = None
+):
+    """Neighbours of points, queried in k-d tree leaf order on query_threads().
+
+    With k, the result is cKDTree.query's (distances, indices), k columns
+    per row; with r, query_ball_point's index lists (unsorted, in tree
+    traversal order). where, a boolean mask, limits the queried points.
+    Returns (rows, result): row j holds the neighbours of points[rows[j]].
+    Consecutive leaf-order queries keep the same tree nodes in cache. Each
+    row is what a lone query of its point gives, bit for bit, whatever the
+    thread split; only the order of the rows follows the tree.
+    """
+    tree = cKDTree(points)
+    rows = tree.indices if where is None else tree.indices[where[tree.indices]]
+    if r is None:
+        return rows, tree.query(points[rows], k=k, workers=query_threads())
+    return rows, tree.query_ball_point(points[rows], r, return_sorted=False, workers=query_threads())
 
 
 # neighbourhoods per batch; it bounds the (6, entries) temporaries and, each

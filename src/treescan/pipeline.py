@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
@@ -36,6 +35,7 @@ from .degrade import (
     uneven_density,
 )
 from .errors import InvalidParameterError, PipelineStageError, SurfaceCacheError
+from .geometry import query_on_one_thread, usable_cores
 from .implicit import (
     FitConfig,
     ImplicitSurface,
@@ -363,6 +363,11 @@ def _run_one(config_dict: dict) -> dict:
         }
 
 
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """Model processes whose neighbour queries each run on one thread."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=query_on_one_thread)
+
+
 def batch(configs: list[PipelineConfig], workers: int | None = None, index_path=None):
     """Run many models, isolating failures; returns (records, any_failed).
 
@@ -370,14 +375,14 @@ def batch(configs: list[PipelineConfig], workers: int | None = None, index_path=
     parent) summarizing every model and its digests.
     """
     if workers is None:
-        workers = max(1, os.cpu_count() or 1)
+        workers = usable_cores()
     for config in configs:
         config.validate()
     payloads = [c.to_dict() for c in configs]
     if workers <= 1 or len(configs) <= 1:
         records = [_run_one(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _pool(min(workers, len(configs))) as pool:
             records = list(pool.map(_run_one, payloads))
 
     failed = [r for r in records if not r["ok"]]

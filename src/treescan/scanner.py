@@ -20,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
-from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
 from .errors import InvalidParameterError, MissingNormalsError, TooFewPointsError
-from .geometry import least_aligned_axis, normalize, principal_axes
+from .geometry import least_aligned_axis, normalize, principal_axes, tree_order_neighbours
 from .implicit import ImplicitSurface
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -328,11 +327,12 @@ def estimate_normals(cloud: PointCloud, k: int, diagnostics: dict | None = None)
     n = len(cloud)
     if n < k:
         raise TooFewPointsError(f"need at least k={k} points, got {n}")
-    _, nbr = cKDTree(cloud.points).query(cloud.points, k=k)  # includes the point itself
+    rows, (_, nbr) = tree_order_neighbours(cloud.points, k=k)  # includes the point itself
     _, eigvals, eigvecs = principal_axes(cloud.points, nbr.ravel(), np.arange(0, n * k, k))
-    normals = eigvecs[:, :, 0]  # smallest eigenvalue first
-    lengths = np.linalg.norm(normals, axis=1, keepdims=True)
-    normals = normals / np.where(lengths > 0.0, lengths, 1.0)
+    leading = eigvecs[:, :, 0]  # smallest eigenvalue first
+    lengths = np.linalg.norm(leading, axis=1, keepdims=True)
+    normals = np.empty((n, 3))
+    normals[rows] = leading / np.where(lengths > 0.0, lengths, 1.0)
     if diagnostics is not None:
         # rank-deficient neighborhoods: two vanishing eigenvalues
         scale = np.maximum(eigvals[:, 2], 1e-300)
@@ -358,9 +358,12 @@ def orient_normals(cloud: PointCloud, k: int = 16) -> PointCloud:
     points = cloud.points
     normals = cloud.normals.copy()
     kk = min(k, n - 1)
-    dist, nbr = cKDTree(points).query(points, k=kk + 1)
+    rows, (dist, nbr) = tree_order_neighbours(points, k=kk + 1)
     weights = np.maximum(dist[:, 1:].ravel(), 1e-300)
-    graph = coo_matrix((weights, (np.repeat(np.arange(n), kk), nbr[:, 1:].ravel())), shape=(n, n))
+    # rows come in tree order; CSR conversion keeps each row's entries in
+    # their order, so the graph, and the MST, are those of input-order rows
+    graph = coo_matrix((weights, (np.repeat(rows, kk), nbr[:, 1:].ravel())), shape=(n, n))
+    del dist, nbr  # the MST's peak memory need not hold them too
     mst = minimum_spanning_tree(graph).tocoo()
 
     # every component hangs off a virtual root n by its seed, so one

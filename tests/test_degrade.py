@@ -222,27 +222,32 @@ def test_uneven_full_region_doubles_dense_cloud():
 
 
 def test_uneven_colinear_cloud_inserts_along_the_line():
-    n = 60
-    pts = np.column_stack([np.arange(n) * 0.01, np.zeros(n), np.zeros(n)])
-    cloud = PointCloud(pts)
-    r = 0.05
-    region = (np.array([-1.0, -1.0, -1.0]), np.array([2.0, 1.0, 1.0]))
-    diag: dict = {}
-    out = uneven_density(cloud, UnevenParams(region=region, r=r, seed=2), diagnostics=diag)
-    assert diag["inserted"] == n
-    assert diag["degenerate"] >= 1
-    disp = out.points[n:] - pts
-    along = disp[:, 0]
-    perp = np.linalg.norm(disp[:, 1:], axis=1)
-    assert np.max(np.abs(along)) <= r / 2 + 1e-12
-    assert np.max(perp) <= r / 2 + 1e-12
+    region = (np.array([-1.0, -1.0, -1.0]), np.array([2.0, 3.0, 2.0]))
+    lines = [
+        ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), np.arange(60) * 0.01, 0.05, 2),
+        # off the axes, S_D would be whatever LAPACK returns across the line
+        ((0.5, 2.0, 0.0), (0.36, -0.48, 0.8), np.linspace(0.0, 1.0, 41), 0.1, 8),
+    ]
+    for origin, direction, t, r, seed in lines:
+        direction = np.asarray(direction)
+        pts = np.asarray(origin) + t[:, None] * direction
+        n = len(pts)
+        diag: dict = {}
+        out = uneven_density(PointCloud(pts), UnevenParams(region=region, r=r, seed=seed), diagnostics=diag)
+        assert diag["inserted"] == n
+        assert diag["degenerate"] >= 1
+        disp = out.points[n:] - pts
+        along = disp @ direction
+        perp = np.linalg.norm(disp - along[:, None] * direction, axis=1)
+        assert np.max(np.abs(along)) <= r / 2 + 1e-12
+        assert np.max(perp) <= 1e-12
 
-    # independent check of the leading principal direction at an interior point
-    i = 30
-    nbr = np.flatnonzero(np.linalg.norm(pts - pts[i], axis=1) <= r)
-    centered = pts[nbr] - pts[nbr].mean(axis=0)
-    _, vecs = np.linalg.eigh(centered.T @ centered / len(nbr))
-    assert abs(vecs[:, 2] @ np.array([1.0, 0.0, 0.0])) >= 1.0 - 1e-9
+        # independent check of the leading principal direction at an interior point
+        i = n // 2
+        nbr = np.flatnonzero(np.linalg.norm(pts - pts[i], axis=1) <= r)
+        centered = pts[nbr] - pts[nbr].mean(axis=0)
+        _, vecs = np.linalg.eigh(centered.T @ centered / len(nbr))
+        assert abs(vecs[:, 2] @ direction) >= 1.0 - 1e-9
 
 
 def test_uneven_region_bounds_are_inclusive():
@@ -329,11 +334,12 @@ def loop_uneven(cloud, p):
         neigh = cloud.points[nbr]
         centroid = neigh.mean(axis=0)
         centered = neigh - centroid
-        _, vecs = np.linalg.eigh(centered.T @ centered / len(nbr))
+        vals, vecs = np.linalg.eigh(centered.T @ centered / len(nbr))
         pd, sd = vecs[:, 2], vecs[:, 1]
+        colinear = vals[1] <= 1e-12 * vals[2]  # no second direction: insert on the line
         offset = cloud.points[i] - centroid
         flipped = False
-        for v in (pd, sd):
+        for v in (pd,) if colinear else (pd, sd):
             d = float(v @ offset)
             if abs(d) > 1e-12 * p.r:
                 if d < 0.0:
@@ -347,7 +353,7 @@ def loop_uneven(cloud, p):
         lam1 = lam1_lo + float(uniform(p.seed, STREAM_UNEVEN_L1, i)) * (lam1_hi - lam1_lo)
         lam2 = lam2_lo + float(uniform(p.seed, STREAM_UNEVEN_L2, i)) * (lam2_hi - lam2_lo)
         donors.append(i)
-        inserts.append(cloud.points[i] + lam1 * pd + lam2 * sd)
+        inserts.append(cloud.points[i] + lam1 * pd + (0.0 if colinear else lam2 * sd))
     diag["inserted"] = len(inserts)
     return np.array(inserts).reshape(-1, 3), cloud.normals[np.array(donors, dtype=int)], diag
 

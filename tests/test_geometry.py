@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial import cKDTree
 
 from treescan import geometry
 from treescan.geometry import (
@@ -15,6 +16,7 @@ from treescan.geometry import (
     perpendicular_frame,
     principal_axes,
     rotate_align,
+    tree_order_neighbours,
     triangle_areas_normals,
 )
 
@@ -196,3 +198,21 @@ def test_principal_axes_chunking_is_bit_identical(monkeypatch, chunk):
     monkeypatch.setattr(geometry, "_PCA_CHUNK", chunk)
     for a, b in zip(whole, principal_axes(points, neighbours, starts)):
         assert np.array_equal(a, b)
+
+
+def test_usable_cores_counts_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(geometry.os, "sched_getaffinity", lambda pid: {3, 5}, raising=False)
+    assert geometry.usable_cores() == 2
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tree_order_balls_are_the_lone_queries(monkeypatch, threads):
+    monkeypatch.setattr(geometry, "_query_threads", threads)
+    points = np.random.default_rng(6).random((3000, 3))
+    where = points[:, 0] < 0.4
+    rows, balls = tree_order_neighbours(points, r=0.08, where=where)
+    assert np.array_equal(np.sort(rows), np.flatnonzero(where))
+    tree = cKDTree(points)
+    for i, ball in zip(rows, balls):
+        # member order feeds the PCA sums, so it must be the lone query's
+        assert list(ball) == tree.query_ball_point(points[i], 0.08, return_sorted=False)

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from treescan import degrade, pipeline
+from treescan import degrade, geometry, pipeline
 from treescan.cloud import read_ply
 from treescan.errors import InvalidParameterError, PipelineStageError
 from treescan.implicit import FitConfig, load_surface
@@ -372,6 +372,21 @@ def test_batch_worker_count_does_not_change_results(tmp_path):
         assert {f["path"]: f["sha256"] for f in a["files"]} == {
             f["path"]: f["sha256"] for f in b["files"]
         }
+
+
+def test_batch_pool_workers_query_on_one_thread():
+    with pipeline._pool(2) as pool:
+        assert pool.submit(geometry.query_threads).result(timeout=60) == 1
+    assert geometry.query_threads() == geometry.usable_cores()
+
+
+def test_batch_starts_no_more_processes_than_models(tmp_path, monkeypatch):
+    sizes = []
+    pool = pipeline._pool
+    monkeypatch.setattr(pipeline, "_pool", lambda workers: sizes.append(workers) or pool(workers))
+    _, failed = batch(batch_configs(tmp_path, n=2), workers=8)
+    assert not failed
+    assert sizes == [2]
 
 
 def test_batch_writes_index(tmp_path):

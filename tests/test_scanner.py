@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 from scipy.spatial import cKDTree
 
+from treescan import geometry
 from treescan.cloud import PointCloud
 from treescan.errors import (
     InvalidParameterError,
     MissingNormalsError,
     TooFewPointsError,
 )
+from treescan.geometry import principal_axes
 from treescan.scanner import (
     ScanConfig,
     default_march_feature,
@@ -305,6 +307,68 @@ def test_orientation_matches_bfs_on_separate_patches():
     # each patch ends up with one consistent side
     for part in np.split(oriented.normals[:, 2], 3):
         assert np.all(part > 0.0) or np.all(part < 0.0)
+
+
+def parent_estimate_normals(points, k):
+    """Reference: one single-threaded query in input order."""
+    n = len(points)
+    _, nbr = cKDTree(points).query(points, k=k)
+    _, _, eigvecs = principal_axes(points, nbr.ravel(), np.arange(0, n * k, k))
+    normals = eigvecs[:, :, 0]
+    lengths = np.linalg.norm(normals, axis=1, keepdims=True)
+    return normals / np.where(lengths > 0.0, lengths, 1.0)
+
+
+def parent_orient_normals(points, normals, k):
+    """Reference: graph rows in input order, from one single-threaded query."""
+    n = len(points)
+    normals = normals.copy()
+    kk = min(k, n - 1)
+    dist, nbr = cKDTree(points).query(points, k=kk + 1)
+    weights = np.maximum(dist[:, 1:].ravel(), 1e-300)
+    graph = coo_matrix((weights, (np.repeat(np.arange(n), kk), nbr[:, 1:].ravel())), shape=(n, n))
+    mst = minimum_spanning_tree(graph).tocoo()
+    _, labels = connected_components(mst, directed=False)
+    order = np.lexsort((np.arange(n), -points[:, 2]))
+    _, first = np.unique(labels[order], return_index=True)
+    seeds = order[first]
+    edges = (np.concatenate([mst.row, np.full(len(seeds), n)]), np.concatenate([mst.col, seeds]))
+    tree_graph = coo_matrix((np.ones(len(edges[0])), edges), shape=(n + 1, n + 1)).tocsr()
+    _, parent = breadth_first_order(tree_graph, n, directed=False, return_predecessors=True)
+    outward = points[seeds] - points.mean(axis=0)
+    outward[np.linalg.norm(outward, axis=1) < 1e-12] = (0.0, 0.0, 1.0)
+    up = np.append(parent[:n], n)
+    reference = normals[np.minimum(up[:n], n - 1)]
+    reference[seeds] = outward
+    flip = np.append(np.einsum("ij,ij->i", normals, reference) < 0.0, False)
+    while np.any(up != n):
+        flip ^= flip[up]
+        up = up[up]
+    normals[flip[:n]] *= -1.0
+    return normals
+
+
+@pytest.fixture(scope="module")
+def shuffled_noisy_cylinder():
+    rng = np.random.default_rng(71)
+    n = 20_000
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    radial = np.column_stack([np.cos(theta), np.sin(theta), np.zeros(n)])
+    pts = radial * (0.5 + 0.005 * rng.normal(size=(n, 1))) + np.outer(rng.uniform(0.0, 3.0, n), [0.0, 0.0, 1.0])
+    return pts[rng.permutation(n)]
+
+
+@pytest.mark.parametrize("threads", [None, 1, 2])
+def test_tree_order_queries_give_the_input_order_results(shuffled_noisy_cylinder, monkeypatch, threads):
+    pts = shuffled_noisy_cylinder
+    if threads is not None:
+        monkeypatch.setattr(geometry, "_query_threads", threads)
+    want = parent_estimate_normals(pts, 16)
+    est = estimate_normals(PointCloud(pts), 16)
+    assert np.array_equal(est.normals, want)
+    signs = np.where(np.random.default_rng(3).random(len(pts)) < 0.5, -1.0, 1.0)[:, None]
+    oriented = orient_normals(PointCloud(pts, want * signs), 16)
+    assert np.array_equal(oriented.normals, parent_orient_normals(pts, want * signs, 16))
 
 
 def test_orientation_single_point_noop():
