@@ -15,6 +15,7 @@ status is 1 if there is any.
     PYTHONPATH=src python scripts/digests.py --out after.json --against before.json
     PYTHONPATH=src python scripts/digests.py --case small:1:2:100:analytic --out one.json
     PYTHONPATH=src python scripts/digests.py --case cloud:1:100000 --out cloud.json
+    PYTHONPATH=src python scripts/digests.py --case fit:small:1:sphere_radius_scale=0.3 --out fit.json
 
 A pipeline case is SIZE:MASTER_SEED:VIEWS:RESOLUTION:NORMAL_MODE. A cloud
 case, cloud:SEED:POINTS, runs no pipeline: it samples POINTS points by
@@ -23,8 +24,13 @@ hashes the normals of `estimate_normals` and `orient_normals` (k = 16) and
 the points and normals of `uneven_density` over a cube holding 15 % of the
 points. Scanned clouds are a few hundred points in ray order, where the
 order and thread split of neighbour queries hardly act; a large sampled
-cloud exercises them. Without --case the default list below runs (about
-ten minutes on a 2-core host).
+cloud exercises them. A fit case, fit:SIZE:SEED:KEY=VALUE[,KEY=VALUE...],
+runs `build_surface` alone on the mesh the pipeline makes for that size and
+master seed, with the named `FitConfig` fields set (each VALUE a JSON
+number, or null), and hashes the cell arrays, epsilon and bbox; its
+diagnostics are kept as text. It reaches fit paths the default config
+leaves idle, such as sphere growth and coverage regrowth. Without --case
+the default list below runs (about ten minutes on a 2-core host).
 """
 
 from __future__ import annotations
@@ -40,9 +46,10 @@ import numpy as np
 
 from treescan import PipelineConfig, PointCloud, ScanConfig, TreeParams, run_pipeline
 from treescan.degrade import UnevenParams, uneven_density
-from treescan.implicit import load_surface
+from treescan.implicit import build_surface, load_surface
 from treescan.mesh import sweep_mesh
 from treescan.pipeline import DEGRADATION_KINDS
+from treescan.rng import derive_seed
 from treescan.scanner import estimate_normals, orient_normals
 from treescan.skeleton import generate_skeleton
 
@@ -54,6 +61,8 @@ DEFAULT_CASES = [
     "small:2:3:150:analytic",
     "medium:1:4:60:analytic",
     "cloud:1:100000",
+    "fit:small:1:sphere_radius_scale=0.3",
+    "fit:small:1:min_triangles_for_fit=3",
 ]
 CLOUD_K = 16
 CLOUD_REGION_SHARE = 0.15
@@ -115,17 +124,33 @@ def cloud_digests(case: str) -> dict[str, str]:
     }
 
 
+def surface_digest(s) -> str:
+    return array_digest(s.centers, s.radii, s.normals, s.offsets, [s.epsilon], s.bbox_lo, s.bbox_hi)
+
+
+def fit_digests(case: str) -> dict[str, str]:
+    try:
+        _, size, seed, settings = case.split(":")
+        fit = {key: json.loads(value) for key, value in (item.split("=") for item in settings.split(","))}
+        cfg = PipelineConfig.from_dict({"fit": fit}).fit
+        tree = TreeParams.preset(size, seed=derive_seed(int(seed), "skeleton"))
+    except (ValueError, TypeError) as exc:
+        raise SystemExit(f"bad case {case!r}, expected fit:SIZE:SEED:KEY=VALUE[,KEY=VALUE...] ({exc})")
+    surface = build_surface(sweep_mesh(generate_skeleton(tree), sides=PipelineConfig().sides), cfg)
+    return {"cells": surface_digest(surface), "diagnostics": json.dumps(surface.diagnostics, sort_keys=True)}
+
+
 def case_digests(case: str) -> dict[str, str]:
     if case.startswith("cloud:"):
         return cloud_digests(case)
+    if case.startswith("fit:"):
+        return fit_digests(case)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         manifest = run_pipeline(case_config(case, out))
         digests = {f["path"]: f["sha256"] for f in manifest.files}
         for name in [n for n in digests if n.endswith(".mpuf")]:
-            s = load_surface(out / name)
-            cells = (s.centers, s.radii, s.normals, s.offsets, [s.epsilon], s.bbox_lo, s.bbox_hi)
-            digests[f"{name} cells"] = array_digest(*cells)
+            digests[f"{name} cells"] = surface_digest(load_surface(out / name))
         recorded = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         del recorded["timings"], recorded["config"]["output_dir"]
         digests["manifest.json"] = hashlib.sha256(json.dumps(recorded, sort_keys=True).encode("utf-8")).hexdigest()
@@ -148,7 +173,9 @@ def differences(old: dict, new: dict) -> list[str]:
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument(
-        "--case", action="append", help="SIZE:SEED:VIEWS:RESOLUTION:NORMAL_MODE or cloud:SEED:POINTS (repeatable)"
+        "--case",
+        action="append",
+        help="SIZE:SEED:VIEWS:RESOLUTION:NORMAL_MODE, cloud:SEED:POINTS or fit:SIZE:SEED:KEY=VALUE[,...] (repeatable)",
     )
     p.add_argument("--out", required=True, help="JSON file to write")
     p.add_argument("--against", help="saved JSON to compare with")

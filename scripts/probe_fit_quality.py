@@ -50,7 +50,7 @@ def probe(mesh, scale: float, errors, min_feature=None) -> dict:
     err = errors(cloud.points)
     return {
         "scale": scale,
-        "cells": len(surface.cells),
+        "cells": len(surface.centers),
         "points": int(len(err)),
         "frac_within_5e-3": float(np.mean(err <= 5e-3)),
         "max_err": float(err.max()),

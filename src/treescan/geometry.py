@@ -180,10 +180,11 @@ def dist_points_to_triangles(p: np.ndarray, v0: np.ndarray, v1: np.ndarray, v2: 
     m = claim((d6 >= 0.0) & (d5 <= d6))  # vertex C
     closest[m] = v2[m]
 
-    m = claim((vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0))  # edge AB
+    # a collapsed AB (d1 == d3) would claim every pair left; it leaves them
+    # to edge AC, which the triangle then is
+    m = claim((vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0) & (d1 != d3))  # edge AB
     if np.any(m):
-        den = d1[m] - d3[m]
-        t = d1[m] / np.where(den == 0.0, 1.0, den)
+        t = d1[m] / (d1[m] - d3[m])
         closest[m] = v0[m] + t[:, None] * ab[m]
 
     m = claim((vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0))  # edge AC
@@ -208,10 +209,3 @@ def dist_points_to_triangles(p: np.ndarray, v0: np.ndarray, v1: np.ndarray, v2: 
         closest[m] = v0[m] + v[:, None] * ab[m] + w[:, None] * ac[m]
 
     return np.linalg.norm(p - closest, axis=1)
-
-
-def dist_point_to_triangle_set(point: np.ndarray, v0: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """Distance from one point to each triangle of a set."""
-    n = len(v0)
-    pts = np.broadcast_to(point, (n, 3)).copy()
-    return dist_points_to_triangles(pts, v0, v1, v2)

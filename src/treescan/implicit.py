@@ -6,9 +6,9 @@ more than `max_triangles_per_cell` triangles lie within its support sphere
 and the depth cap allows. Leaves whose sphere reaches no triangle at all are
 dropped: they would only dilute the blend, and queries out there take the
 nearest-cell fallback anyway. Kept spheres holding fewer than
-`min_triangles_for_fit` triangles grow until they hold enough, stopping at
-the exact k-th nearest triangle distance: an overshot support would drag a
-wide, badly-planar cap of surface into the blend and bias the zero set.
+`min_triangles_for_fit` triangles grow to exactly the k-th nearest triangle
+distance: an overshot support would drag a wide, badly-planar cap of
+surface into the blend and bias the zero set.
 
 Each cell fits an affine shape function to the triangles in its sphere,
 
@@ -51,11 +51,7 @@ from .errors import (
     InvalidParameterError,
     SurfaceCacheError,
 )
-from .geometry import (
-    dist_point_to_triangle_set,
-    dist_points_to_triangles,
-    triangle_areas_normals,
-)
+from .geometry import dist_points_to_triangles, triangle_areas_normals
 from .mesh import TriangleMesh
 
 DEFAULT_EPSILON_SCALE = 0.005  # of the bbox diagonal, when epsilon is not given
@@ -193,7 +189,7 @@ def fit_cell(center, triangles, cfg: FitConfig, radius: float = 1.0) -> CellFit:
         raise InsufficientTrianglesError(
             f"cell got {len(tris)} triangles, needs {cfg.min_triangles_for_fit}"
         )
-    epsilon = cfg.epsilon if cfg.epsilon is not None else _auto_epsilon_from_tris(tris)
+    epsilon = cfg.epsilon if cfg.epsilon is not None else _default_epsilon(tris)
     v0, v1, v2 = tris[:, 0], tris[:, 1], tris[:, 2]
     areas, tri_normals = triangle_areas_normals(v0, v1, v2)
     quad_pts, omega = _quadrature_points(v0, v1, v2, cfg.quadrature_order)
@@ -204,10 +200,11 @@ def fit_cell(center, triangles, cfg: FitConfig, radius: float = 1.0) -> CellFit:
     return CellFit(center=center, radius=float(radius), avg_normal=normals[0], offset=float(offsets[0]))
 
 
-def _auto_epsilon_from_tris(tris: np.ndarray) -> float:
-    lo = tris.reshape(-1, 3).min(axis=0)
-    hi = tris.reshape(-1, 3).max(axis=0)
-    diag = float(np.linalg.norm(hi - lo))
+def _default_epsilon(points: np.ndarray) -> float:
+    """DEFAULT_EPSILON_SCALE x the bbox diagonal of a point set, or 1e-3 when
+    the points coincide."""
+    points = points.reshape(-1, 3)
+    diag = float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
     return DEFAULT_EPSILON_SCALE * diag if diag > 0.0 else 1e-3
 
 
@@ -495,7 +492,7 @@ def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitS
     if len(mesh.triangles) == 0:
         raise EmptyMeshError("mesh has no triangles")
     if cfg.min_triangles_for_fit > len(mesh.triangles):
-        # the growth ladder could never satisfy the quota
+        # no sphere could ever hold the quota
         raise InsufficientTrianglesError(
             f"min_triangles_for_fit={cfg.min_triangles_for_fit} exceeds the "
             f"mesh's {len(mesh.triangles)} triangles"
@@ -511,13 +508,10 @@ def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitS
     degenerate_axes = (hi - lo) <= 0.0
     lo = lo - np.where(degenerate_axes, 1e-6 + pad, pad)
     hi = hi + np.where(degenerate_axes, 1e-6 + pad, pad)
-    epsilon = cfg.epsilon if cfg.epsilon is not None else DEFAULT_EPSILON_SCALE * diag
-    if epsilon <= 0.0:
-        epsilon = 1e-3
+    epsilon = cfg.epsilon if cfg.epsilon is not None else _default_epsilon(mesh.vertices)
 
     scale = cfg.sphere_radius_scale
     n_tris = len(mesh.triangles)
-    all_idx = np.arange(n_tris)
 
     centroids = (v0 + v1 + v2) / 3.0
     reach = float(
@@ -533,25 +527,11 @@ def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitS
     )
     centroid_tree = cKDTree(centroids)
 
-    def members_within(center: np.ndarray, radius: float, cand: np.ndarray) -> np.ndarray:
-        if len(cand) == 0:
-            return cand
-        d = dist_point_to_triangle_set(center, v0[cand], v1[cand], v2[cand])
-        return cand[d <= radius]
-
-    def near_distances(center: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-        # centroid prefilter, then exact distances; `reach` bounds how far a
-        # triangle extends past its centroid so the filter cannot drop hits
-        cand = np.array(centroid_tree.query_ball_point(center, radius + reach), dtype=np.int64)
-        if len(cand) == 0:
-            return cand, np.empty(0)
-        return cand, dist_point_to_triangle_set(center, v0[cand], v1[cand], v2[cand])
-
     # level-synchronous descent: all nodes of one depth share a flat
     # (node, candidate) pair array so the distance kernel runs in bulk
     lvl_centers = ((lo + hi) / 2.0)[None, :]
     lvl_sizes = (hi - lo)[None, :]
-    lvl_cand = all_idx.copy()
+    lvl_cand = np.arange(n_tris)
     lvl_counts = np.array([n_tris])
     depth = 1
 
@@ -559,7 +539,7 @@ def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitS
     leaf_radii: list[np.ndarray] = []
     leaf_pair_cells: list[np.ndarray] = []  # leaf ids, assigned level by level
     leaf_pair_tris: list[np.ndarray] = []
-    grow_jobs: list[tuple[np.ndarray, float, int]] = []  # (center, radius, have)
+    grow_centers: list[np.ndarray] = []
     n_leaves = 0
 
     while len(lvl_centers):
@@ -586,8 +566,7 @@ def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitS
             leaf_pair_cells.append(n_leaves + local[node_of_pair[keep_pair]])
             leaf_pair_tris.append(lvl_cand[keep_pair])
             n_leaves += len(ids)
-        for i in np.flatnonzero(grow):
-            grow_jobs.append((lvl_centers[i], float(radii_lvl[i]), int(member_counts[i])))
+        grow_centers.append(lvl_centers[grow])
 
         if not np.any(split):
             break
@@ -615,62 +594,65 @@ def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitS
         lvl_sizes = np.repeat(lvl_sizes[split_ids] / 2.0, 8, axis=0)
         depth += 1
 
-    centers_parts = leaf_centers
-    radii_parts = [np.asarray(r) for r in leaf_radii]
-    member_overrides: dict[int, np.ndarray] = {}
-    grown = 0
-    for center, radius, have in grow_jobs:
-        # ladder up by 1.5x to bracket, then settle on the exact k-th
-        # nearest triangle distance: an overshot support drags a wide,
-        # badly-planar cap into the blend near the surface
-        need = cfg.min_triangles_for_fit
-        r_hi, count = radius, have
-        dist = cand = None
-        while count < need:
-            r_hi *= 1.5
-            cand, dist = near_distances(center, r_hi)
-            count = int(np.count_nonzero(dist <= r_hi))
-        kth = float(np.partition(dist, need - 1)[need - 1])
-        radius = kth * (1.0 + 1e-9)
-        member_overrides[n_leaves + grown] = cand[dist <= radius]
-        centers_parts.append(center[None, :])
-        radii_parts.append(np.array([radius]))
-        grown += 1
+    def near_triangles(center: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        # ascending ids of every triangle whose centroid lies within
+        # radius + reach, a superset of those within radius (`reach` bounds
+        # how far a triangle extends past its centroid), and their exact
+        # distances from the descent's kernel
+        ids = centroid_tree.query_ball_point(center, radius + reach, return_sorted=True)
+        ids = np.array(ids, dtype=np.int64)
+        return ids, _pair_distances(np.tile(center, (len(ids), 1)), ids, v0, v1, v2)
 
-    centers = np.concatenate(centers_parts) if centers_parts else np.empty((0, 3))
-    radii = np.concatenate(radii_parts) if radii_parts else np.empty(0)
-    if len(centers) == 0:
+    # undersized spheres grow to the k-th nearest triangle distance (module
+    # docstring).  No triangle lies farther than its centroid, so the k-th
+    # nearest centroid distance bounds that distance and one ball holds it.
+    need = cfg.min_triangles_for_fit
+    grow_at = np.concatenate(grow_centers)
+    bounds = centroid_tree.query(grow_at, k=[need])[0][:, 0]
+    for center, bound in zip(grow_at, bounds):
+        ids, d = near_triangles(center, bound)
+        radius = float(np.partition(d, need - 1)[need - 1]) * (1.0 + 1e-9)
+        members = ids[d <= radius]
+        leaf_pair_cells.append(np.full(len(members), n_leaves, dtype=np.int64))
+        leaf_pair_tris.append(members)
+        leaf_centers.append(center[None, :])
+        leaf_radii.append(np.array([radius]))
+        n_leaves += 1
+    grown = len(grow_at)
+
+    if not leaf_centers:
         raise EmptyMeshError("no octree cell reached any triangle")
+    centers = np.concatenate(leaf_centers)
+    radii = np.concatenate(leaf_radii)
+    pair_cells = np.concatenate(leaf_pair_cells)
+    pair_tris = np.concatenate(leaf_pair_tris)
 
     # ensure sphere coverage of every mesh vertex; a vertex can end up bare
     # when sphere_radius_scale < 0.5 leaves its own box's sphere too small
-    # (possibly dropping that box as empty)
+    # (possibly dropping that box as empty).  Bare vertices only scale radii
+    # here; each regrown cell takes its members once, after the loop.
     tree = cKDTree(centers)
     d_near, near = tree.query(mesh.vertices, k=1)
     uncovered = d_near > radii[near]
     regrown = 0
+    is_regrown = np.zeros(len(centers), dtype=bool)
     while np.any(uncovered):
-        for cid in np.unique(near[uncovered]):
-            radii[cid] *= 1.5
-            member_overrides[int(cid)] = members_within(centers[cid], radii[cid], all_idx)
-            regrown += 1
+        cids = np.unique(near[uncovered])
+        radii[cids] *= 1.5
+        regrown += len(cids)
+        is_regrown[cids] = True
         uncovered = np.linalg.norm(mesh.vertices - centers[near], axis=1) > radii[near]
 
-    pair_cells = (
-        np.concatenate(leaf_pair_cells) if leaf_pair_cells else np.empty(0, dtype=np.int64)
-    )
-    pair_tris = (
-        np.concatenate(leaf_pair_tris) if leaf_pair_tris else np.empty(0, dtype=np.int64)
-    )
-    if member_overrides:
-        drop = np.isin(pair_cells, np.fromiter(member_overrides, dtype=np.int64))
-        extra_c = [pair_cells[~drop]]
-        extra_t = [pair_tris[~drop]]
-        for cid, member in sorted(member_overrides.items()):
-            extra_c.append(np.full(len(member), cid, dtype=np.int64))
-            extra_t.append(member.astype(np.int64))
-        pair_cells = np.concatenate(extra_c)
-        pair_tris = np.concatenate(extra_t)
+    if regrown:
+        keep = ~is_regrown[pair_cells]
+        parts_c, parts_t = [pair_cells[keep]], [pair_tris[keep]]
+        for cid in np.flatnonzero(is_regrown):
+            ids, d = near_triangles(centers[cid], radii[cid])
+            members = ids[d <= radii[cid]]
+            parts_c.append(np.full(len(members), cid, dtype=np.int64))
+            parts_t.append(members)
+        pair_cells = np.concatenate(parts_c)
+        pair_tris = np.concatenate(parts_t)
 
     quad_pts, omega = _quadrature_points(v0, v1, v2, cfg.quadrature_order)
     normals_out, offsets_out = _batched_affines(

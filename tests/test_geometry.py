@@ -9,7 +9,6 @@ from scipy.spatial import cKDTree
 
 from treescan import geometry
 from treescan.geometry import (
-    dist_point_to_triangle_set,
     dist_points_to_triangles,
     least_aligned_axis,
     normalize,
@@ -64,7 +63,7 @@ def test_triangle_distance_matches_sampling_oracle(p, v0, v1, v2):
     edges = max(
         np.linalg.norm(v1 - v0), np.linalg.norm(v2 - v0), np.linalg.norm(v2 - v1)
     )
-    got = float(dist_point_to_triangle_set(p, v0[None], v1[None], v2[None])[0])
+    got = float(dist_points_to_triangles(p[None], v0[None], v1[None], v2[None])[0])
     upper = sampled_triangle_min_distance(p, v0, v1, v2)
     assert got >= -1e-12
     assert got <= upper + 1e-9
@@ -81,27 +80,35 @@ def test_points_on_triangle_have_zero_distance(v0, v1, v2, a, b):
     if a + b > 1.0:
         a, b = 1.0 - a, 1.0 - b
     p = a * v0 + b * v1 + (1.0 - a - b) * v2
-    d = float(dist_point_to_triangle_set(p, v0[None], v1[None], v2[None])[0])
+    d = float(dist_points_to_triangles(p[None], v0[None], v1[None], v2[None])[0])
     scale = 1.0 + max(np.abs([v0, v1, v2]).max(), np.abs(p).max())
     assert d <= 1e-9 * scale
 
 
 def test_degenerate_triangle_distance_is_finite():
     # collapsed to a segment and to a point; must not blow up or go NaN
-    seg = dist_point_to_triangle_set(
-        np.array([0.0, 1.0, 0.0]),
+    seg = dist_points_to_triangles(
+        np.array([[0.0, 1.0, 0.0]]),
         np.array([[0.0, 0.0, 0.0]]),
         np.array([[2.0, 0.0, 0.0]]),
         np.array([[1.0, 0.0, 0.0]]),
     )
-    pt = dist_point_to_triangle_set(
-        np.array([3.0, 4.0, 0.0]),
+    pt = dist_points_to_triangles(
+        np.array([[3.0, 4.0, 0.0]]),
         np.zeros((1, 3)),
         np.zeros((1, 3)),
         np.zeros((1, 3)),
     )
+    # A == B: the triangle is the segment AC, and the point projects inside it
+    ac = dist_points_to_triangles(
+        np.array([[0.0, 1.0, 1.0]]),
+        np.zeros((1, 3)),
+        np.zeros((1, 3)),
+        np.ones((1, 3)),
+    )
     assert np.isclose(seg[0], 1.0)
     assert np.isclose(pt[0], 5.0)
+    assert np.isclose(ac[0], np.sqrt(2.0 / 3.0))
 
 
 def test_normalize_units_and_zero_passthrough():

@@ -257,21 +257,42 @@ def test_fit_cell_radius_carried():
 
 
 def test_fit_cell_is_the_build_kernel(sphere_mesh_320, sphere_surface_320):
-    # every cell of this default build is an octree leaf whose members are
-    # the triangles within its radius, in ascending id order
-    surf = sphere_surface_320
-    assert surf.diagnostics["grown_spheres"] == 0
-    assert surf.diagnostics["coverage_regrown"] == 0
-    v0, v1, v2 = sphere_mesh_320.corners()
-    cfg = FitConfig(epsilon=surf.epsilon)
-    for i in np.linspace(0, len(surf.centers) - 1, 7).astype(int):
-        center = surf.centers[i]
+    # every cell, an octree leaf, a grown sphere or a regrown one, is fitted
+    # on the triangles within its radius, in ascending id order.  A lone
+    # triangle off the sphere holds its leaf alone, so that leaf grows to
+    # its nearest sphere triangle, far past the lone triangle's own reach.
+    lone = SKEW_TRI + np.array([3.0, 0.0, 0.0])
+    n = len(sphere_mesh_320.vertices)
+    with_lone = TriangleMesh(
+        np.vstack([sphere_mesh_320.vertices, lone]),
+        np.vstack([sphere_mesh_320.triangles, [[n, n + 1, n + 2]]]),
+    )
+    grown = build_surface(with_lone, FitConfig(min_triangles_for_fit=2))
+    regrown = build_surface(sphere_mesh_320, FitConfig(sphere_radius_scale=0.3))
+    assert sphere_surface_320.diagnostics["grown_spheres"] == 0
+    assert sphere_surface_320.diagnostics["coverage_regrown"] == 0
+    assert grown.diagnostics["grown_spheres"] > 0
+    assert grown.diagnostics["coverage_regrown"] == 0
+    assert regrown.diagnostics["coverage_regrown"] > 0
+
+    for mesh, surf in ((sphere_mesh_320, sphere_surface_320), (with_lone, grown), (sphere_mesh_320, regrown)):
+        v0, v1, v2 = mesh.corners()
+        cfg = FitConfig(epsilon=surf.epsilon)
+        for center, radius, normal, offset in zip(surf.centers, surf.radii, surf.normals, surf.offsets):
+            d = dist_points_to_triangles(np.broadcast_to(center, v0.shape).copy(), v0, v1, v2)
+            members = np.flatnonzero(d <= radius)
+            tris = np.stack([v0[members], v1[members], v2[members]], axis=1)
+            cell = fit_cell(center, tris, cfg, radius=radius)
+            assert np.array_equal(cell.avg_normal, normal)
+            assert cell.offset == offset
+
+    # grown spheres follow the octree leaves; each stops at its exact
+    # second nearest triangle distance
+    v0, v1, v2 = with_lone.corners()
+    k = grown.diagnostics["grown_spheres"]
+    for center, radius in zip(grown.centers[-k:], grown.radii[-k:]):
         d = dist_points_to_triangles(np.broadcast_to(center, v0.shape).copy(), v0, v1, v2)
-        members = np.flatnonzero(d <= surf.radii[i])
-        tris = np.stack([v0[members], v1[members], v2[members]], axis=1)
-        cell = fit_cell(center, tris, cfg, radius=surf.radii[i])
-        assert np.array_equal(cell.avg_normal, surf.normals[i])
-        assert cell.offset == surf.offsets[i]
+        assert radius == np.partition(d, 1)[1] * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize(
@@ -343,9 +364,9 @@ def test_build_rejects_unreachable_fit_quota():
 
 
 def test_build_small_radius_scale_still_covers(sphere_mesh_320):
-    surf = build_surface(sphere_mesh_320, FitConfig(sphere_radius_scale=0.6))
+    surf = build_surface(sphere_mesh_320, FitConfig(sphere_radius_scale=0.3))
     assert brute_force_coverage_gap(sphere_mesh_320.vertices, surf) <= 1e-12
-    assert surf.diagnostics["coverage_regrown"] >= 0
+    assert surf.diagnostics["coverage_regrown"] > 0
 
 
 def test_build_auto_epsilon_rule(sphere_mesh_320, sphere_surface_320):
