@@ -219,6 +219,11 @@ def _running_index(lengths: np.ndarray) -> np.ndarray:
     return np.cumsum(pos, dtype=np.int32, out=pos)
 
 
+# Relative slack on R^2 in the field's squared-distance prefilter: far
+# above the rounding of R*R, so the prefilter never drops a pair that the
+# exact r < R test keeps (see `ImplicitSurface._pairs`).
+_PREFILTER_SLACK = 1e-12
+
 # Relative slack on a sphere's radius when deciding which voxels its ball
 # reaches.  Voxel faces, gaps and point binning each round by a few ulp of
 # the coordinates; the slack only ever adds (sphere, voxel) entries.
@@ -290,23 +295,17 @@ class _CellIndex:
 
     def candidate_pairs(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(row, cell) pairs whose sphere reaches the voxel holding the point."""
-        n = len(points)
         idx = np.floor((points - self.lo) / self.voxel).astype(int)
-        inside = np.all((idx >= 0) & (idx < self.dims), axis=1)
+        inside = np.flatnonzero(np.all((idx >= 0) & (idx < self.dims), axis=1))
+        idx = idx[inside]
         flat = (idx[:, 0] * self.dims[1] + idx[:, 1]) * self.dims[2] + idx[:, 2]
-        flat = np.where(inside, flat, 0)
-        starts = np.where(inside, self.csr_start[flat], 0)
-        ends = np.where(inside, self.csr_start[flat + 1], 0)
-        lens = ends - starts
-        total = int(lens.sum())
-        rows = np.repeat(np.arange(n), lens)
-        if total:
-            offsets = np.concatenate([[0], np.cumsum(lens)[:-1]])
-            take = np.arange(total) - np.repeat(offsets, lens) + np.repeat(starts, lens)
-            cells = self.csr_cells[take]
-        else:
-            cells = np.empty(0, dtype=self.csr_cells.dtype)
-        return rows, cells
+        starts = self.csr_start[flat]
+        lens = self.csr_start[flat + 1] - starts
+        # entry j of a point's run is csr_cells[start + j]; `take` counts
+        # through all runs at once, shifted per run by start - run offset
+        take = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        take += np.arange(len(take))
+        return np.repeat(inside, lens), self.csr_cells[take]
 
 
 class ImplicitSurface:
@@ -325,6 +324,11 @@ class ImplicitSurface:
             raise InvalidParameterError("a surface needs at least one cell")
         self.index = _CellIndex(self.centers, self.radii)
         self._center_tree = cKDTree(self.centers)
+        # the field's pair kernel gathers one contiguous axis at a time and
+        # prefilters squared distances (see `_pairs`)
+        self._center_axes = tuple(np.ascontiguousarray(self.centers[:, axis]) for axis in range(3))
+        r2 = self.radii * self.radii
+        self._prefilter_r2 = np.where(r2 >= np.finfo(np.float64).tiny, r2 * (1.0 + _PREFILTER_SLACK), np.inf)
 
     @property
     def cells(self) -> list[CellFit]:
@@ -339,9 +343,32 @@ class ImplicitSurface:
     # -- field evaluation ---------------------------------------------------
 
     def _pairs(self, points: np.ndarray):
+        """(row, cell, r) for every point strictly inside a sphere, r < R,
+        with r the point's distance from the center; by row, then cell.
+
+        r is sqrt(dx*dx + dy*dy + dz*dz), summed in the order
+        np.linalg.norm(axis=1) uses, so it has the same bits.  Candidates
+        are first cut by d2 < R2 with R2 = fl(fl(R*R) * (1 + 1e-12)); only
+        survivors pay for the sqrt and the exact test.  The cut keeps every
+        pair the exact test keeps: r = fl(sqrt(d2)) < R with R a double
+        means sqrt(d2) < R (rounding is monotone), so d2 < R*R exactly.
+        Where fl(R*R) is a normal double it is at least R*R*(1 - 2**-53),
+        and the slack, 1e-12 against three roundings (R*R, 1 + 1e-12 and
+        the product) of at most 2**-53 each, lifts R2 above R*R.  Where
+        R*R underflows (fl(R*R) below the smallest normal double) that
+        relative bound fails, so R2 is infinite there and the exact test
+        alone decides.
+        """
         rows, cells = self.index.candidate_pairs(points)
-        delta = points[rows] - self.centers[cells]
-        r = np.linalg.norm(delta, axis=1)
+        d2 = None
+        for axis, center_axis in enumerate(self._center_axes):
+            d = points[:, axis][rows]
+            d -= center_axis[cells]
+            d *= d
+            d2 = d if d2 is None else np.add(d2, d, out=d2)
+        near = np.flatnonzero(d2 < self._prefilter_r2[cells])
+        rows, cells = rows[near], cells[near]
+        r = np.sqrt(d2[near])
         keep = r < self.radii[cells]
         return rows[keep], cells[keep], r[keep]
 
@@ -433,7 +460,17 @@ def gradient(surface: ImplicitSurface, x) -> np.ndarray:
     return out[0] if single else out
 
 
-_PAIR_CHUNK = 1 << 18  # (cell, triangle) pairs per vectorized batch
+# (cell, triangle) pairs per batch of `_batched_affines`.  Each batch adds
+# its bincount sums into the cells' moments, so this size sets the order in
+# which the moments are summed: moving it changes the bits of every fit and
+# of the `.mpuf` caches.
+_PAIR_CHUNK = 1 << 18
+
+# (point, triangle) pairs per call of the distance kernel.  Its two dozen
+# temporaries then take a few MB, not the hundreds of MB of a `_PAIR_CHUNK`
+# block, and the small preset's fit runs fastest at about this size.  Each
+# pair's distance is computed alone, so the block size never changes a bit.
+_DIST_BLOCK = 1 << 14
 
 _CHILD_OFFSETS = np.array(
     [[dx, dy, dz] for dx in (-0.25, 0.25) for dy in (-0.25, 0.25) for dz in (-0.25, 0.25)]
@@ -442,8 +479,8 @@ _CHILD_OFFSETS = np.array(
 
 def _pair_distances(points: np.ndarray, tri_ids: np.ndarray, v0, v1, v2) -> np.ndarray:
     d = np.empty(len(tri_ids))
-    for a in range(0, len(tri_ids), _PAIR_CHUNK):
-        b = min(a + _PAIR_CHUNK, len(tri_ids))
+    for a in range(0, len(tri_ids), _DIST_BLOCK):
+        b = min(a + _DIST_BLOCK, len(tri_ids))
         t = tri_ids[a:b]
         d[a:b] = dist_points_to_triangles(points[a:b], v0[t], v1[t], v2[t])
     return d

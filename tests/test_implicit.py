@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from treescan import implicit
 from treescan.errors import (
     EmptyMeshError,
     InsufficientTrianglesError,
@@ -18,6 +19,7 @@ from treescan.implicit import (
     DEFAULT_EPSILON_SCALE,
     FitConfig,
     ImplicitSurface,
+    _pair_distances,
     _pair_moments,
     _quadrature_points,
     build_surface,
@@ -384,6 +386,21 @@ def test_build_is_deterministic(sphere_mesh_320):
     assert np.array_equal(a.offsets, b.offsets)
 
 
+@pytest.mark.parametrize(
+    "block, pairs", [(1, 2000), (7, 2000), (implicit._DIST_BLOCK, 2 * implicit._DIST_BLOCK + 5)]
+)
+def test_pair_distances_are_block_independent(monkeypatch, sphere_mesh_320, block, pairs):
+    # the fit's distances run in blocks; a pair's distance must not depend
+    # on the block it lands in, so any block size gives the bits of one call
+    v0, v1, v2 = sphere_mesh_320.corners()
+    rng = np.random.default_rng(23)
+    points = rng.uniform(-1.5, 1.5, (pairs, 3))  # every vertex, edge and face region
+    tri_ids = rng.integers(len(v0), size=pairs)
+    whole = dist_points_to_triangles(points, v0[tri_ids], v1[tri_ids], v2[tri_ids])
+    monkeypatch.setattr(implicit, "_DIST_BLOCK", block)
+    assert np.array_equal(_pair_distances(points, tri_ids, v0, v1, v2), whole)
+
+
 # -- cell index ----------------------------------------------------------------------
 
 
@@ -467,6 +484,54 @@ def test_cell_index_pairs_match_brute_force():
     ) == 0.0
     assert on_surface.sum() >= 500
     assert_pairs_match_brute_force(surf, pts)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_pair_prefilter_matches_brute_force_far_from_unit_scale(scale):
+    # the squared-distance prefilter scales R^2 by a relative slack, so it
+    # must hold at any scale: voxel corners on sphere surfaces, exactly
+    # and one ulp off, with the whole set shrunk or blown up
+    centers, radii = corner_spheres()
+    surf = sphere_set_surface(centers * scale, radii * scale)
+    ticks = np.arange(17) * (VOXEL_16 * scale)
+    nodes = np.stack(np.meshgrid(ticks, ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 3)
+    pts = np.concatenate([nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf)])
+    assert len(assert_pairs_match_brute_force(surf, pts)) > 0
+
+
+def test_pair_prefilter_matches_brute_force_one_ulp_from_surfaces():
+    # points one ulp (per coordinate) inside and outside random sphere
+    # surfaces: their distances straddle R by a few ulp, well inside the
+    # prefilter's slack, so the exact r < R test alone must decide them
+    centers, radii = mixed_spheres()
+    surf = sphere_set_surface(centers, radii)
+    rng = np.random.default_rng(29)
+    pick = rng.integers(len(centers), size=2000)
+    u = rng.normal(size=(2000, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    on = centers[pick] + radii[pick, None] * u
+    inward = np.where(u > 0.0, -np.inf, np.inf)
+    pts = np.concatenate([np.nextafter(on, inward), np.nextafter(on, -inward)])
+    assert_pairs_match_brute_force(surf, pts)
+    r = np.linalg.norm(pts - np.tile(centers[pick], (2, 1)), axis=1)
+    big_r = np.tile(radii[pick], 2)
+    near = np.abs(r - big_r) <= 64 * np.spacing(big_r)
+    assert np.sum(near & (r < big_r)) >= 500 and np.sum(near & (r >= big_r)) >= 500
+
+
+def test_pair_prefilter_keeps_spheres_whose_square_underflows():
+    # R * R of these radii rounds to 0 or to a subnormal; a prefilter on
+    # that square would drop points that r < R keeps
+    centers, radii = mixed_spheres()
+    tiny = np.array([1e-170, 1e-160])
+    assert tiny[0] * tiny[0] == 0.0 and tiny[1] * tiny[1] < np.finfo(np.float64).tiny
+    surf = sphere_set_surface(np.vstack([centers, np.zeros((2, 3))]), np.concatenate([radii, tiny]))
+    steps = np.array([0.0, 0.25, 0.5, 0.999, 1.0, 1.5, 3.0])
+    axes = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+    pts = (steps[:, None, None, None] * tiny[None, :, None, None] * axes[None, None]).reshape(-1, 3)
+    assert_pairs_match_brute_force(surf, pts)
+    _, cells, _ = surf._pairs(pts)
+    assert np.sum(cells == len(radii)) >= 4 and np.sum(cells == len(radii) + 1) >= 4
 
 
 @pytest.mark.parametrize("spheres", [mixed_spheres, corner_spheres])
@@ -586,6 +651,27 @@ def test_eval_and_gradient_wrappers(sphere_surface_320):
     gb = gradient(sphere_surface_320, batch)
     assert g1.shape == (3,)
     assert np.array_equal(gb[0], g1)
+
+
+def test_field_calls_are_batch_independent(sphere_surface_320):
+    # a point's value and gradient must not depend on the other points of
+    # its call: the scanner's march evaluates whichever rays are still
+    # active, in batches of every size
+    rng = np.random.default_rng(31)
+    u = rng.normal(size=(400, 3))
+    pts = u / np.linalg.norm(u, axis=1)[:, None] * rng.uniform(0.0, 2.5, (400, 1))
+    assert np.any(np.isnan(sphere_surface_320.eval_many(pts, uncovered_value=np.nan)))
+    calls = [
+        sphere_surface_320.eval_many,
+        lambda p: sphere_surface_320.eval_many(p, uncovered_value=1.0),
+        sphere_surface_320.gradient_many,
+    ]
+    splits = [np.arange(1, 400)]  # one point per call
+    splits += [np.sort(rng.choice(np.arange(1, 400), size=k, replace=False)) for k in (1, 5, 40)]
+    for call in calls:
+        whole = call(pts)
+        for cuts in splits:
+            assert np.array_equal(np.concatenate([call(part) for part in np.split(pts, cuts)]), whole)
 
 
 # -- gradients ----------------------------------------------------------------------
