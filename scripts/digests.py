@@ -16,6 +16,7 @@ status is 1 if there is any.
     PYTHONPATH=src python scripts/digests.py --case small:1:2:100:analytic --out one.json
     PYTHONPATH=src python scripts/digests.py --case cloud:1:100000 --out cloud.json
     PYTHONPATH=src python scripts/digests.py --case fit:small:1:sphere_radius_scale=0.3 --out fit.json
+    PYTHONPATH=src python scripts/digests.py --case degrade:small:1 --out degrade.json
 
 A pipeline case is SIZE:MASTER_SEED:VIEWS:RESOLUTION:NORMAL_MODE. A cloud
 case, cloud:SEED:POINTS, runs no pipeline: it samples POINTS points by
@@ -29,13 +30,20 @@ runs `build_surface` alone on the mesh the pipeline makes for that size and
 master seed, with the named `FitConfig` fields set (each VALUE a JSON
 number, or null), and hashes the cell arrays, epsilon and bbox; its
 diagnostics are kept as text. It reaches fit paths the default config
-leaves idle, such as sphere growth and coverage regrowth. Without --case
-the default list below runs (about ten minutes on a 2-core host).
+leaves idle, such as sphere growth and coverage regrowth. A degrade case,
+degrade:SIZE:MASTER_SEED, runs the pipeline once for the clean cloud,
+skeleton and surface of that model (default `ScanConfig`, no degradation),
+then the four `treescan degrade` subcommands through `treescan.cli.main`
+with their default flags (`occlude` with `--skeleton` and `--balls-out`,
+`density` with `--skeleton`), and hashes every file they write: the
+command line's own path to the degradations. Without --case the default
+list below runs (about ten minutes on a 2-core host).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -45,6 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from treescan import PipelineConfig, PointCloud, ScanConfig, TreeParams, run_pipeline
+from treescan.cli import main as cli_main
 from treescan.degrade import UnevenParams, uneven_density
 from treescan.implicit import build_surface, load_surface
 from treescan.mesh import sweep_mesh
@@ -63,6 +72,7 @@ DEFAULT_CASES = [
     "cloud:1:100000",
     "fit:small:1:sphere_radius_scale=0.3",
     "fit:small:1:min_triangles_for_fit=3",
+    "degrade:small:1",
 ]
 CLOUD_K = 16
 CLOUD_REGION_SHARE = 0.15
@@ -140,11 +150,38 @@ def fit_digests(case: str) -> dict[str, str]:
     return {"cells": surface_digest(surface), "diagnostics": json.dumps(surface.diagnostics, sort_keys=True)}
 
 
+def degrade_digests(case: str) -> dict[str, str]:
+    try:
+        _, size, seed = case.split(":")
+        config = PipelineConfig(tree=TreeParams.preset(size), master_seed=int(seed), cache_surface=True)
+    except ValueError as exc:
+        raise SystemExit(f"bad case {case!r}, expected degrade:SIZE:MASTER_SEED ({exc})")
+    with tempfile.TemporaryDirectory() as tmp:
+        model, out = Path(tmp) / config.name, Path(tmp) / "degrade"
+        config.output_dir = tmp
+        run_pipeline(config)
+        out.mkdir()
+        clean, skeleton = ["--in", f"{model}_clean.ply"], ["--skeleton", f"{model}.skel"]
+        commands = [
+            ["noise", *clean, "--out", f"{out}/noise.ply"],
+            ["occlude", *clean, *skeleton, "--out", f"{out}/occlusion.ply", "--balls-out", f"{out}/balls.json"],
+            ["uneven", *clean, "--out", f"{out}/uneven.ply"],
+            ["density", "--surface", f"{model}.mpuf", *skeleton, "--out-prefix", f"{out}/model"],
+        ]
+        with contextlib.redirect_stdout(sys.stderr):
+            for command in commands:
+                if cli_main(["degrade", *command]) != 0:
+                    raise SystemExit(f"{case}: treescan degrade {command[0]} failed")
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(out.iterdir())}
+
+
 def case_digests(case: str) -> dict[str, str]:
     if case.startswith("cloud:"):
         return cloud_digests(case)
     if case.startswith("fit:"):
         return fit_digests(case)
+    if case.startswith("degrade:"):
+        return degrade_digests(case)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         manifest = run_pipeline(case_config(case, out))
@@ -175,7 +212,10 @@ def main() -> int:
     p.add_argument(
         "--case",
         action="append",
-        help="SIZE:SEED:VIEWS:RESOLUTION:NORMAL_MODE, cloud:SEED:POINTS or fit:SIZE:SEED:KEY=VALUE[,...] (repeatable)",
+        help=(
+            "SIZE:SEED:VIEWS:RESOLUTION:NORMAL_MODE, cloud:SEED:POINTS, fit:SIZE:SEED:KEY=VALUE[,...]"
+            " or degrade:SIZE:SEED (repeatable)"
+        ),
     )
     p.add_argument("--out", required=True, help="JSON file to write")
     p.add_argument("--against", help="saved JSON to compare with")

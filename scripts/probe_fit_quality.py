@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Sweep the blend width and measure scan accuracy on analytic shapes.
+"""Sweep epsilon, the fit weight's smoothing width, and measure scan accuracy on analytic shapes.
 
-For each blend width (as a fraction of the bounding-box diagonal) the script
+For each epsilon (as a fraction of the bounding-box diagonal) the script
 fits a unit sphere and a radius-0.1 cylinder, scans both, and reports how far
 the scanned points sit from the true shape. Small widths track the faceted
 mesh; large ones smooth it toward (and past) the analytic shape, so the
@@ -66,7 +66,7 @@ def main() -> int:
         nargs="+",
         type=float,
         default=[0.001, 0.0025, 0.005, 0.01, 0.02],
-        help="blend widths as fractions of the bbox diagonal",
+        help="epsilon values as fractions of the bbox diagonal",
     )
     p.add_argument("--subdivisions", type=int, default=3, help="icosphere refinement")
     p.add_argument("--sides", type=int, default=64, help="cylinder cross-section sides")

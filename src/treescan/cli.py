@@ -10,18 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_type_hints
 
 from .cloud import read_ply, write_ply
-from .degrade import (
-    DENSITY_RESOLUTIONS,
-    add_noise,
-    default_region,
-    density_variants,
-    occlude,
-    uneven_density,
-)
 from .implicit import (
     FitConfig,
     build_surface,
@@ -36,6 +30,7 @@ from .pipeline import (
     DEGRADATION_KINDS,
     DEGRADATIONS,
     PipelineConfig,
+    StageContext,
     batch,
     degradation_params,
     load_config,
@@ -44,48 +39,28 @@ from .pipeline import (
 from .scanner import ScanConfig, scan_surface
 from .skeleton import TreeParams, generate_skeleton, load_skeleton, save_skeleton
 
-# (flag, dataclass field, type); shared between subcommands and pipeline overrides
-_TREE_FLAGS = [
-    ("size-class", "size_class", str),
-    ("trunk-length", "trunk_length", float),
-    ("trunk-radius", "trunk_radius", float),
-    ("branch-levels", "branch_levels", int),
-    ("radius-decay", "radius_decay", float),
-    ("length-decay", "length_decay", float),
-    ("gravity", "gravity", float),
-    ("bend", "bend", float),
-    ("nodes-per-curve", "nodes_per_curve", int),
-    ("seed", "seed", int),
-]
-_FIT_FLAGS = [
-    ("epsilon", "epsilon", float),
-    ("max-depth", "max_depth", int),
-    ("max-triangles-per-cell", "max_triangles_per_cell", int),
-    ("min-triangles-for-fit", "min_triangles_for_fit", int),
-    ("quadrature-order", "quadrature_order", int),
-    ("sphere-radius-scale", "sphere_radius_scale", float),
-]
-_SCAN_FLAGS = [
-    ("resolution", "resolution", int),
-    ("views", "views", int),
-    ("standoff", "standoff", float),
-    ("march-step", "march_step", float),
-    ("hit-tolerance", "hit_tolerance", float),
-    ("normal-mode", "normal_mode", str),
-    ("pca-k", "pca_k", int),
-]
+
+def _flags(cls) -> dict:
+    """{field: type} of the int, float and str fields of a config dataclass, `X | None` read as X."""
+    hints = get_type_hints(cls)
+    found = {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        types = set(get_args(hint)) - {type(None)} if isinstance(hint, UnionType) else {hint}
+        if len(types) == 1 and (typ := types.pop()) in (int, float, str):
+            found[f.name] = typ
+    return found
 
 
-def _add_flags(parser: argparse.ArgumentParser, flags, prefix: str = "") -> None:
-    for flag, _, typ in flags:
-        parser.add_argument(f"--{prefix}{flag}", type=typ, default=None)
+def _add_flags(parser: argparse.ArgumentParser, cls) -> None:
+    for name, typ in _flags(cls).items():
+        parser.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
 
 
-def _apply_flags(obj, args: argparse.Namespace, flags, prefix: str = ""):
-    for flag, attr, _ in flags:
-        value = getattr(args, f"{prefix}{flag}".replace("-", "_"))
-        if value is not None:
-            setattr(obj, attr, value)
+def _apply_flags(obj, args: argparse.Namespace):
+    for name in _flags(type(obj)):
+        if getattr(args, name) is not None:
+            setattr(obj, name, getattr(args, name))
     return obj
 
 
@@ -94,7 +69,7 @@ def _tree_params(args) -> TreeParams:
         params = TreeParams.preset(args.size_class, seed=args.seed or 0)
     else:
         params = TreeParams()
-    return _apply_flags(params, args, _TREE_FLAGS)
+    return _apply_flags(params, args)
 
 
 def _range_flag(parser, name):
@@ -123,7 +98,7 @@ def _cmd_mesh(args) -> int:
 
 def _cmd_fit(args) -> int:
     mesh = load_obj(args.mesh)
-    cfg = _apply_flags(FitConfig(), args, _FIT_FLAGS)
+    cfg = _apply_flags(FitConfig(), args)
     surface = build_surface(mesh, cfg)
     save_surface(surface, args.out, surface_key(Path(args.mesh).read_bytes(), cfg))
     print(f"wrote {args.out} ({len(surface.centers)} cells)")
@@ -143,7 +118,7 @@ def _min_feature(args) -> float | None:
 
 def _cmd_scan(args) -> int:
     surface = load_surface(args.surface)
-    cfg = _apply_flags(ScanConfig(), args, _SCAN_FLAGS)
+    cfg = _apply_flags(ScanConfig(), args)
     cloud = scan_surface(surface, cfg, _min_feature(args))
     write_ply(cloud, args.out)
     print(f"wrote {args.out} ({len(cloud)} points)")
@@ -152,58 +127,41 @@ def _cmd_scan(args) -> int:
 
 def _params_from_flags(kind: str, args):
     """The params of `kind` from its flags; flags left out keep the dataclass defaults."""
-    keys = {f.name for f in fields(DEGRADATIONS[kind][0])} - {"seed"}
+    klass = DEGRADATIONS[kind][0]
+    keys = {f.name for f in fields(klass)} - {"seed"} if klass else set()
     entry = {k: v for k, v in vars(args).items() if k in keys and v is not None}
-    return degradation_params({"kind": kind, **entry}, args.seed)
+    if "region" in entry:
+        entry["region"] = [entry["region"][:3], entry["region"][3:]]
+    return degradation_params({"kind": kind, **entry}, getattr(args, "seed", None))
 
 
-def _cmd_degrade_noise(args) -> int:
-    cloud = read_ply(args.input)
-    out = add_noise(cloud, _params_from_flags("noise", args))
-    write_ply(out, args.out)
-    print(f"wrote {args.out} ({len(out)} points)")
-    return 0
+def _cmd_degrade(args) -> int:
+    """Run the pipeline's runner of `args.kind` on the inputs its flags name.
 
-
-def _cmd_degrade_occlude(args) -> int:
-    cloud = read_ply(args.input)
-    if args.skeleton:
-        bbox = load_skeleton(args.skeleton).bbox()
+    Occlusion balls are sized by the --skeleton bbox, else the cloud's; the
+    default uneven region is drawn from the params seed.
+    """
+    params = _params_from_flags(args.kind, args)
+    if args.kind == "density":
+        clean = None
+        ctx = StageContext(
+            surface=load_surface(args.surface), scan=_apply_flags(ScanConfig(), args), min_feature=_min_feature(args)
+        )
     else:
-        bbox = cloud.bbox()
-    out, balls = occlude(cloud, bbox, _params_from_flags("occlusion", args))
-    write_ply(out, args.out)
-    print(f"wrote {args.out} ({len(out)} points, {len(balls)} balls)")
-    if args.balls_out:
-        payload = [{"center": [float(x) for x in c], "radius": float(r)} for c, r in balls]
-        with open(args.balls_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.balls_out}")
-    return 0
-
-
-def _cmd_degrade_uneven(args) -> int:
-    cloud = read_ply(args.input)
-    if args.region is not None:
-        args.region = [args.region[:3], args.region[3:]]
-    params = _params_from_flags("uneven", args)
-    if params.region is None:
-        params = replace(params, region=default_region(cloud.bbox(), params.seed))
-    out = uneven_density(cloud, params)
-    write_ply(out, args.out)
-    print(f"wrote {args.out} ({len(out)} points)")
-    return 0
-
-
-def _cmd_degrade_density(args) -> int:
-    surface = load_surface(args.surface)
-    cfg = _apply_flags(ScanConfig(), args, _SCAN_FLAGS)
-    clouds = density_variants(surface, cfg, _min_feature(args))
-    for res, cloud in zip(DENSITY_RESOLUTIONS, clouds):
-        path = f"{args.out_prefix}_density_{res:03d}.ply"
+        clean = read_ply(args.input)
+        bbox = load_skeleton(args.skeleton).bbox() if getattr(args, "skeleton", None) else clean.bbox()
+        ctx = StageContext(bbox=bbox, region_seed=params.seed)
+    for _, stem, cloud in DEGRADATIONS[args.kind][1](params, clean, ctx):
+        path = args.out if clean is not None else f"{args.out_prefix}_{stem}.ply"
         write_ply(cloud, path)
         print(f"wrote {path} ({len(cloud)} points)")
+    if getattr(args, "balls_out", None):
+        with open(args.balls_out, "w", encoding="utf-8") as fh:
+            json.dump(ctx.occlusion_balls, fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {args.balls_out} ({len(ctx.occlusion_balls)} balls)")
+    for warning in ctx.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     return 0
 
 
@@ -225,9 +183,9 @@ def _pipeline_config(args) -> PipelineConfig:
     config = load_config(args.config) if args.config else PipelineConfig()
     if args.size_class is not None:
         config.tree = TreeParams.preset(args.size_class, seed=config.tree.seed)
-    _apply_flags(config.tree, args, _TREE_FLAGS)
-    _apply_flags(config.fit, args, _FIT_FLAGS)
-    _apply_flags(config.scan, args, _SCAN_FLAGS)
+    _apply_flags(config.tree, args)
+    _apply_flags(config.fit, args)
+    _apply_flags(config.scan, args)
     if args.output_dir is not None:
         config.output_dir = args.output_dir
     if args.name is not None:
@@ -271,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("skeleton", help="generate a ground-truth skeleton")
-    _add_flags(p, _TREE_FLAGS)
+    _add_flags(p, TreeParams)
     _range_flag(p, "--branch-angle-range")
     p.add_argument("--branches-per-node-range", type=int, nargs=2, default=None, metavar=("LO", "HI"))
     p.add_argument("--out", required=True)
@@ -285,14 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit an implicit surface to a mesh")
     p.add_argument("--mesh", required=True)
-    _add_flags(p, _FIT_FLAGS)
+    _add_flags(p, FitConfig)
     p.add_argument("--out", required=True)
     p.add_argument("--dump-debug-obj", default=None)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("scan", help="virtual-scan a fitted surface")
     p.add_argument("--surface", required=True)
-    _add_flags(p, _SCAN_FLAGS)
+    _add_flags(p, ScanConfig)
     p.add_argument("--skeleton", default=None, help="skeleton file for the march feature size")
     p.add_argument("--min-feature", type=float, default=None)
     p.add_argument("--out", required=True)
@@ -307,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--d", type=int, default=None)
     d.add_argument("--seed", type=int, default=None)
     d.add_argument("--out", required=True)
-    d.set_defaults(func=_cmd_degrade_noise)
+    d.set_defaults(func=_cmd_degrade, kind="noise")
 
     d = dsub.add_parser("occlude", help="remove occlusion-ball interiors")
     d.add_argument("--in", dest="input", required=True)
@@ -317,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--seed", type=int, default=None)
     d.add_argument("--out", required=True)
     d.add_argument("--balls-out", default=None)
-    d.set_defaults(func=_cmd_degrade_occlude)
+    d.set_defaults(func=_cmd_degrade, kind="occlusion")
 
     d = dsub.add_parser("uneven", help="locally uneven density by PCA insertion")
     d.add_argument("--in", dest="input", required=True)
@@ -327,15 +285,15 @@ def build_parser() -> argparse.ArgumentParser:
     _range_flag(d, "--lambda2-range")
     d.add_argument("--seed", type=int, default=None)
     d.add_argument("--out", required=True)
-    d.set_defaults(func=_cmd_degrade_uneven)
+    d.set_defaults(func=_cmd_degrade, kind="uneven")
 
     d = dsub.add_parser("density", help="rescan at resolutions 50/100/150")
     d.add_argument("--surface", required=True)
-    _add_flags(d, _SCAN_FLAGS)
+    _add_flags(d, ScanConfig)
     d.add_argument("--skeleton", default=None)
     d.add_argument("--min-feature", type=float, default=None)
     d.add_argument("--out-prefix", required=True)
-    d.set_defaults(func=_cmd_degrade_density)
+    d.set_defaults(func=_cmd_degrade, kind="density")
 
     p = sub.add_parser("eval", help="Hausdorff comparison of two skeletons")
     p.add_argument("--ground-truth", required=True)
@@ -346,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run the full generation pipeline")
     p.add_argument("--config", default=None)
-    _add_flags(p, _TREE_FLAGS)
-    _add_flags(p, _FIT_FLAGS)
-    _add_flags(p, _SCAN_FLAGS)
+    _add_flags(p, TreeParams)
+    _add_flags(p, FitConfig)
+    _add_flags(p, ScanConfig)
     p.add_argument("--output-dir", default=None)
     p.add_argument("--name", default=None)
     p.add_argument("--master-seed", type=int, default=None)

@@ -48,7 +48,7 @@ from .implicit import (
 from .mesh import save_obj, sweep_mesh
 from .rng import derive_seed
 from .scanner import ScanConfig, scan_surface
-from .skeleton import SkeletonGraph, TreeParams, generate_skeleton, save_skeleton
+from .skeleton import TreeParams, generate_skeleton, save_skeleton
 
 
 def _coerced(name: str, default, value):
@@ -76,14 +76,15 @@ def _coerced(name: str, default, value):
 
 @dataclass
 class StageContext:
-    """What a degradation runner reads besides its params and the clean cloud."""
+    """What a degradation runner reads besides its params; a field no runner in use reads may stay None."""
 
-    skeleton: SkeletonGraph
-    surface: ImplicitSurface
-    scan: ScanConfig
-    region_seed: int
-    warnings: list
-    occlusion_balls: list
+    bbox: tuple | None = None  # sizes the occlusion balls
+    region_seed: int | None = None  # draws the default uneven region
+    surface: ImplicitSurface | None = None  # with scan and min_feature: the density rescans
+    scan: ScanConfig | None = None
+    min_feature: float | None = None
+    warnings: list = field(default_factory=list)
+    occlusion_balls: list = field(default_factory=list)
 
 
 # Runners call the degradation and write functions through this module's
@@ -93,7 +94,7 @@ def _noise(params: NoiseParams, clean: PointCloud, ctx: StageContext):
 
 
 def _occlusion(params: OcclusionParams, clean: PointCloud, ctx: StageContext):
-    occluded, balls = occlude(clean, ctx.skeleton.bbox(), params)
+    occluded, balls = occlude(clean, ctx.bbox, params)
     ctx.occlusion_balls.extend({"center": list(map(float, c)), "radius": float(r)} for c, r in balls)
     if len(occluded) == len(clean) and params.N > 0:
         ctx.warnings.append("occlusion removed no points")
@@ -109,8 +110,8 @@ def _uneven(params: UnevenParams, clean: PointCloud, ctx: StageContext):
     yield "uneven", "uneven", uneven
 
 
-def _density(params: None, clean: PointCloud, ctx: StageContext):
-    variants = density_variants(ctx.surface, ctx.scan, ctx.skeleton.min_radius(), clean=clean)
+def _density(params: None, clean: PointCloud | None, ctx: StageContext):
+    variants = density_variants(ctx.surface, ctx.scan, ctx.min_feature, clean=clean)
     for res, cloud in zip(DENSITY_RESOLUTIONS, variants):
         yield f"density-{res}", f"density_{res:03d}", cloud
 
@@ -245,7 +246,6 @@ def run_pipeline(config: PipelineConfig) -> DatasetManifest:
     written: list[Path] = []
     warnings: list[str] = []
     timings: dict[str, float] = {}
-    occlusion_balls: list = []
 
     def emit(role: str, filename: str, count: int) -> Path:
         path = out / filename
@@ -304,7 +304,7 @@ def run_pipeline(config: PipelineConfig) -> DatasetManifest:
         write_ply(clean, path)
         timings["scan"] = time.perf_counter() - t0
 
-        ctx = StageContext(skeleton, surface, config.scan, seeds["region"], warnings, occlusion_balls)
+        ctx = StageContext(skeleton.bbox(), seeds["region"], surface, config.scan, skeleton.min_radius(), warnings)
         entries = {entry["kind"]: entry for entry in config.degradations}
         for kind, (_, run) in DEGRADATIONS.items():
             if kind not in entries:
@@ -324,7 +324,7 @@ def run_pipeline(config: PipelineConfig) -> DatasetManifest:
             config=config.to_dict(),
             seeds=seeds,
             files=files,
-            occlusion_balls=occlusion_balls,
+            occlusion_balls=ctx.occlusion_balls,
             timings=timings,
             warnings=warnings,
         )

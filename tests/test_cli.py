@@ -3,6 +3,7 @@
 import argparse
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from treescan.degrade import (
     UnevenParams,
     add_noise,
     default_region,
+    density_variants,
     occlude,
     uneven_density,
 )
@@ -126,6 +128,8 @@ def test_stage_subcommands_chain(tmp_path, capsys):
                 "occlude",
                 "--in",
                 str(clean),
+                "--skeleton",
+                str(skel),
                 "--n",
                 "2",
                 "--lambda",
@@ -138,10 +142,12 @@ def test_stage_subcommands_chain(tmp_path, capsys):
         )
         == 0
     )
-    occluded = read_ply(occluded_path)
-    assert len(occluded) < len(cloud)
+    want, want_balls = occlude(cloud, skeleton.bbox(), OcclusionParams(N=2, lam=0.05))
+    assert len(want) < len(cloud)
+    write_ply(want, tmp_path / "t_occ_ref.ply")
+    assert occluded_path.read_bytes() == (tmp_path / "t_occ_ref.ply").read_bytes()
     balls = json.loads(balls_path.read_text())
-    assert len(balls) == 2 and {"center", "radius"} <= set(balls[0])
+    assert balls == [{"center": [float(x) for x in c], "radius": float(r)} for c, r in want_balls]
 
     lo, hi = cloud.bbox()
     uneven_path = tmp_path / "t_uneven.ply"
@@ -185,6 +191,10 @@ def test_stage_subcommands_chain(tmp_path, capsys):
     )
     counts = [len(read_ply(f"{prefix}_density_{res:03d}.ply")) for res in (50, 100, 150)]
     assert counts[0] < counts[1] < counts[2]
+    variants = density_variants(surface, ScanConfig(views=2), skeleton.min_radius())
+    for res, want in zip((50, 100, 150), variants):
+        write_ply(want, tmp_path / "ref.ply")
+        assert Path(f"{prefix}_density_{res:03d}.ply").read_bytes() == (tmp_path / "ref.ply").read_bytes()
 
     capsys.readouterr()  # discard progress lines
     assert main(["eval", "--ground-truth", str(skel), "--extracted", str(skel)]) == 0
@@ -378,3 +388,16 @@ def test_degrade_flags_default_to_the_params_dataclasses(tmp_path):
         assert main(["degrade", kind, "--in", str(src), "--out", str(out)]) == 0
         write_ply(want, ref)
         assert out.read_bytes() == ref.read_bytes()
+
+
+def test_degrade_prints_runner_warnings(tmp_path, capsys):
+    rng = np.random.default_rng(7)
+    normals = rng.normal(size=(500, 3))
+    cloud = PointCloud(rng.uniform(-0.1, 0.1, size=(500, 3)), normals / np.linalg.norm(normals, axis=1)[:, None])
+    src, out, ref = tmp_path / "in.ply", tmp_path / "out.ply", tmp_path / "ref.ply"
+    write_ply(cloud, src)
+    write_ply(read_ply(src), ref)
+    region = ["5", "5", "5", "6", "6", "6"]  # holds no point
+    assert main(["degrade", "uneven", "--in", str(src), "--region", *region, "--out", str(out)]) == 0
+    assert "warning: uneven density inserted no points" in capsys.readouterr().err
+    assert out.read_bytes() == ref.read_bytes()
