@@ -1,12 +1,14 @@
 """Virtual scanning: viewpoints, ray marching, merging, and normal recovery."""
 
+import inspect
+
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 from scipy.spatial import cKDTree
 
-from treescan import geometry
+from treescan import geometry, scanner
 from treescan.cloud import PointCloud
 from treescan.errors import (
     InvalidParameterError,
@@ -102,6 +104,122 @@ def test_default_march_feature_is_twentieth_of_diagonal(sphere_surface):
     assert default_march_feature(sphere_surface) == pytest.approx(
         sphere_surface.bbox_diagonal() / 20.0
     )
+
+
+# -- the march rule --------------------------------------------------------------
+
+
+def reference_march(surface, origin, direction, t_lo, t_hi, cfg, feature):
+    """The documented two-level march of one ray, one field point per call.
+
+    Coarse strides of _COARSE_STEPS fine steps run from t_lo to t_hi. A
+    stride with either end at or below the guard band is walked in fine
+    steps, in order, up to its end. The first positive-to-nonpositive pair
+    brackets the hit, and at most 60 bisection steps settle it to the hit
+    tolerance. Returns the hit point, or None.
+    """
+
+    def field(t):
+        return surface.eval_many((origin + t * direction)[None], uncovered_value=1.0)[0]
+
+    step = cfg.march_step * feature
+    stride = step * scanner._COARSE_STEPS
+    guard = 2.0 * stride
+    t, f = t_lo, field(t_lo)
+    bracket = None
+    while bracket is None:
+        t_next = min(t + stride, t_hi)
+        f_next = field(t_next)
+        if min(f, f_next) <= guard:
+            fine = [t + k * step for k in range(1, scanner._COARSE_STEPS)]
+            prev = (t, f)
+            for tk in [tk for tk in fine if tk < t_next] + [t_next]:
+                cur = (tk, f_next if tk == t_next else field(tk))
+                if prev[1] > 0.0 and cur[1] <= 0.0:
+                    bracket = (prev[0], cur[0])
+                    break
+                prev = cur
+        if bracket is None and t_next >= t_hi:
+            return None
+        t, f = t_next, f_next
+    lo, hi = bracket
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        f_mid = field(mid)
+        if abs(f_mid) <= cfg.hit_tolerance:
+            return origin + mid * direction
+        if f_mid > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return None
+
+
+def march(surface, origins, directions, cfg, feature):
+    """scanner._march_batch, called with whichever signature it has."""
+    if "cfg" in inspect.signature(scanner._march_batch).parameters:
+        return scanner._march_batch(surface, origins, directions, cfg, feature)
+    step = cfg.march_step * feature
+    return scanner._march_batch(surface, origins, directions, step, cfg.hit_tolerance)
+
+
+class Slabs:
+    """Field sin(z / width): slabs pi * width thick, 2 pi * width apart, so
+    a ray along z enters several of them in one stride."""
+
+    def __init__(self, width):
+        self.width = width
+        self.bbox_lo = np.array([-1.0, -1.0, -1.0])
+        self.bbox_hi = np.array([1.0, 1.0, 1.0])
+
+    def bbox_diagonal(self):
+        return float(np.linalg.norm(self.bbox_hi - self.bbox_lo))
+
+    def eval_many(self, points, uncovered_value=None):
+        return np.sin(points[:, 2] / self.width)
+
+
+def sphere_rays(rng, n):
+    u = rng.normal(size=(n, 3))
+    return 3.0 * u / np.linalg.norm(u, axis=1)[:, None], rng.uniform(-1.2, 1.2, (n, 3))
+
+
+def tube_rays(rng, n):
+    # from around the tube of radius 0.1 towards points near its axis: most
+    # rays enter and leave it inside one stride
+    a = rng.uniform(0.0, 2.0 * np.pi, n)
+    sources = np.column_stack([0.8 * np.cos(a), 0.8 * np.sin(a), rng.uniform(0.0, 1.0, n)])
+    targets = np.column_stack([rng.uniform(-0.13, 0.13, (n, 2)), rng.uniform(-0.1, 1.1, n)])
+    return sources, targets
+
+
+def slab_rays(rng, n):
+    sources = np.column_stack([rng.uniform(-0.5, 0.5, (n, 2)), np.full(n, -3.0)])
+    return sources, rng.uniform(-0.5, 0.5, (n, 3))
+
+
+@pytest.mark.parametrize("case", ["sphere", "thin tube", "slabs"])
+def test_march_follows_the_documented_rule(case, sphere_surface_320, cylinder_surface):
+    surface, rays, feature = {
+        "sphere": (sphere_surface_320, sphere_rays, default_march_feature(sphere_surface_320)),
+        "thin tube": (cylinder_surface, tube_rays, 0.1),
+        # a stride of 2 * feature spans more than two slabs
+        "slabs": (Slabs(0.006), slab_rays, 0.05),
+    }[case]
+    origins, targets = rays(np.random.default_rng(23), 300)
+    directions = targets - origins
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    cfg = ScanConfig()
+    hit, points = march(surface, origins, directions, cfg, feature)
+
+    t_lo, t_hi = scanner._ray_sphere_spans(origins, directions, *scanner._domain_sphere(surface))
+    expected = [
+        reference_march(surface, o, d, a, b, cfg, feature) if a < b else None
+        for o, d, a, b in zip(origins, directions, t_lo, t_hi)
+    ]
+    assert np.array_equal(hit, [p is not None for p in expected])
+    assert np.any(hit)
+    assert np.array_equal(points[hit], np.array([p for p in expected if p is not None]))
 
 
 # -- whole views -----------------------------------------------------------------
