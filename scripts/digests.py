@@ -33,10 +33,11 @@ diagnostics are kept as text. It reaches fit paths the default config
 leaves idle, such as sphere growth and coverage regrowth. A degrade case,
 degrade:SIZE:MASTER_SEED, runs the pipeline once for the clean cloud,
 skeleton and surface of that model (default `ScanConfig`, no degradation),
-then the four `treescan degrade` subcommands through `treescan.cli.main`
-with their default flags (`occlude` with `--skeleton` and `--balls-out`,
-`density` with `--skeleton`), and hashes every file they write: the
-command line's own path to the degradations. Without --case the default
+then `treescan scan` and the four `treescan degrade` subcommands through
+`treescan.cli.main` with their default flags (`scan` and `density` with
+`--surface` and `--skeleton`, `occlude` with `--skeleton` and
+`--balls-out`), and hashes every file they write: the command line's own
+path to the scan and the degradations. Without --case the default
 list below runs (about ten minutes on a 2-core host).
 """
 
@@ -162,16 +163,18 @@ def degrade_digests(case: str) -> dict[str, str]:
         run_pipeline(config)
         out.mkdir()
         clean, skeleton = ["--in", f"{model}_clean.ply"], ["--skeleton", f"{model}.skel"]
+        surface = ["--surface", f"{model}.mpuf"]
         commands = [
-            ["noise", *clean, "--out", f"{out}/noise.ply"],
-            ["occlude", *clean, *skeleton, "--out", f"{out}/occlusion.ply", "--balls-out", f"{out}/balls.json"],
-            ["uneven", *clean, "--out", f"{out}/uneven.ply"],
-            ["density", "--surface", f"{model}.mpuf", *skeleton, "--out-prefix", f"{out}/model"],
+            ["scan", *surface, *skeleton, "--out", f"{out}/scan.ply"],
+            ["degrade", "noise", *clean, "--out", f"{out}/noise.ply"],
+            ["degrade", "occlude", *clean, *skeleton, "--out", f"{out}/occlusion.ply", "--balls-out", f"{out}/balls.json"],
+            ["degrade", "uneven", *clean, "--out", f"{out}/uneven.ply"],
+            ["degrade", "density", *surface, *skeleton, "--out-prefix", f"{out}/model"],
         ]
         with contextlib.redirect_stdout(sys.stderr):
             for command in commands:
-                if cli_main(["degrade", *command]) != 0:
-                    raise SystemExit(f"{case}: treescan degrade {command[0]} failed")
+                if cli_main(command) != 0:
+                    raise SystemExit(f"{case}: treescan {' '.join(command[:2])} failed")
         return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(out.iterdir())}
 
 

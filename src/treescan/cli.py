@@ -12,10 +12,9 @@ import json
 import sys
 from dataclasses import fields
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_type_hints
 
 from .cloud import read_ply, write_ply
+from .errors import InvalidParameterError
 from .implicit import (
     FitConfig,
     build_surface,
@@ -33,6 +32,7 @@ from .pipeline import (
     StageContext,
     batch,
     degradation_params,
+    field_types,
     load_config,
     run_pipeline,
 )
@@ -42,14 +42,7 @@ from .skeleton import TreeParams, generate_skeleton, load_skeleton, save_skeleto
 
 def _flags(cls) -> dict:
     """{field: type} of the int, float and str fields of a config dataclass, `X | None` read as X."""
-    hints = get_type_hints(cls)
-    found = {}
-    for f in fields(cls):
-        hint = hints[f.name]
-        types = set(get_args(hint)) - {type(None)} if isinstance(hint, UnionType) else {hint}
-        if len(types) == 1 and (typ := types.pop()) in (int, float, str):
-            found[f.name] = typ
-    return found
+    return {name: typ for name, (typ, _) in field_types(cls).items() if typ in (int, float, str)}
 
 
 def _add_flags(parser: argparse.ArgumentParser, cls) -> None:
@@ -108,18 +101,19 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _min_feature(args) -> float | None:
-    if getattr(args, "min_feature", None) is not None:
+def _min_feature(args) -> float:
+    """The march feature size: --min-feature, else the --skeleton's minimum radius."""
+    if args.min_feature is not None:
         return args.min_feature
-    if getattr(args, "skeleton", None):
+    if args.skeleton:
         return load_skeleton(args.skeleton).min_radius()
-    return None
+    raise InvalidParameterError("give --skeleton or --min-feature: they size the march step")
 
 
 def _cmd_scan(args) -> int:
-    surface = load_surface(args.surface)
+    min_feature = _min_feature(args)
     cfg = _apply_flags(ScanConfig(), args)
-    cloud = scan_surface(surface, cfg, _min_feature(args))
+    cloud = scan_surface(load_surface(args.surface), cfg, min_feature)
     write_ply(cloud, args.out)
     print(f"wrote {args.out} ({len(cloud)} points)")
     return 0
@@ -145,7 +139,7 @@ def _cmd_degrade(args) -> int:
     if args.kind == "density":
         clean = None
         ctx = StageContext(
-            surface=load_surface(args.surface), scan=_apply_flags(ScanConfig(), args), min_feature=_min_feature(args)
+            min_feature=_min_feature(args), surface=load_surface(args.surface), scan=_apply_flags(ScanConfig(), args)
         )
     else:
         clean = read_ply(args.input)

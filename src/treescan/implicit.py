@@ -31,8 +31,9 @@ zero at the sphere boundary:
     q(u) = 0                       beyond.
 
 Queries outside every sphere fall back to the shape function of the cell
-with the nearest center; the field is then affine out there, which is all
-ray marching needs to know the sign.
+with the nearest center, so `eval` and `gradient` are defined everywhere
+and affine out there. The ray marcher skips the fallback: it asks for a
+positive placeholder (`uncovered_value=1.0`) outside every support.
 """
 
 from __future__ import annotations

@@ -18,8 +18,10 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from . import __version__
 from .cloud import PointCloud, write_ply
@@ -51,27 +53,47 @@ from .scanner import ScanConfig, scan_surface
 from .skeleton import TreeParams, generate_skeleton, save_skeleton
 
 
-def _coerced(name: str, default, value):
-    """The JSON value of field `name` in the type of its default, lists to tuples.
+def field_types(cls) -> dict:
+    """{field: (type, nullable)} of a config dataclass, `X | None` read as (X, True)."""
+    hints = get_type_hints(cls)
+    types = {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        inner = set(get_args(hint)) - {type(None)} if isinstance(hint, UnionType) else set()
+        types[f.name] = (inner.pop(), True) if len(inner) == 1 else (hint, False)
+    return types
 
-    A bool field takes only true/false and an int field only an integral
-    number, so no value is silently changed; anything else raises.
+
+def _coerced(name: str, declared: tuple, value):
+    """The JSON value of field `name` in its declared (type, nullable), lists to tuples.
+
+    A bool field takes only true/false, an int field only an integral
+    number, a float field a number or a numeric string, and null only a
+    nullable field, so no value is silently changed; anything else raises.
+    A tuple[...] field takes a list of its length, item by item; a bare
+    tuple field takes any list.
     """
-    if isinstance(default, (bool, int, float)):
-        exact = isinstance(value, bool) == isinstance(default, bool) and (
-            not isinstance(default, int)
-            or isinstance(value, Integral)
-            or (isinstance(value, float) and value.is_integer())
-        )
+    typ, nullable = declared
+    if value is None and nullable:
+        return None
+    if typ is tuple or get_origin(typ) is tuple:
+        items = get_args(typ)
+        if isinstance(value, (list, tuple)) and not items:
+            return tuple(_coerced(name, declared, v) if isinstance(v, list) else v for v in value)
+        if isinstance(value, (list, tuple)) and len(items) == len(value):
+            return tuple(_coerced(name, (t, False), v) for t, v in zip(items, value))
+    elif typ in (int, float):
+        number = isinstance(value, Real) and not isinstance(value, bool)
         try:
-            if exact:
-                return type(default)(value)
-        except (TypeError, ValueError):
+            if typ is float and (number or isinstance(value, str)):
+                return float(value)
+            if typ is int and number and (isinstance(value, Integral) or float(value).is_integer()):
+                return int(value)
+        except ValueError:
             pass
-        raise InvalidParameterError(f"{name}: {value!r} is not a valid {type(default).__name__}")
-    if isinstance(value, list) and not isinstance(default, list):
-        return tuple(_coerced(name, None, v) for v in value)
-    return value
+    elif isinstance(value, typ):
+        return value
+    raise InvalidParameterError(f"{name}: {value!r} is not a valid {getattr(typ, '__name__', typ)}")
 
 
 @dataclass
@@ -138,16 +160,16 @@ def degradation_params(entry: dict, seed: int | None = None):
     if kind not in DEGRADATIONS:
         raise InvalidParameterError(f"unknown degradation kind: {kind!r}")
     klass = DEGRADATIONS[kind][0]
-    defaults = {f.name: f.default for f in fields(klass) if f.name != "seed"} if klass else {}
+    types = {k: t for k, t in field_types(klass).items() if k != "seed"} if klass else {}
     given = {k: v for k, v in entry.items() if k != "kind"}
-    if "lam" in defaults and "lambda" in given:
+    if "lam" in types and "lambda" in given:
         given["lam"] = given.pop("lambda")
-    unknown = sorted(set(given) - set(defaults))
+    unknown = sorted(set(given) - set(types))
     if unknown:
         raise InvalidParameterError(f"unknown {kind} key(s): {', '.join(unknown)}")
     if klass is None:
         return None
-    values = {k: _coerced(f"{kind} {k}", defaults[k], v) for k, v in given.items()}
+    values = {k: _coerced(f"{kind} {k}", types[k], v) for k, v in given.items()}
     params = klass(**values) if seed is None else klass(**values, seed=seed)
     params.validate()
     return params
@@ -184,20 +206,30 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
+        """A config from its JSON form; absent keys keep the defaults.
+
+        A tree section starts from the preset of its size_class, and its
+        other keys apply over that preset.
+        """
         default = cls()
         values = {}
-        for f in fields(cls):
-            if data.get(f.name) is None:
+        for name, declared in field_types(cls).items():
+            if data.get(name) is None:
                 continue  # absent or null: the default
-            base, value = getattr(default, f.name), data[f.name]
-            if is_dataclass(base):
-                section = dict(value)
-                if f.name == "scan":
-                    section.pop("seed", None)  # older configs carry a scan seed that nothing read
-                value = replace(
-                    base, **{k: _coerced(f"{f.name}.{k}", getattr(base, k, None), v) for k, v in section.items()}
-                )
-            values[f.name] = _coerced(f.name, base, value)
+            base, value = getattr(default, name), data[name]
+            if not is_dataclass(base):
+                values[name] = _coerced(name, declared, value)
+                continue
+            section = dict(value)
+            if name == "scan":
+                section.pop("seed", None)  # older configs carry a scan seed that nothing read
+            if name == "tree" and "size_class" in section:
+                base = TreeParams.preset(_coerced("tree.size_class", (str, False), section["size_class"]))
+            types = field_types(type(base))
+            unknown = sorted(set(section) - set(types))
+            if unknown:
+                raise InvalidParameterError(f"unknown {name} key(s): {', '.join(unknown)}")
+            values[name] = replace(base, **{k: _coerced(f"{name}.{k}", types[k], v) for k, v in section.items()})
         return cls(**values)
 
 

@@ -3,11 +3,14 @@
 Viewpoints sit on a Fibonacci spiral of the model's bounding sphere, pushed
 out by a standoff factor, each looking at the centroid. A view shoots a
 resolution x resolution pinhole ray grid whose frustum contains the bounding
-sphere; every ray marches in fixed steps from its entry into the bounding
-sphere and bisects the first positive-to-nonpositive crossing of the field.
-Merging is plain concatenation in view order, because poses are exact.
+sphere. Every ray marches from its entry into the bounding sphere in coarse
+strides of several fine steps. A stride with either end near the surface
+(field at or below a guard band) is walked again in fine steps, and the
+first positive-to-nonpositive pair of fine points brackets the hit, which
+bisection settles. Merging is plain concatenation in view order, because
+poses are exact.
 
-f is not a distance field, so no sphere tracing; the march step is tied to
+f is not a distance field, so no sphere tracing; the fine step is tied to
 the smallest feature size (minimum tube radius in the pipeline) to avoid
 stepping through thin branches. Rays that never change sign, or whose
 bisection fails to reach the hit tolerance, contribute nothing.
@@ -118,7 +121,7 @@ def _ray_sphere_spans(origins, directions, center, radius):
     return t0, t1
 
 
-def _march_batch(surface, origins, directions, step, tolerance):
+def _march_batch(surface, origins, directions, cfg: ScanConfig, min_feature: float | None):
     """First surface crossing per ray, vectorized over the active set.
 
     Returns (hit mask, hit points). Uncovered field regions evaluate to a
@@ -132,104 +135,73 @@ def _march_batch(surface, origins, directions, step, tolerance):
     below a guard band (the field tracks distance near the surface, so a
     large value at both ends means no crossing hides between them; sign
     changes always fall below the band). Rays lost to a field that outruns
-    the band are dropped, never misplaced.
+    the band are dropped, never misplaced. The fine step is cfg.march_step
+    times min_feature, or times default_march_feature when that is None.
     """
+    feature = min_feature if min_feature is not None else default_march_feature(surface)
+    step = cfg.march_step * feature
+    stride = step * _COARSE_STEPS
+    guard = 2.0 * stride
+    offsets = np.arange(_COARSE_STEPS + 1) * step
     n = len(origins)
     center, radius = _domain_sphere(surface)
     t_lo, t_hi = _ray_sphere_spans(origins, directions, center, radius)
-    active = t_lo < t_hi
 
     def field(rows, ts):
         return surface.eval_many(
             origins[rows] + ts[:, None] * directions[rows], uncovered_value=1.0
         )
 
-    t = t_lo.copy()
-    f = np.ones(n)
-    idx = np.flatnonzero(active)
-    if len(idx):
-        f[idx] = field(idx, t[idx])
-    bracket_lo = np.zeros(n)
-    bracket_hi = np.zeros(n)
-    bracketed = np.zeros(n, dtype=bool)
-
-    def take_brackets(rows, t0, f0, t1, f1):
-        crossed = (f0 > 0.0) & (f1 <= 0.0)
-        hit_rows = rows[crossed]
-        bracket_lo[hit_rows] = t0[crossed]
-        bracket_hi[hit_rows] = t1[crossed]
-        bracketed[hit_rows] = True
-        active[hit_rows] = False
-        return crossed
-
-    stride = step * _COARSE_STEPS
-    guard = 2.0 * stride
-    max_strides = int(np.ceil(2.0 * radius / stride)) + 2
-    for _ in range(max_strides):
-        idx = np.flatnonzero(active)
+    # march state of the active rays, and the bracket of each crossed ray:
+    # the field is positive at lo and nonpositive at hi
+    idx = np.flatnonzero(t_lo < t_hi)
+    t = t_lo[idx]
+    f = field(idx, t)
+    lo = np.full(n, np.nan)
+    hi = np.full(n, np.nan)
+    for _ in range(int(np.ceil(2.0 * radius / stride)) + 2):
         if len(idx) == 0:
             break
-        t_next = np.minimum(t[idx] + stride, t_hi[idx])
+        t_next = np.minimum(t + stride, t_hi[idx])
         f_next = field(idx, t_next)
-        suspect = np.minimum(f[idx], f_next) <= guard
-        s_rows = idx[suspect]
-        if len(s_rows):
-            t0s = t[s_rows]
-            ends = t_next[suspect]
-            cur_t = t0s.copy()
-            cur_f = f[s_rows].copy()
-            live = np.ones(len(s_rows), dtype=bool)
-            for k in range(1, _COARSE_STEPS):
-                sel = np.flatnonzero(live & (t0s + k * step < ends))
-                if len(sel) == 0:
-                    break
-                tk = t0s[sel] + k * step
-                fk = field(s_rows[sel], tk)
-                crossed = take_brackets(s_rows[sel], cur_t[sel], cur_f[sel], tk, fk)
-                live[sel[crossed]] = False
-                adv = sel[~crossed]
-                cur_t[adv] = tk[~crossed]
-                cur_f[adv] = fk[~crossed]
-            sel = np.flatnonzero(live)
-            if len(sel):
-                take_brackets(
-                    s_rows[sel], cur_t[sel], cur_f[sel], ends[sel], f_next[suspect][sel]
-                )
+        s = np.flatnonzero(np.minimum(f, f_next) <= guard)
+        # fine points of the suspect strides; one clamped to the stride's
+        # end takes the end's value, so it never starts a crossing
+        ends = t_next[s, None]
+        ts = np.minimum(t[s, None] + offsets, ends)
+        fs = np.repeat(f_next[s, None], _COARSE_STEPS + 1, axis=1)
+        fs[:, 0] = f[s]
+        inner = ts < ends
+        inner[:, 0] = False
+        fs[inner] = field(idx[s[np.nonzero(inner)[0]]], ts[inner])
+        crossed = (fs[:, :-1] > 0.0) & (fs[:, 1:] <= 0.0)
+        first = np.argmax(crossed, axis=1)
+        got = crossed.any(axis=1)
+        lo[idx[s[got]]] = ts[got, first[got]]
+        hi[idx[s[got]]] = ts[got, first[got] + 1]
 
-        still = active[idx]
-        done = t_next >= t_hi[idx]
-        active[idx[still & done]] = False
-        move = still & ~done
-        t[idx[move]] = t_next[move]
-        f[idx[move]] = f_next[move]
+        move = t_next < t_hi[idx]
+        move[s[got]] = False
+        idx, t, f = idx[move], t_next[move], f_next[move]
 
     # bisect brackets down to the hit tolerance
-    rows = np.flatnonzero(bracketed)
-    lo = bracket_lo[rows]
-    hi = bracket_hi[rows]
-    settled = np.zeros(len(rows), dtype=bool)
-    t_hit = np.zeros(len(rows))
-    for _ in range(60):
-        open_rows = np.flatnonzero(~settled)
-        if len(open_rows) == 0:
-            break
-        mid = 0.5 * (lo[open_rows] + hi[open_rows])
-        f_mid = surface.eval_many(
-            origins[rows[open_rows]] + mid[:, None] * directions[rows[open_rows]],
-            uncovered_value=1.0,
-        )
-        good = np.abs(f_mid) <= tolerance
-        t_hit[open_rows[good]] = mid[good]
-        settled[open_rows[good]] = True
-        positive = f_mid > 0.0
-        lo[open_rows[positive & ~good]] = mid[positive & ~good]
-        hi[open_rows[~positive & ~good]] = mid[~positive & ~good]
-
+    rows = np.flatnonzero(~np.isnan(lo))
+    lo, hi = lo[rows], hi[rows]
     hit = np.zeros(n, dtype=bool)
     points = np.zeros((n, 3))
-    ok = rows[settled]
-    hit[ok] = True
-    points[ok] = origins[ok] + t_hit[settled, None] * directions[ok]
+    for _ in range(60):
+        if len(rows) == 0:
+            break
+        mid = 0.5 * (lo + hi)
+        f_mid = field(rows, mid)
+        good = np.abs(f_mid) <= cfg.hit_tolerance
+        ok = rows[good]
+        hit[ok] = True
+        points[ok] = origins[ok] + mid[good, None] * directions[ok]
+        positive = f_mid > 0.0
+        lo = np.where(positive, mid, lo)[~good]
+        hi = np.where(positive, hi, mid)[~good]
+        rows = rows[~good]
     return hit, points
 
 
@@ -247,9 +219,7 @@ def ray_cast(surface, origin, direction, cfg: ScanConfig | None = None, min_feat
     direction = np.asarray(direction, dtype=np.float64).reshape(1, 3)
     if abs(np.linalg.norm(direction) - 1.0) > 1e-9:
         raise InvalidParameterError("direction must be unit length")
-    feature = min_feature if min_feature is not None else default_march_feature(surface)
-    step = cfg.march_step * feature
-    hit, pts = _march_batch(surface, origin, direction, step, cfg.hit_tolerance)
+    hit, pts = _march_batch(surface, origin, direction, cfg, min_feature)
     return pts[0] if hit[0] else None
 
 
@@ -279,9 +249,7 @@ def scan_view(
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     origins = np.broadcast_to(pose.position, dirs.shape)
 
-    feature = min_feature if min_feature is not None else default_march_feature(surface)
-    step = cfg.march_step * feature
-    hit, pts = _march_batch(surface, origins, dirs, step, cfg.hit_tolerance)
+    hit, pts = _march_batch(surface, origins, dirs, cfg, min_feature)
     points = pts[hit]
 
     if cfg.normal_mode == "analytic" and len(points):

@@ -174,6 +174,8 @@ class TreeParams:
         return replace(params, **overrides) if overrides else params
 
     def validate(self) -> None:
+        if self.size_class not in SIZE_PRESETS:
+            raise InvalidParameterError(f"unknown size class {self.size_class!r}")
         if self.trunk_length <= 0.0:
             raise InvalidParameterError("trunk_length must be positive")
         if self.trunk_radius <= 0.0:

@@ -20,9 +20,10 @@ from treescan.degrade import (
     occlude,
     uneven_density,
 )
+from treescan.errors import InvalidParameterError
 from treescan.implicit import FitConfig, load_surface, surface_key
 from treescan.mesh import load_obj
-from treescan.pipeline import PipelineConfig, save_config
+from treescan.pipeline import PipelineConfig, run_pipeline, save_config
 from treescan.rng import derive_seed
 from treescan.scanner import ScanConfig
 from treescan.skeleton import TreeParams, generate_skeleton, load_skeleton
@@ -401,3 +402,20 @@ def test_degrade_prints_runner_warnings(tmp_path, capsys):
     assert main(["degrade", "uneven", "--in", str(src), "--region", *region, "--out", str(out)]) == 0
     assert "warning: uneven density inserted no points" in capsys.readouterr().err
     assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("command", [["scan", "--out", "x.ply"], ["degrade", "density", "--out-prefix", "x"]])
+def test_scans_refuse_without_a_feature_size(tmp_path, command):
+    # the surface file does not exist: the refusal comes before it is read
+    with pytest.raises(InvalidParameterError, match="--skeleton or --min-feature"):
+        main([*command, "--surface", str(tmp_path / "missing.mpuf")])
+
+
+def test_scan_with_skeleton_writes_the_pipeline_clean_cloud(tmp_path):
+    config = tiny_pipeline_config(tmp_path, "m", cache_surface=True)
+    run_pipeline(config)
+    out = tmp_path / "scan.ply"
+    inputs = ["--surface", str(tmp_path / "m.mpuf"), "--skeleton", str(tmp_path / "m.skel")]
+    flags = ["--resolution", str(config.scan.resolution), "--views", str(config.scan.views)]
+    assert main(["scan", *inputs, *flags, "--out", str(out)]) == 0
+    assert out.read_bytes() == (tmp_path / "m_clean.ply").read_bytes()

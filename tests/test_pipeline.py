@@ -317,11 +317,28 @@ def test_config_load_drops_legacy_scan_seed(tmp_path):
         {"master_seed": True},
         {"tree": {"branch_levels": 1.5}},
         {"fit": {"max_depth": "10"}},
+        {"fit": {"epsilon": True}},
+        {"name": 5},
+        {"tree": {"size_class": "huge"}},
+        {"tree": {"branch_angle_range": [0.4]}},
+        {"scan": {"march_stride": 2.0}},
     ],
 )
 def test_config_load_rejects_inexact_values(data):
     with pytest.raises(InvalidParameterError):
         PipelineConfig.from_dict(data)
+
+
+def test_config_load_takes_numeric_strings_and_null_for_optional_floats():
+    assert PipelineConfig.from_dict({"fit": {"epsilon": "0.01"}}).fit.epsilon == 0.01
+    assert PipelineConfig.from_dict({"fit": {"epsilon": None}}).fit.epsilon is None
+
+
+def test_config_tree_section_starts_from_its_size_class_preset():
+    tree = PipelineConfig.from_dict({"tree": {"size_class": "medium", "seed": 3}}).tree
+    assert tree == TreeParams.preset("medium", seed=3)
+    with pytest.raises(InvalidParameterError, match="size class"):
+        TreeParams(size_class="huge").validate()
 
 
 def test_config_load_takes_integral_floats():
