@@ -44,7 +44,6 @@ from .implicit import (
     ImplicitSurface,
     build_surface,
     eval,  # noqa: A004
-    fit_cell,
     gradient,
     load_surface,
     save_surface,
@@ -122,7 +121,6 @@ __all__ = [
     "ImplicitSurface",
     "build_surface",
     "eval",
-    "fit_cell",
     "gradient",
     "load_surface",
     "save_surface",

@@ -14,7 +14,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .cloud import read_ply, write_ply
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, TreescanError
 from .implicit import (
     FitConfig,
     build_surface,
@@ -174,9 +174,18 @@ def _cmd_eval(args) -> int:
 
 
 def _pipeline_config(args) -> PipelineConfig:
-    config = load_config(args.config) if args.config else PipelineConfig()
+    """The config file's values (or the defaults), then the flags.
+
+    --size-class stands in for the file's tree size class: the file's other
+    tree keys apply over the new preset, as they do over the file's own.
+    """
+    data = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
     if args.size_class is not None:
-        config.tree = TreeParams.preset(args.size_class, seed=config.tree.seed)
+        data["tree"] = {**(data.get("tree") or {}), "size_class": args.size_class}
+    config = PipelineConfig.from_dict(data)
     _apply_flags(config.tree, args)
     _apply_flags(config.fit, args)
     _apply_flags(config.scan, args)
@@ -327,7 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except TreescanError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -34,6 +34,15 @@ Queries outside every sphere fall back to the shape function of the cell
 with the nearest center, so `eval` and `gradient` are defined everywhere
 and affine out there. The ray marcher skips the fallback: it asks for a
 positive placeholder (`uncovered_value=1.0`) outside every support.
+
+The fit works in bounded pieces without moving a bit of its output. The
+octree descent walks batches of subtrees depth first, stepping each batch
+one level at a time under a fixed budget of (node, triangle) pairs, and
+then puts its leaves back in level order (by depth, then child path):
+cell ids and the order in which each cell's moments are summed are those
+of one level-synchronous walk of the whole tree. The moments are computed
+in cache-sized blocks, and the cell index is built a chunk of spheres at
+a time.
 """
 
 from __future__ import annotations
@@ -127,28 +136,21 @@ class FitConfig:
             raise InvalidParameterError("sphere_radius_scale must be positive")
 
 
-@dataclass
-class CellFit:
-    """One support sphere and its affine shape function.
-
-    avg_normal is the weighted normal quotient, deliberately not normalized;
-    offset = <avg_point, avg_normal> so s(x) = <x, avg_normal> - offset.
-    """
-
-    center: np.ndarray
-    radius: float
-    avg_normal: np.ndarray
-    offset: float
-
-    def shape(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x) @ self.avg_normal - self.offset
-
-
 def weight(x, t, epsilon: float):
-    """Inverse-quartic falloff 1 / (|x-t|^2 + eps^2)^2; broadcasts over rows."""
+    """Inverse-quartic falloff 1 / (|x-t|^2 + eps^2)^2; broadcasts over rows.
+
+    |x-t|^2 adds the squared differences one axis at a time, in the order
+    np.sum(axis=-1) adds them, so it has the same bits without building a
+    (..., 3) difference array.
+    """
     if epsilon <= 0.0:
         raise InvalidParameterError("epsilon must be positive")
-    d2 = np.sum((np.asarray(x, dtype=np.float64) - np.asarray(t, dtype=np.float64)) ** 2, axis=-1)
+    x = np.asarray(x, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    d2 = 0.0
+    for axis in range(3):
+        d = x[..., axis] - t[..., axis]
+        d2 = d2 + d * d
     return 1.0 / (d2 + epsilon * epsilon) ** 2
 
 
@@ -173,32 +175,6 @@ def _pair_moments(centers, quad_pts, omega, areas, epsilon: float):
     int_w = areas * (w @ omega)
     int_xw = areas[:, None] * np.einsum("pq,q,pqd->pd", w, omega, quad_pts)
     return int_w, int_xw
-
-
-def fit_cell(center, triangles, cfg: FitConfig, radius: float = 1.0) -> CellFit:
-    """Fit the affine shape function for one support sphere.
-
-    `triangles` is a (k, 3, 3) array of member triangle vertices.  The
-    radius is carried into the returned CellFit unchanged; membership is the
-    caller's responsibility.  This is the kernel `build_surface` runs, for
-    one cell.
-    """
-    cfg.validate()
-    center = np.asarray(center, dtype=np.float64)
-    tris = np.asarray(triangles, dtype=np.float64).reshape(-1, 3, 3)
-    if len(tris) < cfg.min_triangles_for_fit:
-        raise InsufficientTrianglesError(
-            f"cell got {len(tris)} triangles, needs {cfg.min_triangles_for_fit}"
-        )
-    epsilon = cfg.epsilon if cfg.epsilon is not None else _default_epsilon(tris)
-    v0, v1, v2 = tris[:, 0], tris[:, 1], tris[:, 2]
-    areas, tri_normals = triangle_areas_normals(v0, v1, v2)
-    quad_pts, omega = _quadrature_points(v0, v1, v2, cfg.quadrature_order)
-    k = len(tris)
-    normals, offsets = _batched_affines(
-        center[None], np.zeros(k, dtype=np.int64), np.arange(k), quad_pts, omega, areas, tri_normals, epsilon
-    )
-    return CellFit(center=center, radius=float(radius), avg_normal=normals[0], offset=float(offsets[0]))
 
 
 def _default_epsilon(points: np.ndarray) -> float:
@@ -230,6 +206,11 @@ _PREFILTER_SLACK = 1e-12
 # the coordinates; the slack only ever adds (sphere, voxel) entries.
 _BALL_SLACK = 1e-10
 
+# Spheres per chunk of the cell index build: a chunk's column arrays take a
+# few MB.  Chunks are concatenated in sphere order before the one sort, so
+# the chunk size never changes the index.
+_INDEX_CHUNK = 1 << 12
+
 
 class _CellIndex:
     """Uniform voxel grid over the support spheres, CSR layout: each voxel
@@ -246,22 +227,42 @@ class _CellIndex:
         self.lo = lo
         self.dims = dims
 
-        # A sphere's voxel box, walked as (x, y) columns: the x and y gaps
-        # from the center to a column leave a radius under which the z run
-        # of reached voxels is one floor() per end.  Only the runs are
-        # expanded.  Every int value is under 160**3 (a voxel id or a place
-        # within one box), so int32 arrays keep the build's memory down.
+        # Each sphere's (voxel, sphere) entries, built for a chunk of
+        # spheres at a time and concatenated in sphere order; one stable
+        # sort by voxel then lists each voxel's cells in ascending order.
+        n = len(centers)
         i0 = self._vox_floor(centers - radii[:, None])
         i1 = self._vox_floor(centers + radii[:, None])
-        span = (i1 - i0 + 1).astype(np.int32)
-        col_owner = np.repeat(np.arange(len(centers), dtype=np.int32), span[:, 0] * span[:, 1])
+        reach = radii + _BALL_SLACK * (radii + float(np.abs(np.concatenate([lo, hi])).max()))
+        parts = [
+            self._ball_entries(np.arange(a, min(a + _INDEX_CHUNK, n), dtype=np.int32), centers, reach, i0, i1)
+            for a in range(0, n, _INDEX_CHUNK)
+        ]
+        vox = np.concatenate([v for v, _ in parts])
+        cells = np.concatenate([c for _, c in parts])
+        del parts
+        self.csr_cells = cells[np.argsort(vox, kind="stable")]
+        counts = np.bincount(vox, minlength=int(np.prod(dims)))
+        self.csr_start = np.concatenate([[0], np.cumsum(counts)])
+
+    def _ball_entries(self, spheres, centers, reach, i0, i1):
+        """(voxel, sphere) entries of `spheres`: by sphere, then voxel id.
+
+        A sphere's voxel box is walked as (x, y) columns: the x and y gaps
+        from the center to a column leave a radius under which the z run of
+        reached voxels is one floor() per end.  Only the runs are expanded.
+        Every int value is under 160**3 (a voxel id or a place within one
+        box), so int32 arrays keep the build's memory down.
+        """
+        lo, dims = self.lo, self.dims
+        span = (i1[spheres] - i0[spheres] + 1).astype(np.int32)
+        col_owner = np.repeat(spheres, span[:, 0] * span[:, 1])
         pos = _running_index(span[:, 0] * span[:, 1])
-        col_y = span[col_owner, 1]
+        col_y = np.repeat(span[:, 1], span[:, 0] * span[:, 1])
         col_x = pos // col_y
         col_y = pos - col_x * col_y + i0[col_owner, 1]
         col_x += i0[col_owner, 0]
         del pos
-        reach = radii + _BALL_SLACK * (radii + float(np.abs(np.concatenate([lo, hi])).max()))
         left = reach[col_owner] ** 2
         for axis, col in ((0, col_x), (1, col_y)):
             face = lo[axis] + col * self.voxel
@@ -277,8 +278,7 @@ class _CellIndex:
         z1 = np.minimum(np.floor((cz + half - lo[2]) / self.voxel).astype(np.int32), i1[col_owner, 2])
         del cz, half
         run = z1 - z0 + 1
-        # vox = (x * dims[1] + y) * dims[2] + z for z in z0..z1; a column's
-        # runs stay in sphere order, so each voxel lists ascending cells
+        # vox = (x * dims[1] + y) * dims[2] + z for z in z0..z1
         col_x *= dims[1]
         col_x += col_y
         col_x *= dims[2]
@@ -286,9 +286,7 @@ class _CellIndex:
         del col_y, z0, z1
         vox = _running_index(run)
         vox += np.repeat(col_x, run)
-        self.csr_cells = np.repeat(col_owner, run)[np.argsort(vox, kind="stable")]
-        counts = np.bincount(vox, minlength=int(np.prod(dims)))
-        self.csr_start = np.concatenate([[0], np.cumsum(counts)])
+        return vox, np.repeat(col_owner, run)
 
     def _vox_floor(self, p: np.ndarray) -> np.ndarray:
         idx = np.floor((p - self.lo) / self.voxel).astype(int)
@@ -330,13 +328,6 @@ class ImplicitSurface:
         self._center_axes = tuple(np.ascontiguousarray(self.centers[:, axis]) for axis in range(3))
         r2 = self.radii * self.radii
         self._prefilter_r2 = np.where(r2 >= np.finfo(np.float64).tiny, r2 * (1.0 + _PREFILTER_SLACK), np.inf)
-
-    @property
-    def cells(self) -> list[CellFit]:
-        return [
-            CellFit(self.centers[i].copy(), float(self.radii[i]), self.normals[i].copy(), float(self.offsets[i]))
-            for i in range(len(self.centers))
-        ]
 
     def bbox_diagonal(self) -> float:
         return float(np.linalg.norm(self.bbox_hi - self.bbox_lo))
@@ -464,14 +455,26 @@ def gradient(surface: ImplicitSurface, x) -> np.ndarray:
 # (cell, triangle) pairs per batch of `_batched_affines`.  Each batch adds
 # its bincount sums into the cells' moments, so this size sets the order in
 # which the moments are summed: moving it changes the bits of every fit and
-# of the `.mpuf` caches.
+# of the `.mpuf` caches.  It does not set the fit's memory: a batch's pair
+# moments are computed in `_MOMENT_BLOCK` pieces.
 _PAIR_CHUNK = 1 << 18
 
+# (cell, triangle) pairs per `_pair_moments` call: its quadrature gathers
+# and weights then take a few hundred kB.  Each pair's moments are computed
+# alone, so the block size never changes a bit, as long as no block holds a
+# single pair of a larger batch (see `_batched_affines`); keep it >= 2.
+_MOMENT_BLOCK = 1 << 12
+
 # (point, triangle) pairs per call of the distance kernel.  Its two dozen
-# temporaries then take a few MB, not the hundreds of MB of a `_PAIR_CHUNK`
-# block, and the small preset's fit runs fastest at about this size.  Each
-# pair's distance is computed alone, so the block size never changes a bit.
+# temporaries then take a few MB, and the small preset's fit runs fastest
+# at about this size.  Each pair's distance is computed alone, so the block
+# size never changes a bit.
 _DIST_BLOCK = 1 << 14
+
+# (node, candidate) pairs per step of the octree descent: a step's arrays
+# then take a few MB.  Each node's split, members and children's candidates
+# depend on its own pairs alone, so the budget never changes a bit.
+_DESCENT_PAIRS = 1 << 16
 
 _CHILD_OFFSETS = np.array(
     [[dx, dy, dz] for dx in (-0.25, 0.25) for dy in (-0.25, 0.25) for dz in (-0.25, 0.25)]
@@ -501,7 +504,14 @@ def _batched_affines(centers, pair_cells, pair_tris, quad_pts, omega, areas, tri
     for a in range(0, len(pair_cells), _PAIR_CHUNK):
         b = min(a + _PAIR_CHUNK, len(pair_cells))
         cid, tid = pair_cells[a:b], pair_tris[a:b]
-        int_w, int_xw = _pair_moments(centers[cid], quad_pts[tid], omega, areas[tid], epsilon)
+        int_w, int_xw = np.empty(b - a), np.empty((b - a, 3))
+        # BLAS takes a lone pair's `w @ omega` as a dot product, whose bits
+        # differ from its matrix-vector kernel's, so a lone last pair joins
+        # the block before it
+        stops = [*range(_MOMENT_BLOCK, b - a - 1, _MOMENT_BLOCK), b - a]
+        for s, e in zip([0, *stops], stops):
+            c, t = cid[s:e], tid[s:e]
+            int_w[s:e], int_xw[s:e] = _pair_moments(centers[c], quad_pts[t], omega, areas[t], epsilon)
         den += np.bincount(cid, weights=int_w, minlength=n)
         for axis in range(3):
             num_n[:, axis] += np.bincount(cid, weights=int_w * tri_normals[tid, axis], minlength=n)
@@ -521,6 +531,115 @@ def _batched_affines(centers, pair_cells, pair_tris, quad_pts, omega, areas, tri
 
     offsets = np.einsum("ij,ij->i", avg_point, avg_normal)
     return avg_normal, offsets
+
+
+def _descend(lo, hi, v0, v1, v2, cfg: FitConfig):
+    """The octree descent: kept leaves, their members, undersized centres.
+
+    Returns (centers, radii, pair_cells, pair_tris, grow_at).  Leaves are
+    listed in level order: by depth, and within a depth by base-8 child
+    path (root to node, children in `_CHILD_OFFSETS` order).  Each leaf's
+    members are its candidates within its radius, in candidate order;
+    undersized centres are listed in level order too.
+
+    The walk is depth first over batches of nodes of one depth, each batch
+    holding about `_DESCENT_PAIRS` (node, candidate) pairs and stepping all
+    its nodes one level at once.  A batch's children are consecutive in path
+    order, and so is each batch cut from them; so the leaves (or undersized
+    centres) a step finds form one run of the level order, tagged with the
+    depth and path of its first node, and sorting the runs by their tags
+    gives the order of a walk that steps a whole level at once.
+    """
+    scale = cfg.sphere_radius_scale
+    n_tris = len(v0)
+    # (depth, path, centers, radii, pair leaf index within run, pair
+    # triangles) and (depth, path, centers); an empty run at depth 0 keeps
+    # the concatenations defined when no leaf settles or grows
+    leaf_runs = [(0, 0, np.empty((0, 3)), np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))]
+    grow_runs = [(0, 0, np.empty((0, 3)))]
+    # a batch: depth, node paths, centers, box sizes, flat candidates,
+    # candidates per node.  A path holds one base-8 digit per level below
+    # the root, 60 bits at the deepest `max_depth` (21), so it fits an int64
+    root = ((lo + hi) / 2.0)[None, :]
+    batches = [(1, np.zeros(1, dtype=np.int64), root, (hi - lo)[None, :], np.arange(n_tris), np.array([n_tris]))]
+    while batches:
+        depth, paths, centers, sizes, cand, counts = batches.pop()
+        n_nodes = len(centers)
+        diag = np.linalg.norm(sizes, axis=1)
+        radii = scale * diag
+        node_of_pair = np.repeat(np.arange(n_nodes), counts)
+        d = _pair_distances(centers[node_of_pair], cand, v0, v1, v2)
+
+        member_mask = d <= radii[node_of_pair]
+        member_counts = np.bincount(node_of_pair[member_mask], minlength=n_nodes)
+        split = (member_counts > cfg.max_triangles_per_cell) & (depth < cfg.max_depth)
+        # empty leaves are dropped outright; undersized ones grow later
+        settle = ~split & (member_counts >= max(1, cfg.min_triangles_for_fit))
+        grow = ~split & (member_counts > 0) & ~settle
+
+        if np.any(settle):
+            ids = np.flatnonzero(settle)
+            keep_pair = settle[node_of_pair] & member_mask
+            local = np.cumsum(settle) - 1
+            leaf_runs.append(
+                (depth, paths[ids[0]], centers[ids], radii[ids], local[node_of_pair[keep_pair]], cand[keep_pair])
+            )
+        if np.any(grow):
+            grow_runs.append((depth, paths[np.argmax(grow)], centers[grow]))
+        if not np.any(split):
+            continue
+
+        # children inherit candidates provably sufficient for their spheres
+        # and their own boxes: anything within max(scale, 1/2) x child
+        # diagonal of a child center lies within this bound of the parent
+        child_bound = (0.5 * max(scale, 0.5) + 0.25) * diag
+        cand_mask = split[node_of_pair] & (d <= child_bound[node_of_pair])
+        split_ids = np.flatnonzero(split)
+        seg_counts = np.bincount(node_of_pair[cand_mask], minlength=n_nodes)[split_ids]
+        seg_flat = cand[cand_mask]
+        seg_starts = np.concatenate([[0], np.cumsum(seg_counts)[:-1]])
+
+        child_counts = np.repeat(seg_counts, 8)
+        total = int(child_counts.sum())
+        child_of_entry = np.repeat(np.arange(len(split_ids) * 8), child_counts)
+        ends = np.cumsum(child_counts)
+        pos = np.arange(total) - np.repeat(ends - child_counts, child_counts)
+        child_cand = seg_flat[seg_starts[child_of_entry // 8] + pos]
+        child_paths = (paths[split_ids][:, None] * 8 + np.arange(8)).ravel()
+        child_centers = (
+            centers[split_ids][:, None, :] + _CHILD_OFFSETS[None, :, :] * sizes[split_ids][:, None, :]
+        ).reshape(-1, 3)
+        child_sizes = np.repeat(sizes[split_ids] / 2.0, 8, axis=0)
+
+        # cut the children into batches, each before a child whose pairs
+        # start past a new multiple of `_DESCENT_PAIRS`: a batch holds fewer
+        # pairs than the budget plus its last child's.  The first batch is
+        # walked first
+        first = ends - child_counts
+        cuts = np.flatnonzero(np.diff(first // _DESCENT_PAIRS)) + 1
+        bounds = [0, *cuts.tolist(), len(child_counts)]
+        for s, e in reversed(list(zip(bounds[:-1], bounds[1:]))):
+            batches.append(
+                (
+                    depth + 1,
+                    child_paths[s:e],
+                    child_centers[s:e],
+                    child_sizes[s:e],
+                    child_cand[first[s] : ends[e - 1]],
+                    child_counts[s:e],
+                )
+            )
+
+    leaf_runs.sort(key=lambda run: (run[0], int(run[1])))
+    grow_runs.sort(key=lambda run: (run[0], int(run[1])))
+    starts = np.cumsum([0, *(len(run[2]) for run in leaf_runs)])
+    return (
+        np.concatenate([run[2] for run in leaf_runs]),
+        np.concatenate([run[3] for run in leaf_runs]),
+        np.concatenate([run[4] + start for run, start in zip(leaf_runs, starts)]),
+        np.concatenate([run[5] for run in leaf_runs]),
+        np.concatenate([run[2] for run in grow_runs]),
+    )
 
 
 def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitSurface:
@@ -548,9 +667,6 @@ def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitS
     hi = hi + np.where(degenerate_axes, 1e-6 + pad, pad)
     epsilon = cfg.epsilon if cfg.epsilon is not None else _default_epsilon(mesh.vertices)
 
-    scale = cfg.sphere_radius_scale
-    n_tris = len(mesh.triangles)
-
     centroids = (v0 + v1 + v2) / 3.0
     reach = float(
         np.sqrt(
@@ -565,72 +681,9 @@ def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitS
     )
     centroid_tree = cKDTree(centroids)
 
-    # level-synchronous descent: all nodes of one depth share a flat
-    # (node, candidate) pair array so the distance kernel runs in bulk
-    lvl_centers = ((lo + hi) / 2.0)[None, :]
-    lvl_sizes = (hi - lo)[None, :]
-    lvl_cand = np.arange(n_tris)
-    lvl_counts = np.array([n_tris])
-    depth = 1
-
-    leaf_centers: list[np.ndarray] = []
-    leaf_radii: list[np.ndarray] = []
-    leaf_pair_cells: list[np.ndarray] = []  # leaf ids, assigned level by level
-    leaf_pair_tris: list[np.ndarray] = []
-    grow_centers: list[np.ndarray] = []
-    n_leaves = 0
-
-    while len(lvl_centers):
-        n_nodes = len(lvl_centers)
-        diag_lvl = np.linalg.norm(lvl_sizes, axis=1)
-        radii_lvl = scale * diag_lvl
-        node_of_pair = np.repeat(np.arange(n_nodes), lvl_counts)
-        d = _pair_distances(lvl_centers[node_of_pair], lvl_cand, v0, v1, v2)
-
-        member_mask = d <= radii_lvl[node_of_pair]
-        member_counts = np.bincount(node_of_pair[member_mask], minlength=n_nodes)
-        split = (member_counts > cfg.max_triangles_per_cell) & (depth < cfg.max_depth)
-        # empty leaves are dropped outright; undersized ones grow later
-        settle = ~split & (member_counts >= max(1, cfg.min_triangles_for_fit))
-        grow = ~split & (member_counts > 0) & ~settle
-
-        if np.any(settle):
-            ids = np.flatnonzero(settle)
-            keep_pair = settle[node_of_pair] & member_mask
-            leaf_centers.append(lvl_centers[ids])
-            leaf_radii.append(radii_lvl[ids])
-            # pair leaf ids: contiguous block for this level's settled nodes
-            local = np.cumsum(settle) - 1
-            leaf_pair_cells.append(n_leaves + local[node_of_pair[keep_pair]])
-            leaf_pair_tris.append(lvl_cand[keep_pair])
-            n_leaves += len(ids)
-        grow_centers.append(lvl_centers[grow])
-
-        if not np.any(split):
-            break
-        # children inherit candidates provably sufficient for their spheres
-        # and their own boxes: anything within max(scale, 1/2) x child
-        # diagonal of a child center lies within this bound of the parent
-        child_bound = (0.5 * max(scale, 0.5) + 0.25) * diag_lvl
-        cand_mask = split[node_of_pair] & (d <= child_bound[node_of_pair])
-        split_ids = np.flatnonzero(split)
-        seg_counts = np.bincount(node_of_pair[cand_mask], minlength=n_nodes)[split_ids]
-        seg_flat = lvl_cand[cand_mask]
-        seg_starts = np.concatenate([[0], np.cumsum(seg_counts)[:-1]])
-
-        child_counts = np.repeat(seg_counts, 8)
-        total = int(child_counts.sum())
-        child_of_entry = np.repeat(np.arange(len(split_ids) * 8), child_counts)
-        ends = np.cumsum(child_counts)
-        pos = np.arange(total) - np.repeat(ends - child_counts, child_counts)
-        lvl_cand = seg_flat[seg_starts[child_of_entry // 8] + pos]
-        lvl_counts = child_counts
-        lvl_centers = (
-            lvl_centers[split_ids][:, None, :]
-            + _CHILD_OFFSETS[None, :, :] * lvl_sizes[split_ids][:, None, :]
-        ).reshape(-1, 3)
-        lvl_sizes = np.repeat(lvl_sizes[split_ids] / 2.0, 8, axis=0)
-        depth += 1
+    # the octree descent: subtrees walked depth first in batches under a
+    # fixed pair budget, their leaves put back in level order
+    centers, radii, pair_cells, pair_tris, grow_at = _descend(lo, hi, v0, v1, v2, cfg)
 
     def near_triangles(center: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
         # ascending ids of every triangle whose centroid lies within
@@ -644,26 +697,26 @@ def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitS
     # undersized spheres grow to the k-th nearest triangle distance (module
     # docstring).  No triangle lies farther than its centroid, so the k-th
     # nearest centroid distance bounds that distance and one ball holds it.
+    # Grown cells follow the leaves, in the order of their centres.
     need = cfg.min_triangles_for_fit
-    grow_at = np.concatenate(grow_centers)
     bounds = centroid_tree.query(grow_at, k=[need])[0][:, 0]
-    for center, bound in zip(grow_at, bounds):
+    grown_radii, grown_cells, grown_tris = [], [], []
+    for cid, (center, bound) in enumerate(zip(grow_at, bounds), start=len(centers)):
         ids, d = near_triangles(center, bound)
         radius = float(np.partition(d, need - 1)[need - 1]) * (1.0 + 1e-9)
         members = ids[d <= radius]
-        leaf_pair_cells.append(np.full(len(members), n_leaves, dtype=np.int64))
-        leaf_pair_tris.append(members)
-        leaf_centers.append(center[None, :])
-        leaf_radii.append(np.array([radius]))
-        n_leaves += 1
+        grown_cells.append(np.full(len(members), cid, dtype=np.int64))
+        grown_tris.append(members)
+        grown_radii.append(radius)
     grown = len(grow_at)
+    if grown:
+        centers = np.concatenate([centers, grow_at])
+        radii = np.concatenate([radii, grown_radii])
+        pair_cells = np.concatenate([pair_cells, *grown_cells])
+        pair_tris = np.concatenate([pair_tris, *grown_tris])
 
-    if not leaf_centers:
+    if len(centers) == 0:
         raise EmptyMeshError("no octree cell reached any triangle")
-    centers = np.concatenate(leaf_centers)
-    radii = np.concatenate(leaf_radii)
-    pair_cells = np.concatenate(leaf_pair_cells)
-    pair_tris = np.concatenate(leaf_pair_tris)
 
     # ensure sphere coverage of every mesh vertex; a vertex can end up bare
     # when sphere_radius_scale < 0.5 leaves its own box's sphere too small
@@ -682,20 +735,21 @@ def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitS
         uncovered = np.linalg.norm(mesh.vertices - centers[near], axis=1) > radii[near]
 
     if regrown:
-        keep = ~is_regrown[pair_cells]
-        parts_c, parts_t = [pair_cells[keep]], [pair_tris[keep]]
+        regrown_cells, regrown_tris = [], []
         for cid in np.flatnonzero(is_regrown):
             ids, d = near_triangles(centers[cid], radii[cid])
             members = ids[d <= radii[cid]]
-            parts_c.append(np.full(len(members), cid, dtype=np.int64))
-            parts_t.append(members)
-        pair_cells = np.concatenate(parts_c)
-        pair_tris = np.concatenate(parts_t)
+            regrown_cells.append(np.full(len(members), cid, dtype=np.int64))
+            regrown_tris.append(members)
+        keep = ~is_regrown[pair_cells]
+        pair_cells = np.concatenate([pair_cells[keep], *regrown_cells])
+        pair_tris = np.concatenate([pair_tris[keep], *regrown_tris])
 
     quad_pts, omega = _quadrature_points(v0, v1, v2, cfg.quadrature_order)
     normals_out, offsets_out = _batched_affines(
         centers, pair_cells, pair_tris, quad_pts, omega, areas, tri_normals, epsilon
     )
+    del pair_cells, pair_tris, tree  # freed before the cell index is built
 
     diagnostics = {
         "cells": len(centers),

@@ -2,13 +2,17 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from treescan.cli import build_parser, main
+import treescan
+from treescan.cli import _pipeline_config, build_parser, main
 from treescan.cloud import PointCloud, read_ply, write_ply
 from treescan.degrade import (
     NoiseParams,
@@ -20,7 +24,6 @@ from treescan.degrade import (
     occlude,
     uneven_density,
 )
-from treescan.errors import InvalidParameterError
 from treescan.implicit import FitConfig, load_surface, surface_key
 from treescan.mesh import load_obj
 from treescan.pipeline import PipelineConfig, run_pipeline, save_config
@@ -405,10 +408,31 @@ def test_degrade_prints_runner_warnings(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [["scan", "--out", "x.ply"], ["degrade", "density", "--out-prefix", "x"]])
-def test_scans_refuse_without_a_feature_size(tmp_path, command):
+def test_scans_refuse_without_a_feature_size(tmp_path, command, capsys):
     # the surface file does not exist: the refusal comes before it is read
-    with pytest.raises(InvalidParameterError, match="--skeleton or --min-feature"):
-        main([*command, "--surface", str(tmp_path / "missing.mpuf")])
+    assert main([*command, "--surface", str(tmp_path / "missing.mpuf")]) == 1
+    assert capsys.readouterr().err == "error: give --skeleton or --min-feature: they size the march step\n"
+
+
+def test_refusals_print_one_error_line(tmp_path):
+    # the command line's own entry point: one `error:` line, no traceback
+    env = {**os.environ, "PYTHONPATH": str(Path(treescan.__file__).resolve().parents[1])}
+    command = [sys.executable, "-m", "treescan.cli", "scan", "--surface", "nothing.mpuf", "--out", "x.ply"]
+    proc = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: give --skeleton or --min-feature: they size the march step"]
+    assert proc.stdout == ""
+    assert not (tmp_path / "x.ply").exists()
+
+
+def test_size_class_flag_keeps_the_config_files_tree_keys(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"tree": {"size_class": "small", "trunk_length": 2.0, "seed": 5}}))
+    args = build_parser().parse_args(["pipeline", "--config", str(path), "--size-class", "medium"])
+    assert _pipeline_config(args).tree == TreeParams.preset("medium", seed=5, trunk_length=2.0)
+    # without the flag, the file's own preset takes the same keys
+    args = build_parser().parse_args(["pipeline", "--config", str(path)])
+    assert _pipeline_config(args).tree == TreeParams.preset("small", seed=5, trunk_length=2.0)
 
 
 def test_scan_with_skeleton_writes_the_pipeline_clean_cloud(tmp_path):

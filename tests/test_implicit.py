@@ -1,13 +1,14 @@
 """Weighted affine fits, octree construction, blending, and the binary cache."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treescan import implicit
+from treescan import PipelineConfig, TreeParams, generate_skeleton, implicit, sweep_mesh
 from treescan.errors import (
     EmptyMeshError,
     InsufficientTrianglesError,
@@ -19,13 +20,13 @@ from treescan.implicit import (
     DEFAULT_EPSILON_SCALE,
     FitConfig,
     ImplicitSurface,
+    _batched_affines,
     _pair_distances,
     _pair_moments,
     _quadrature_points,
     build_surface,
     cell_markers,
     eval as eval_field,
-    fit_cell,
     gradient,
     load_surface,
     save_surface,
@@ -34,6 +35,7 @@ from treescan.implicit import (
 )
 from treescan.mesh import TriangleMesh
 from treescan.primitives import icosphere
+from treescan.rng import derive_seed
 
 # a generic skewed triangle roughly unit distance from the origin
 SKEW_TRI = np.array(
@@ -207,55 +209,86 @@ def test_moments_zero_area_triangle():
 # -- per-cell fits ---------------------------------------------------------------
 
 
+def triangle_soup(*tris):
+    """A mesh of separate triangles, each given as a (3, 3) vertex array."""
+    tris = np.asarray(tris, dtype=np.float64)
+    return TriangleMesh(tris.reshape(-1, 3), np.arange(3 * len(tris)).reshape(-1, 3))
+
+
+def one_cell_surface(*tris, **fit):
+    """The surface of a few triangles that the root cell holds alone."""
+    surf = build_surface(triangle_soup(*tris), FitConfig(**fit))
+    assert surf.diagnostics["cells"] == 1
+    return surf
+
+
+def kernel_fit(mesh, center, members, epsilon):
+    """The fit kernel on one cell: (normal, offset) from its members' moments,
+    summed in the order given."""
+    v0, v1, v2 = mesh.corners()
+    areas, tri_normals = triangle_areas_normals(v0, v1, v2)
+    quad_pts, omega = _quadrature_points(v0, v1, v2, FitConfig().quadrature_order)
+    cells = np.zeros(len(members), dtype=np.int64)
+    normals, offsets = _batched_affines(center[None], cells, members, quad_pts, omega, areas, tri_normals, epsilon)
+    return normals[0], offsets[0]
+
+
 def test_fit_cell_planar_is_exact():
     tri = np.array([[-1.0, -1.0, 0.0], [2.0, -0.5, 0.0], [0.3, 1.7, 0.0]])
-    cell = fit_cell(np.array([0.2, 0.1, 0.5]), tri[None], FitConfig(epsilon=0.05))
-    assert np.array_equal(cell.avg_normal, [0.0, 0.0, 1.0])
-    assert cell.offset == 0.0
+    surf = one_cell_surface(tri, epsilon=0.05)
+    assert np.array_equal(surf.normals[0], [0.0, 0.0, 1.0])
+    assert surf.offsets[0] == 0.0
+    # two probes inside the cell's sphere, one outside (the fallback)
     probes = np.array([[0.0, 0.0, 0.25], [1.0, -2.0, -0.75], [5.0, 5.0, 0.0]])
-    assert np.array_equal(cell.shape(probes), probes[:, 2])
+    assert np.array_equal(surf.eval_many(probes), probes[:, 2])
 
 
 def test_fit_cell_two_coplanar_triangles():
     z = 0.25
-    tris = np.array(
-        [
-            [[0.0, 0.0, z], [1.0, 0.0, z], [0.0, 1.0, z]],
-            [[2.0, 2.0, z], [3.0, 2.0, z], [2.0, 3.0, z]],
-        ]
+    surf = one_cell_surface(
+        [[0.0, 0.0, z], [1.0, 0.0, z], [0.0, 1.0, z]],
+        [[2.0, 2.0, z], [3.0, 2.0, z], [2.0, 3.0, z]],
+        epsilon=0.05,
     )
-    cell = fit_cell(np.array([0.5, 0.5, 0.3]), tris, FitConfig(epsilon=0.05))
-    assert np.allclose(cell.avg_normal, [0.0, 0.0, 1.0], atol=1e-15)
-    assert cell.offset == pytest.approx(z, abs=1e-12)
+    assert np.allclose(surf.normals[0], [0.0, 0.0, 1.0], atol=1e-15)
+    assert surf.offsets[0] == pytest.approx(z, abs=1e-12)
     on_plane = np.array([[0.4, 0.2, z], [2.5, 2.2, z]])
-    assert np.max(np.abs(cell.shape(on_plane))) <= 1e-12
+    assert np.max(np.abs(surf.eval_many(on_plane))) <= 1e-12
 
 
 def test_fit_cell_opposing_normals_fall_back_to_nearest():
     up = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     down = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, -1.0], [1.0, 0.0, -1.0]])
-    cell = fit_cell(np.zeros(3), np.stack([up, down]), FitConfig(epsilon=0.05))
-    # averaged normal cancels; the nearest triangle (first on the tie) wins
-    assert np.allclose(cell.avg_normal, [0.0, 0.0, 1.0])
+    # the cell sits midway; the averaged normal cancels, and the nearest
+    # triangle, the first on the tie, lends its normal
+    for first, normal in ((up, [0.0, 0.0, 1.0]), (down, [0.0, 0.0, -1.0])):
+        second = down if first is up else up
+        surf = one_cell_surface(first, second, epsilon=0.05)
+        assert np.array_equal(surf.centers[0], [0.5, 0.5, 0.0])
+        assert np.allclose(surf.normals[0], normal)
 
 
 def test_fit_cell_quota_errors():
-    cfg = FitConfig(epsilon=0.05)
+    # a cell short of its quota grows to it, unless the mesh is too small
+    far = SKEW_TRI + np.array([10.0, 0.0, 0.0])
+    cfg = FitConfig(epsilon=0.05, max_triangles_per_cell=1, min_triangles_for_fit=2)
     with pytest.raises(InsufficientTrianglesError):
-        fit_cell(np.zeros(3), np.empty((0, 3, 3)), cfg)
-    with pytest.raises(InsufficientTrianglesError):
-        fit_cell(np.zeros(3), SKEW_TRI[None], FitConfig(epsilon=0.05, min_triangles_for_fit=2))
+        build_surface(triangle_soup(SKEW_TRI), cfg)
+    surf = build_surface(triangle_soup(SKEW_TRI, far), cfg)
+    assert surf.diagnostics["grown_spheres"] >= 1
 
 
 def test_fit_cell_all_degenerate_rejected():
-    tri = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [2.0, 0.0, 1.0]])
+    # the degenerate triangle, far from the other, gets a cell of its own
+    line = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [2.0, 0.0, 1.0]]) + np.array([10.0, 0.0, 0.0])
     with pytest.raises(InsufficientTrianglesError, match="degenerate"):
-        fit_cell(np.zeros(3), tri[None], FitConfig(epsilon=0.05))
+        build_surface(triangle_soup(SKEW_TRI, line), FitConfig(epsilon=0.05, max_triangles_per_cell=1))
 
 
 def test_fit_cell_radius_carried():
-    cell = fit_cell(np.zeros(3), SKEW_TRI[None], FitConfig(epsilon=0.05), radius=0.7)
-    assert cell.radius == 0.7
+    # the root cell's sphere: sphere_radius_scale x its box diagonal
+    surf = one_cell_surface(SKEW_TRI, epsilon=0.05, sphere_radius_scale=0.7)
+    assert surf.radii[0] == pytest.approx(0.7 * surf.bbox_diagonal(), rel=1e-15)
 
 
 def test_fit_cell_is_the_build_kernel(sphere_mesh_320, sphere_surface_320):
@@ -279,14 +312,12 @@ def test_fit_cell_is_the_build_kernel(sphere_mesh_320, sphere_surface_320):
 
     for mesh, surf in ((sphere_mesh_320, sphere_surface_320), (with_lone, grown), (sphere_mesh_320, regrown)):
         v0, v1, v2 = mesh.corners()
-        cfg = FitConfig(epsilon=surf.epsilon)
         for center, radius, normal, offset in zip(surf.centers, surf.radii, surf.normals, surf.offsets):
             d = dist_points_to_triangles(np.broadcast_to(center, v0.shape).copy(), v0, v1, v2)
             members = np.flatnonzero(d <= radius)
-            tris = np.stack([v0[members], v1[members], v2[members]], axis=1)
-            cell = fit_cell(center, tris, cfg, radius=radius)
-            assert np.array_equal(cell.avg_normal, normal)
-            assert cell.offset == offset
+            want_normal, want_offset = kernel_fit(mesh, center, members, surf.epsilon)
+            assert np.array_equal(want_normal, normal)
+            assert want_offset == offset
 
     # grown spheres follow the octree leaves; each stops at its exact
     # second nearest triangle distance
@@ -399,6 +430,61 @@ def test_pair_distances_are_block_independent(monkeypatch, sphere_mesh_320, bloc
     whole = dist_points_to_triangles(points, v0[tri_ids], v1[tri_ids], v2[tri_ids])
     monkeypatch.setattr(implicit, "_DIST_BLOCK", block)
     assert np.array_equal(_pair_distances(points, tri_ids, v0, v1, v2), whole)
+
+
+def small_preset_mesh(master_seed=1):
+    """The tube mesh the pipeline makes for the small preset."""
+    tree = TreeParams.preset("small", seed=derive_seed(master_seed, "skeleton"))
+    return sweep_mesh(generate_skeleton(tree), sides=PipelineConfig().sides)
+
+
+def test_fit_memory_peak_is_bounded():
+    # the fit works in bounded pieces: the descent in batches under a pair
+    # budget, the moments in small blocks, the cell index in sphere chunks.
+    # Holding a whole level's pairs and a 262,144-pair moment batch at once
+    # peaked at 130 MB here.
+    mesh = small_preset_mesh()
+    tracemalloc.start()
+    try:
+        surf = build_surface(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert surf.diagnostics["cells"] > 10_000
+    assert peak <= 40e6
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [
+        {},
+        # at this scale a cell splits less; a low cap takes it deep again
+        {"sphere_radius_scale": 0.3, "max_triangles_per_cell": 4},
+        {"min_triangles_for_fit": 3},
+    ],
+)
+def test_fit_is_piece_size_independent(monkeypatch, fit):
+    # tiny moment blocks, index chunks and descent batches give the bits of
+    # the default sizes: each piece's results depend on its own pairs alone,
+    # and the descent puts its leaves back in level order
+    mesh = sweep_mesh(generate_skeleton(TreeParams(branch_levels=1, nodes_per_curve=4, seed=3)), sides=8)
+    cfg = FitConfig(**fit)
+    whole = build_surface(mesh, cfg)
+    monkeypatch.setattr(implicit, "_MOMENT_BLOCK", 3)
+    monkeypatch.setattr(implicit, "_INDEX_CHUNK", 7)
+    monkeypatch.setattr(implicit, "_DESCENT_PAIRS", 16)
+    pieces = build_surface(mesh, cfg)
+
+    # the tree splits to depth 5 or more, so many batches ran
+    assert whole.radii.min() <= cfg.sphere_radius_scale * whole.bbox_diagonal() / 16
+    if cfg.sphere_radius_scale < 0.5:
+        assert whole.diagnostics["coverage_regrown"] > 0
+    if cfg.min_triangles_for_fit > 1:
+        assert whole.diagnostics["grown_spheres"] > 0
+    for name in ("centers", "radii", "normals", "offsets"):
+        assert np.array_equal(getattr(pieces, name), getattr(whole, name))
+    assert np.array_equal(pieces.index.csr_cells, whole.index.csr_cells)
+    assert np.array_equal(pieces.index.csr_start, whole.index.csr_start)
 
 
 # -- cell index ----------------------------------------------------------------------
@@ -624,11 +710,11 @@ def test_larger_epsilon_smooths_the_crease_more():
 def test_exterior_fallback_uses_nearest_cell(sphere_surface_320):
     pts = np.array([[10.0, 0.0, 0.0], [0.0, -7.0, 3.0], [5.0, 5.0, 5.0]])
     assert np.all(np.isnan(sphere_surface_320.eval_many(pts, uncovered_value=np.nan)))
-    got = sphere_surface_320.eval_many(pts)
-    cells = sphere_surface_320.cells
+    surf = sphere_surface_320
+    got = surf.eval_many(pts)
     for p, g in zip(pts, got):
-        near = min(cells, key=lambda c: float(np.linalg.norm(p - c.center)))
-        assert abs(g - near.shape(p[None])[0]) <= 1e-12
+        near = int(np.argmin(np.linalg.norm(surf.centers - p, axis=1)))
+        assert abs(g - (p @ surf.normals[near] - surf.offsets[near])) <= 1e-12
 
 
 def test_uncovered_sentinel_leaves_covered_points_alone(sphere_surface_320):
