@@ -32,12 +32,14 @@ number, or null), and hashes the cell arrays, epsilon and bbox; its
 diagnostics are kept as text. It reaches fit paths the default config
 leaves idle, such as sphere growth and coverage regrowth. A degrade case,
 degrade:SIZE:MASTER_SEED, runs the pipeline once for the clean cloud,
-skeleton and surface of that model (default `ScanConfig`, no degradation),
-then `treescan scan` and the four `treescan degrade` subcommands through
-`treescan.cli.main` with their default flags (`scan` and `density` with
-`--surface` and `--skeleton`, `occlude` with `--skeleton` and
-`--balls-out`), and hashes every file they write: the command line's own
-path to the scan and the degradations. Without --case the default
+skeleton and surface of that model (default `ScanConfig`, no degradation).
+Through `treescan.cli.main` it then runs `treescan skeleton`, `mesh` and
+`fit` with the pipeline's settings (size class, derived skeleton seed,
+range flags, sides; default fit), and `treescan scan` and the four
+`treescan degrade` subcommands with their default flags on the pipeline's
+files (`scan` and `density` with `--surface` and `--skeleton`, `occlude`
+with `--skeleton` and `--balls-out`). It hashes every file they write: the
+command line's own path through every stage. Without --case the default
 list below runs (about ten minutes on a 2-core host).
 """
 
@@ -164,7 +166,14 @@ def degrade_digests(case: str) -> dict[str, str]:
         out.mkdir()
         clean, skeleton = ["--in", f"{model}_clean.ply"], ["--skeleton", f"{model}.skel"]
         surface = ["--surface", f"{model}.mpuf"]
+        tree, stage = config.tree, f"{out}/{config.name}"
+        grow = ["--size-class", size, "--seed", str(derive_seed(config.master_seed, "skeleton"))]
+        grow += ["--branch-angle-range", *map(str, tree.branch_angle_range)]
+        grow += ["--branches-per-node-range", *map(str, tree.branches_per_node_range)]
         commands = [
+            ["skeleton", *grow, "--out", f"{stage}.skel"],
+            ["mesh", "--skeleton", f"{stage}.skel", "--sides", str(config.sides), "--out", f"{stage}.obj"],
+            ["fit", "--mesh", f"{stage}.obj", "--out", f"{stage}.mpuf"],
             ["scan", *surface, *skeleton, "--out", f"{out}/scan.ply"],
             ["degrade", "noise", *clean, "--out", f"{out}/noise.ply"],
             ["degrade", "occlude", *clean, *skeleton, "--out", f"{out}/occlusion.ply", "--balls-out", f"{out}/balls.json"],

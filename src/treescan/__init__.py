@@ -30,6 +30,7 @@ from .errors import (
     InvalidParameterError,
     MalformedHeaderError,
     MissingNormalsError,
+    ObjParseError,
     PipelineStageError,
     SkeletonInvariantError,
     SkeletonParseError,
@@ -72,7 +73,6 @@ from .scanner import (
     estimate_normals,
     merge_scans,
     orient_normals,
-    ray_cast,
     scan_surface,
     scan_view,
     viewpoints,
@@ -110,6 +110,7 @@ __all__ = [
     "InvalidParameterError",
     "MalformedHeaderError",
     "MissingNormalsError",
+    "ObjParseError",
     "PipelineStageError",
     "SkeletonInvariantError",
     "SkeletonParseError",
@@ -150,7 +151,6 @@ __all__ = [
     "estimate_normals",
     "merge_scans",
     "orient_normals",
-    "ray_cast",
     "scan_surface",
     "scan_view",
     "viewpoints",

@@ -1,8 +1,10 @@
 """Command line front end.
 
 Subcommands mirror the pipeline stages so each artifact can be produced or
-reproduced in isolation. `pipeline` and `batch` read a JSON config; any flag
-given on the command line wins over the config file value.
+reproduced in isolation. A config flag is read as the key a config file
+would hold, through `PipelineConfig.from_dict`: `pipeline` lays the flags
+given over its --config file key by key, and the stage subcommands read
+theirs over no file. `batch` runs JSON config files as they stand.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .cloud import read_ply, write_ply
@@ -31,6 +32,7 @@ from .pipeline import (
     PipelineConfig,
     StageContext,
     batch,
+    config_data,
     degradation_params,
     field_types,
     load_config,
@@ -50,19 +52,22 @@ def _add_flags(parser: argparse.ArgumentParser, cls) -> None:
         parser.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
 
 
-def _apply_flags(obj, args: argparse.Namespace):
-    for name in _flags(type(obj)):
-        if getattr(args, name) is not None:
-            setattr(obj, name, getattr(args, name))
-    return obj
+def _given(args: argparse.Namespace, cls) -> dict:
+    """{field: value} of the flags given for the fields of config dataclass `cls`."""
+    return {name: v for name in field_types(cls) if (v := getattr(args, name, None)) is not None}
 
 
-def _tree_params(args) -> TreeParams:
-    if args.size_class is not None:
-        params = TreeParams.preset(args.size_class, seed=args.seed or 0)
-    else:
-        params = TreeParams()
-    return _apply_flags(params, args)
+def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
+    """The config of the --config file (or none), each flag given replacing its key."""
+    flags = _given(args, PipelineConfig)
+    if "degradations" in flags:  # the flag names kinds, a file holds entries
+        flags["degradations"] = [{"kind": kind} for kind in flags["degradations"]]
+    data = {**(config_data(args.config) if getattr(args, "config", None) else {}), **flags}
+    for name, cls in (("tree", TreeParams), ("fit", FitConfig), ("scan", ScanConfig)):
+        section = data.get(name)
+        if section is None or isinstance(section, dict):  # from_dict refuses any other section
+            data[name] = {**(section or {}), **_given(args, cls)}
+    return PipelineConfig.from_dict(data)
 
 
 def _range_flag(parser, name):
@@ -70,12 +75,7 @@ def _range_flag(parser, name):
 
 
 def _cmd_skeleton(args) -> int:
-    params = _tree_params(args)
-    if args.branch_angle_range is not None:
-        params.branch_angle_range = tuple(args.branch_angle_range)
-    if args.branches_per_node_range is not None:
-        params.branches_per_node_range = tuple(int(x) for x in args.branches_per_node_range)
-    skeleton = generate_skeleton(params)
+    skeleton = generate_skeleton(_pipeline_config(args).tree)
     save_skeleton(skeleton, args.out)
     print(f"wrote {args.out} ({len(skeleton.nodes)} nodes)")
     return 0
@@ -91,7 +91,7 @@ def _cmd_mesh(args) -> int:
 
 def _cmd_fit(args) -> int:
     mesh = load_obj(args.mesh)
-    cfg = _apply_flags(FitConfig(), args)
+    cfg = _pipeline_config(args).fit
     surface = build_surface(mesh, cfg)
     save_surface(surface, args.out, surface_key(Path(args.mesh).read_bytes(), cfg))
     print(f"wrote {args.out} ({len(surface.centers)} cells)")
@@ -112,8 +112,7 @@ def _min_feature(args) -> float:
 
 def _cmd_scan(args) -> int:
     min_feature = _min_feature(args)
-    cfg = _apply_flags(ScanConfig(), args)
-    cloud = scan_surface(load_surface(args.surface), cfg, min_feature)
+    cloud = scan_surface(load_surface(args.surface), _pipeline_config(args).scan, min_feature)
     write_ply(cloud, args.out)
     print(f"wrote {args.out} ({len(cloud)} points)")
     return 0
@@ -122,8 +121,7 @@ def _cmd_scan(args) -> int:
 def _params_from_flags(kind: str, args):
     """The params of `kind` from its flags; flags left out keep the dataclass defaults."""
     klass = DEGRADATIONS[kind][0]
-    keys = {f.name for f in fields(klass)} - {"seed"} if klass else set()
-    entry = {k: v for k, v in vars(args).items() if k in keys and v is not None}
+    entry = {k: v for k, v in _given(args, klass).items() if k != "seed"} if klass else {}
     if "region" in entry:
         entry["region"] = [entry["region"][:3], entry["region"][3:]]
     return degradation_params({"kind": kind, **entry}, getattr(args, "seed", None))
@@ -139,7 +137,7 @@ def _cmd_degrade(args) -> int:
     if args.kind == "density":
         clean = None
         ctx = StageContext(
-            min_feature=_min_feature(args), surface=load_surface(args.surface), scan=_apply_flags(ScanConfig(), args)
+            min_feature=_min_feature(args), surface=load_surface(args.surface), scan=_pipeline_config(args).scan
         )
     else:
         clean = read_ply(args.input)
@@ -171,39 +169,6 @@ def _cmd_eval(args) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _pipeline_config(args) -> PipelineConfig:
-    """The config file's values (or the defaults), then the flags.
-
-    --size-class stands in for the file's tree size class: the file's other
-    tree keys apply over the new preset, as they do over the file's own.
-    """
-    data = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    if args.size_class is not None:
-        data["tree"] = {**(data.get("tree") or {}), "size_class": args.size_class}
-    config = PipelineConfig.from_dict(data)
-    _apply_flags(config.tree, args)
-    _apply_flags(config.fit, args)
-    _apply_flags(config.scan, args)
-    if args.output_dir is not None:
-        config.output_dir = args.output_dir
-    if args.name is not None:
-        config.name = args.name
-    if args.master_seed is not None:
-        config.master_seed = args.master_seed
-    if args.sides is not None:
-        config.sides = args.sides
-    if args.cache_surface:
-        config.cache_surface = True
-    if args.dump_debug_obj:
-        config.debug_obj = True
-    if args.degradations is not None:
-        config.degradations = [{"kind": k} for k in args.degradations]
-    return config
 
 
 def _cmd_pipeline(args) -> int:
@@ -314,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default=None)
     p.add_argument("--master-seed", type=int, default=None)
     p.add_argument("--sides", type=int, default=None)
-    p.add_argument("--cache-surface", action="store_true")
-    p.add_argument("--dump-debug-obj", action="store_true")
+    p.add_argument("--cache-surface", action="store_true", default=None)
+    p.add_argument("--dump-debug-obj", dest="debug_obj", action="store_true", default=None)
     p.add_argument(
         "--degradations",
         nargs="*",
@@ -338,7 +303,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TreescanError as exc:
+    except (TreescanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,12 +13,20 @@ class SkeletonInvariantError(TreescanError, ValueError):
     """A skeleton graph violates a structural invariant (names which one)."""
 
 
-class SkeletonParseError(TreescanError, ValueError):
-    """Bad skeleton file; carries the offending line number."""
+class ParseError(TreescanError, ValueError):
+    """Bad record in a text file; carries the offending line number."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+class SkeletonParseError(ParseError):
+    """Bad skeleton file."""
+
+
+class ObjParseError(ParseError):
+    """Bad OBJ mesh file."""
 
 
 class ZeroLengthEdgeError(TreescanError, ValueError):

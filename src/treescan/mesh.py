@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, ZeroLengthEdgeError
+from .errors import InvalidParameterError, ObjParseError, ZeroLengthEdgeError
 from .geometry import perpendicular_frame, rotate_align, triangle_areas_normals
 from .skeleton import SkeletonGraph
 
@@ -131,19 +131,39 @@ def save_obj(mesh: TriangleMesh, path) -> None:
             fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
 
 
+def _vertex_index(token: str, count: int) -> int:
+    """The 0-based vertex of face entry `token` when `count` vertices are read.
+
+    OBJ indices are 1-based; a negative one counts back from the last vertex.
+    """
+    i = int(token.split("/")[0])
+    if not (1 <= i <= count or -count <= i <= -1):
+        raise ValueError(f"face index {i} names none of the {count} vertices read so far")
+    return i - 1 if i > 0 else count + i
+
+
 def load_obj(path) -> TriangleMesh:
-    """Read v/f records; face entries may carry /vt/vn suffixes, which are dropped."""
+    """Read v/f records; face entries may carry /vt/vn suffixes, which are dropped.
+
+    A record that does not parse, or a face index that names no vertex read
+    so far, raises ObjParseError with its line number.
+    """
     verts: list[list[float]] = []
     tris: list[list[int]] = []
     with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
+        for line_no, raw in enumerate(fh, start=1):
             tokens = raw.split()
-            if not tokens:
-                continue
-            if tokens[0] == "v":
-                verts.append([float(t) for t in tokens[1:4]])
-            elif tokens[0] == "f":
-                idx = [int(t.split("/")[0]) - 1 for t in tokens[1:]]
-                for k in range(1, len(idx) - 1):  # fan-triangulate polygons
-                    tris.append([idx[0], idx[k], idx[k + 1]])
+            try:
+                if tokens[:1] == ["v"]:
+                    if len(tokens) < 4:
+                        raise ValueError("expected: v <x> <y> <z>")
+                    verts.append([float(t) for t in tokens[1:4]])
+                elif tokens[:1] == ["f"]:
+                    idx = [_vertex_index(t, len(verts)) for t in tokens[1:]]
+                    if len(idx) < 3:
+                        raise ValueError("expected: f <v1> <v2> <v3> ...")
+                    for k in range(1, len(idx) - 1):  # fan-triangulate polygons
+                        tris.append([idx[0], idx[k], idx[k + 1]])
+            except ValueError as exc:
+                raise ObjParseError(line_no, str(exc)) from None
     return TriangleMesh(np.array(verts), np.array(tris, dtype=np.int64))

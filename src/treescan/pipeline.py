@@ -220,6 +220,8 @@ class PipelineConfig:
             if not is_dataclass(base):
                 values[name] = _coerced(name, declared, value)
                 continue
+            if not isinstance(value, dict):
+                raise InvalidParameterError(f"{name}: {value!r} is not a JSON object")
             section = dict(value)
             if name == "scan":
                 section.pop("seed", None)  # older configs carry a scan seed that nothing read
@@ -255,9 +257,20 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def load_config(path) -> PipelineConfig:
+def config_data(path) -> dict:
+    """The JSON object of config file `path`; anything else raises InvalidParameterError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return PipelineConfig.from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidParameterError(f"{path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise InvalidParameterError(f"{path}: a config file holds one JSON object")
+    return data
+
+
+def load_config(path) -> PipelineConfig:
+    return PipelineConfig.from_dict(config_data(path))
 
 
 def save_config(config: PipelineConfig, path) -> None:

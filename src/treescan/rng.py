@@ -87,9 +87,6 @@ class Stream:
         u = float(uniform(self.seed, self.stream, self._next_index()))
         return lo + u * (hi - lo)
 
-    def normal(self) -> float:
-        return float(normal(self.seed, self.stream, self._next_index()))
-
     def integer(self, lo: int, hi: int) -> int:
         """Uniform int in [lo, hi] inclusive."""
         return int(uniform_int(self.seed, self.stream, self._next_index(), lo, hi))

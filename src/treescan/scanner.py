@@ -211,18 +211,6 @@ def default_march_feature(surface: ImplicitSurface) -> float:
     return surface.bbox_diagonal() / 20.0
 
 
-def ray_cast(surface, origin, direction, cfg: ScanConfig | None = None, min_feature: float | None = None):
-    """March one ray; returns the hit point or None."""
-    cfg = cfg or ScanConfig()
-    cfg.validate()
-    origin = np.asarray(origin, dtype=np.float64).reshape(1, 3)
-    direction = np.asarray(direction, dtype=np.float64).reshape(1, 3)
-    if abs(np.linalg.norm(direction) - 1.0) > 1e-9:
-        raise InvalidParameterError("direction must be unit length")
-    hit, pts = _march_batch(surface, origin, direction, cfg, min_feature)
-    return pts[0] if hit[0] else None
-
-
 def scan_view(
     surface: ImplicitSurface,
     pose: Pose,

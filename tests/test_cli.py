@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import treescan
-from treescan.cli import _pipeline_config, build_parser, main
+from treescan.cli import _flags, _pipeline_config, build_parser, main
 from treescan.cloud import PointCloud, read_ply, write_ply
 from treescan.degrade import (
     NoiseParams,
@@ -26,10 +26,10 @@ from treescan.degrade import (
 )
 from treescan.implicit import FitConfig, load_surface, surface_key
 from treescan.mesh import load_obj
-from treescan.pipeline import PipelineConfig, run_pipeline, save_config
+from treescan.pipeline import PipelineConfig, field_types, run_pipeline, save_config
 from treescan.rng import derive_seed
 from treescan.scanner import ScanConfig
-from treescan.skeleton import TreeParams, generate_skeleton, load_skeleton
+from treescan.skeleton import TreeParams, generate_skeleton, load_skeleton, save_skeleton
 
 
 def tiny_pipeline_config(out, name, **overrides) -> PipelineConfig:
@@ -281,10 +281,17 @@ def test_pipeline_flag_beats_config(tmp_path):
 
 
 def test_skeleton_size_class_preset(tmp_path):
-    out = tmp_path / "s.skel"
+    out, ref = tmp_path / "s.skel", tmp_path / "ref.skel"
     assert main(["skeleton", "--size-class", "small", "--seed", "1", "--out", str(out)]) == 0
     direct = generate_skeleton(TreeParams.preset("small", seed=1))
     assert len(load_skeleton(out).nodes) == len(direct.nodes)
+
+    ranges = ["--branch-angle-range", "0.2", "0.5", "--branches-per-node-range", "2", "3"]
+    assert main(["skeleton", "--size-class", "small", "--seed", "1", *ranges, "--out", str(out)]) == 0
+    params = TreeParams.preset("small", seed=1, branch_angle_range=(0.2, 0.5), branches_per_node_range=(2, 3))
+    save_skeleton(generate_skeleton(params), ref)
+    assert out.read_bytes() == ref.read_bytes()
+    assert len(load_skeleton(out).nodes) > len(direct.nodes)
 
 
 def test_batch_subcommand(tmp_path, capsys):
@@ -407,22 +414,44 @@ def test_degrade_prints_runner_warnings(tmp_path, capsys):
     assert out.read_bytes() == ref.read_bytes()
 
 
+MISSING_FEATURE = "give --skeleton or --min-feature: they size the march step"
+
+
 @pytest.mark.parametrize("command", [["scan", "--out", "x.ply"], ["degrade", "density", "--out-prefix", "x"]])
 def test_scans_refuse_without_a_feature_size(tmp_path, command, capsys):
     # the surface file does not exist: the refusal comes before it is read
     assert main([*command, "--surface", str(tmp_path / "missing.mpuf")]) == 1
-    assert capsys.readouterr().err == "error: give --skeleton or --min-feature: they size the march step\n"
+    assert capsys.readouterr().err == f"error: {MISSING_FEATURE}\n"
 
 
 def test_refusals_print_one_error_line(tmp_path):
     # the command line's own entry point: one `error:` line, no traceback
     env = {**os.environ, "PYTHONPATH": str(Path(treescan.__file__).resolve().parents[1])}
-    command = [sys.executable, "-m", "treescan.cli", "scan", "--surface", "nothing.mpuf", "--out", "x.ply"]
-    proc = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines() == ["error: give --skeleton or --min-feature: they size the march step"]
-    assert proc.stdout == ""
-    assert not (tmp_path / "x.ply").exists()
+    (tmp_path / "bad.json").write_text("{bad")
+    (tmp_path / "list.json").write_text("[]")
+    (tmp_path / "section.json").write_text('{"tree": 5}')
+    not_json = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    refusals = [
+        (["scan", "--surface", "nothing.mpuf", "--out", "x.ply"], MISSING_FEATURE),
+        (  # an OSError
+            ["scan", "--surface", "nothing.mpuf", "--min-feature", "0.01", "--out", "x.ply"],
+            "[Errno 2] No such file or directory: 'nothing.mpuf'",
+        ),
+        (["pipeline", "--config", "bad.json", "--output-dir", "out"], f"bad.json: {not_json}"),
+        (["pipeline", "--config", "list.json"], "list.json: a config file holds one JSON object"),
+        (
+            ["pipeline", "--config", "section.json", "--bend", "0.2", "--output-dir", "out"],
+            "tree: 5 is not a JSON object",
+        ),
+        (["batch", "--configs", "bad.json", "section.json"], f"bad.json: {not_json}"),
+    ]
+    for args, message in refusals:
+        command = [sys.executable, "-m", "treescan.cli", *args]
+        proc = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"error: {message}"]
+        assert proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "list.json", "section.json"]
 
 
 def test_size_class_flag_keeps_the_config_files_tree_keys(tmp_path):
@@ -436,10 +465,92 @@ def test_size_class_flag_keeps_the_config_files_tree_keys(tmp_path):
 
 
 def test_scan_with_skeleton_writes_the_pipeline_clean_cloud(tmp_path):
-    config = tiny_pipeline_config(tmp_path, "m", cache_surface=True)
+    # the stage subcommands, chained with the pipeline's settings
+    config = tiny_pipeline_config(
+        tmp_path / "p",
+        "m",
+        cache_surface=True,
+        master_seed=3,
+        tree=TreeParams(branch_levels=0, nodes_per_curve=4, bend=0.3),
+        fit=FitConfig(max_triangles_per_cell=16),
+    )
     run_pipeline(config)
-    out = tmp_path / "scan.ply"
-    inputs = ["--surface", str(tmp_path / "m.mpuf"), "--skeleton", str(tmp_path / "m.skel")]
-    flags = ["--resolution", str(config.scan.resolution), "--views", str(config.scan.views)]
-    assert main(["scan", *inputs, *flags, "--out", str(out)]) == 0
-    assert out.read_bytes() == (tmp_path / "m_clean.ply").read_bytes()
+    pipe, out = tmp_path / "p", tmp_path / "cli"
+    out.mkdir()
+    seed = derive_seed(config.master_seed, "skeleton")
+    tree = ["--branch-levels", "0", "--nodes-per-curve", "4", "--bend", "0.3", "--seed", str(seed)]
+    ranges = ["--branch-angle-range", "0.4", "1.1", "--branches-per-node-range", "1", "2"]
+    scan = ["--resolution", str(config.scan.resolution), "--views", str(config.scan.views)]
+    commands = [
+        ["skeleton", *tree, *ranges, "--out", f"{out}/m.skel"],
+        ["mesh", "--skeleton", f"{out}/m.skel", "--sides", str(config.sides), "--out", f"{out}/m.obj"],
+        ["fit", "--mesh", f"{out}/m.obj", "--max-triangles-per-cell", "16", "--out", f"{out}/m.mpuf"],
+        ["scan", "--surface", f"{pipe}/m.mpuf", "--skeleton", f"{out}/m.skel", *scan, "--out", f"{out}/m_clean.ply"],
+    ]
+    for command in commands:
+        assert main(command) == 0
+    assert (out / "m.skel").read_bytes() == (pipe / "m.skel").read_bytes()
+    # the pipeline sweeps and fits in memory, not from its 9-digit .skel and
+    # .obj text, so the chain's mesh matches it up to that rounding, and its
+    # fit is checked by the cache key, which holds the fit config
+    mesh, want = load_obj(out / "m.obj"), load_obj(pipe / "m.obj")
+    assert np.array_equal(mesh.triangles, want.triangles)
+    assert np.abs(mesh.vertices - want.vertices).max() <= 1e-7
+    load_surface(out / "m.mpuf", surface_key((out / "m.obj").read_bytes(), config.fit))
+    assert (out / "m_clean.ply").read_bytes() == (pipe / "m_clean.ply").read_bytes()
+
+
+def pipeline_flags():
+    """{dest: (action, section)} of every pipeline flag but --config; section None for a top-level key."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    sections = {
+        name: section
+        for section, cls in (("tree", TreeParams), ("fit", FitConfig), ("scan", ScanConfig))
+        for name in field_types(cls)
+    }
+    actions = [a for a in sub.choices["pipeline"]._actions if a.option_strings and a.dest not in ("help", "config")]
+    return {a.dest: (a, sections.get(a.dest)) for a in actions}
+
+
+# a value other than the default for each flag that is not a number
+FLAG_SAMPLES = {
+    "size_class": "medium",
+    "normal_mode": "pca-mst",
+    "output_dir": "elsewhere",
+    "name": "other",
+    "cache_surface": True,
+    "debug_obj": True,
+    "degradations": ["noise", "uneven"],
+}
+
+
+def config_with_file(tmp_path, data, argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return _pipeline_config(build_parser().parse_args(["pipeline", "--config", str(path), *argv]))
+
+
+def test_each_pipeline_flag_reads_as_its_config_file_key(tmp_path):
+    default = PipelineConfig().to_dict()
+    flags = pipeline_flags()
+    assert set(flags) == set(field_types(PipelineConfig)) - {"tree", "fit", "scan"} | {
+        name for cls in (TreeParams, FitConfig, ScanConfig) for name in _flags(cls)
+    }
+    for dest, (action, section) in flags.items():
+        value = FLAG_SAMPLES.get(dest, 3 if action.type is int else 0.25)
+        argv = [action.option_strings[0], *map(str, value if isinstance(value, list) else [value])]
+        if action.nargs == 0:
+            argv = argv[:1]
+        by_flag = _pipeline_config(build_parser().parse_args(["pipeline", *argv]))
+        assert by_flag != PipelineConfig(), dest
+        key = [{"kind": kind} for kind in value] if dest == "degradations" else value
+        was = default[section][dest] if section else default[dest]
+        # the file holding the key alone, then the file's default value under the flag
+        for file_value, file_argv in ((key, []), (was, argv)):
+            data = {section: {dest: file_value}} if section else {dest: file_value}
+            assert config_with_file(tmp_path, data, file_argv) == by_flag, dest
+
+
+def test_config_file_switches_stay_on_without_their_flags(tmp_path):
+    config = config_with_file(tmp_path, {"cache_surface": True, "debug_obj": True}, [])
+    assert config.cache_surface and config.debug_obj

@@ -11,7 +11,7 @@ from treescan import (
     save_obj,
     sweep_mesh,
 )
-from treescan.errors import InvalidParameterError
+from treescan.errors import InvalidParameterError, ObjParseError
 from treescan.skeleton import SkeletonGraph, SkeletonNode
 
 from .conftest import make_cylinder_skeleton
@@ -140,6 +140,27 @@ def test_obj_reader_handles_slashes_and_polygons(tmp_path):
     mesh = load_obj(path)
     assert len(mesh.vertices) == 4
     assert [list(t) for t in mesh.triangles] == [[0, 1, 2], [0, 2, 3]]
+
+    # a negative index counts back from the last vertex read so far
+    path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nf 1 2 -1\nv 0 1 0\nf -4 -2/2 -1//1\n")
+    assert [list(t) for t in load_obj(path).triangles] == [[0, 1, 2], [0, 2, 3]]
+
+    triangle = "v 0 0 0\nv 1 0 0\nv 1 1 0\n"
+    for bad, line in [
+        ("f 1 2 0\n", 4),
+        ("f 1 2 4\n", 4),
+        ("f 1 2 9\n", 4),
+        ("f 1 2 -4\n", 4),
+        ("f 1 2 x\n", 4),
+        ("f 1 2\n", 4),
+        ("f 1 2 3\nf 1 2 3 4\n", 5),
+        ("v 0 0 x\n", 4),
+        ("v 0 0\n", 4),
+    ]:
+        path.write_text(triangle + bad)
+        with pytest.raises(ObjParseError, match=f"^line {line}: ") as err:
+            load_obj(path)
+        assert err.value.line_no == line
 
 
 def test_bbox_and_diagonal():

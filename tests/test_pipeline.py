@@ -322,6 +322,8 @@ def test_config_load_drops_legacy_scan_seed(tmp_path):
         {"tree": {"size_class": "huge"}},
         {"tree": {"branch_angle_range": [0.4]}},
         {"scan": {"march_stride": 2.0}},
+        {"tree": 5},
+        {"fit": [["max_depth", 8]]},
     ],
 )
 def test_config_load_rejects_inexact_values(data):

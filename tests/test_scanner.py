@@ -22,7 +22,6 @@ from treescan.scanner import (
     estimate_normals,
     merge_scans,
     orient_normals,
-    ray_cast,
     scan_surface,
     scan_view,
     viewpoints,
@@ -78,24 +77,25 @@ def test_viewpoints_reject_zero_views():
 # -- single rays -----------------------------------------------------------------
 
 
+def march_one(surface, origin, direction, min_feature=None):
+    """The hit point of one ray through `_march_batch`, or None."""
+    hit, points = scanner._march_batch(surface, np.array([origin]), np.array([direction]), ScanConfig(), min_feature)
+    return points[0] if hit[0] else None
+
+
 def test_ray_hits_sphere_front_face(sphere_surface):
-    hit = ray_cast(sphere_surface, [0.0, 0.0, -2.0], [0.0, 0.0, 1.0])
+    hit = march_one(sphere_surface, [0.0, 0.0, -2.0], [0.0, 0.0, 1.0])
     assert hit is not None
     assert np.linalg.norm(hit - np.array([0.0, 0.0, -1.0])) <= 5e-3
     assert abs(float(sphere_surface.eval_many(hit[None])[0])) <= ScanConfig().hit_tolerance
 
 
 def test_ray_misses_off_axis(sphere_surface):
-    assert ray_cast(sphere_surface, [0.0, 5.0, -2.0], [0.0, 0.0, 1.0]) is None
-
-
-def test_ray_cast_requires_unit_direction(sphere_surface):
-    with pytest.raises(InvalidParameterError):
-        ray_cast(sphere_surface, [0.0, 0.0, -2.0], [0.0, 0.0, 2.0])
+    assert march_one(sphere_surface, [0.0, 5.0, -2.0], [0.0, 0.0, 1.0]) is None
 
 
 def test_ray_cast_explicit_feature_size(sphere_surface):
-    hit = ray_cast(sphere_surface, [0.0, 0.0, -2.0], [0.0, 0.0, 1.0], min_feature=0.1)
+    hit = march_one(sphere_surface, [0.0, 0.0, -2.0], [0.0, 0.0, 1.0], min_feature=0.1)
     assert hit is not None
     assert np.linalg.norm(hit - np.array([0.0, 0.0, -1.0])) <= 5e-3
 
