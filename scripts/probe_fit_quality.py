@@ -7,6 +7,12 @@ the scanned points sit from the true shape. Small widths track the faceted
 mesh; large ones smooth it toward (and past) the analytic shape, so the
 sweep shows where the fit stops improving.
 
+Every scan takes a feature size that its fine march step must not step
+through. The cylinder's is its radius. The sphere has no thin part, so it
+marches with a twentieth of its fitted surface's bbox diagonal: the size
+the scanner assumed before it required one, which keeps the sphere rows
+of the table as they were.
+
     python scripts/probe_fit_quality.py --scales 0.001 0.005 0.02
 """
 
@@ -40,12 +46,13 @@ def cylinder_errors(points: np.ndarray) -> np.ndarray:
     return np.abs(np.hypot(band[:, 0], band[:, 1]) - 0.1)
 
 
-def probe(mesh, scale: float, errors, min_feature=None) -> dict:
+def probe(mesh, scale: float, errors, feature) -> dict:
+    """One table row; feature(surface) is the scan's feature size."""
     lo, hi = mesh.bbox()
     diag = float(np.linalg.norm(hi - lo))
     t0 = time.perf_counter()
     surface = build_surface(mesh, FitConfig(epsilon=scale * diag))
-    cloud = scan_surface(surface, ScanConfig(), min_feature=min_feature)
+    cloud = scan_surface(surface, ScanConfig(), feature(surface))
     elapsed = time.perf_counter() - t0
     err = errors(cloud.points)
     return {
@@ -81,11 +88,11 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     for scale in args.scales:
-        for shape, mesh, errors, feat in (
-            ("sphere", sphere, sphere_errors, None),
-            ("cylinder", cylinder, cylinder_errors, 0.1),
+        for shape, mesh, errors, feature in (
+            ("sphere", sphere, sphere_errors, lambda surface: surface.bbox_diagonal() / 20.0),
+            ("cylinder", cylinder, cylinder_errors, lambda surface: 0.1),
         ):
-            row = probe(mesh, scale, errors, min_feature=feat)
+            row = probe(mesh, scale, errors, feature)
             row["shape"] = shape
             rows.append(row)
             print(

@@ -44,8 +44,6 @@ from .implicit import (
     FitConfig,
     ImplicitSurface,
     build_surface,
-    eval,  # noqa: A004
-    gradient,
     load_surface,
     save_surface,
 )
@@ -71,7 +69,6 @@ from .scanner import (
     Pose,
     ScanConfig,
     estimate_normals,
-    merge_scans,
     orient_normals,
     scan_surface,
     scan_view,
@@ -121,8 +118,6 @@ __all__ = [
     "FitConfig",
     "ImplicitSurface",
     "build_surface",
-    "eval",
-    "gradient",
     "load_surface",
     "save_surface",
     "TriangleMesh",
@@ -149,7 +144,6 @@ __all__ = [
     "Pose",
     "ScanConfig",
     "estimate_normals",
-    "merge_scans",
     "orient_normals",
     "scan_surface",
     "scan_view",

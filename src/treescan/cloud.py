@@ -41,29 +41,17 @@ class PointCloud:
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         return self.points.min(axis=0), self.points.max(axis=0)
 
-    def transformed(self, rotation: np.ndarray, translation: np.ndarray) -> "PointCloud":
-        """Rigid motion x -> R x + t applied to points (and normals by R)."""
-        pts = self.points @ rotation.T + translation
-        nrm = self.normals @ rotation.T if self.normals is not None else None
-        return PointCloud(pts, nrm)
 
-
-def write_ply(cloud: PointCloud, path, binary: bool = True) -> None:
-    n = len(cloud)
+def write_ply(cloud: PointCloud, path) -> None:
     props = ["x", "y", "z"] + (["nx", "ny", "nz"] if cloud.has_normals() else [])
-    fmt = "binary_little_endian" if binary else "ascii"
-    header = ["ply", f"format {fmt} 1.0", f"element vertex {n}"]
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {len(cloud)}"]
     header += [f"property float {p}" for p in props]
     header.append("end_header")
 
     data = cloud.points if not cloud.has_normals() else np.hstack([cloud.points, cloud.normals])
-    data32 = data.astype("<f4")
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
-        if binary:
-            fh.write(data32.tobytes())
-        else:
-            np.savetxt(fh, data32, fmt="%.9g")
+        fh.write(data.astype("<f4").tobytes())
 
 
 def read_ply(path) -> PointCloud:

@@ -214,9 +214,7 @@ def uneven_density(cloud: PointCloud, p: UnevenParams, diagnostics: dict | None 
     return PointCloud(np.concatenate([points, inserts], axis=0), normals)
 
 
-def density_variants(
-    surface, base_cfg: ScanConfig, min_feature: float | None = None, clean: PointCloud | None = None
-):
+def density_variants(surface, base_cfg: ScanConfig, min_feature: float, clean: PointCloud | None = None):
     """Scans at resolutions 50/100/150, otherwise as configured in base_cfg.
 
     clean, when given, is the `scan_surface(surface, base_cfg, min_feature)`

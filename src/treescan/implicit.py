@@ -31,9 +31,9 @@ zero at the sphere boundary:
     q(u) = 0                       beyond.
 
 Queries outside every sphere fall back to the shape function of the cell
-with the nearest center, so `eval` and `gradient` are defined everywhere
-and affine out there. The ray marcher skips the fallback: it asks for a
-positive placeholder (`uncovered_value=1.0`) outside every support.
+with the nearest center, so `eval_many` and `gradient_many` are defined
+everywhere and affine out there. The ray marcher skips the fallback: it asks
+for a positive placeholder (`uncovered_value=1.0`) outside every support.
 
 The fit works in bounded pieces without moving a bit of its output. The
 octree descent walks batches of subtrees depth first, stepping each batch
@@ -434,22 +434,6 @@ class ImplicitSurface:
             near = self._fallback_cells(points[miss])
             grad[miss] = self.normals[near]
         return grad
-
-
-def eval(surface: ImplicitSurface, x) -> float | np.ndarray:  # noqa: A001 - name fixed by the API
-    """Blended field value at x ((3,) or (n, 3))."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    out = surface.eval_many(x.reshape(-1, 3))
-    return float(out[0]) if single else out
-
-
-def gradient(surface: ImplicitSurface, x) -> np.ndarray:
-    """Closed-form gradient of the blended field at x ((3,) or (n, 3))."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    out = surface.gradient_many(x.reshape(-1, 3))
-    return out[0] if single else out
 
 
 # (cell, triangle) pairs per batch of `_batched_affines`.  Each batch adds

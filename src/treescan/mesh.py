@@ -31,10 +31,6 @@ class TriangleMesh:
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
-    def bbox_diagonal(self) -> float:
-        lo, hi = self.bbox()
-        return float(np.linalg.norm(hi - lo))
-
     def corners(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-triangle vertex arrays (v0, v1, v2), each (m, 3)."""
         v = self.vertices

@@ -270,7 +270,14 @@ def config_data(path) -> dict:
 
 
 def load_config(path) -> PipelineConfig:
-    return PipelineConfig.from_dict(config_data(path))
+    """The validated config of file `path`; a refusal names the file."""
+    data = config_data(path)
+    try:
+        config = PipelineConfig.from_dict(data)
+        config.validate()
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{path}: {exc}") from None
+    return config
 
 
 def save_config(config: PipelineConfig, path) -> None:

@@ -11,9 +11,10 @@ bisection settles. Merging is plain concatenation in view order, because
 poses are exact.
 
 f is not a distance field, so no sphere tracing; the fine step is tied to
-the smallest feature size (minimum tube radius in the pipeline) to avoid
-stepping through thin branches. Rays that never change sign, or whose
-bisection fails to reach the hit tolerance, contribute nothing.
+the smallest feature size, which every scan must be given (minimum tube
+radius in the pipeline), to avoid stepping through thin branches. Rays
+that never change sign, or whose bisection fails to reach the hit
+tolerance, contribute nothing.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def _ray_sphere_spans(origins, directions, center, radius):
     return t0, t1
 
 
-def _march_batch(surface, origins, directions, cfg: ScanConfig, min_feature: float | None):
+def _march_batch(surface, origins, directions, cfg: ScanConfig, min_feature: float):
     """First surface crossing per ray, vectorized over the active set.
 
     Returns (hit mask, hit points). Uncovered field regions evaluate to a
@@ -136,10 +137,9 @@ def _march_batch(surface, origins, directions, cfg: ScanConfig, min_feature: flo
     large value at both ends means no crossing hides between them; sign
     changes always fall below the band). Rays lost to a field that outruns
     the band are dropped, never misplaced. The fine step is cfg.march_step
-    times min_feature, or times default_march_feature when that is None.
+    times min_feature.
     """
-    feature = min_feature if min_feature is not None else default_march_feature(surface)
-    step = cfg.march_step * feature
+    step = cfg.march_step * min_feature
     stride = step * _COARSE_STEPS
     guard = 2.0 * stride
     offsets = np.arange(_COARSE_STEPS + 1) * step
@@ -205,19 +205,13 @@ def _march_batch(surface, origins, directions, cfg: ScanConfig, min_feature: flo
     return hit, points
 
 
-def default_march_feature(surface: ImplicitSurface) -> float:
-    """Fallback feature size for mesh-only scans: a twentieth of the bbox
-    diagonal. Pipelines pass the skeleton's minimum radius instead."""
-    return surface.bbox_diagonal() / 20.0
+def scan_view(surface: ImplicitSurface, pose: Pose, cfg: ScanConfig, min_feature: float) -> PointCloud:
+    """One view's hits in row-major ray order; analytic normals if configured,
+    an empty (0, 3) array when no ray hits.
 
-
-def scan_view(
-    surface: ImplicitSurface,
-    pose: Pose,
-    cfg: ScanConfig,
-    min_feature: float | None = None,
-) -> PointCloud:
-    """One view's hits in row-major ray order; analytic normals if configured."""
+    min_feature is the thinnest feature the fine march step must not step
+    through (the skeleton's minimum radius in the pipeline).
+    """
     cfg.validate()
     center, radius = _domain_sphere(surface)
     dist = float(np.linalg.norm(pose.position - center))
@@ -240,7 +234,7 @@ def scan_view(
     hit, pts = _march_batch(surface, origins, dirs, cfg, min_feature)
     points = pts[hit]
 
-    if cfg.normal_mode == "analytic" and len(points):
+    if cfg.normal_mode == "analytic":
         grads = surface.gradient_many(points)
         norms = np.linalg.norm(grads, axis=1)
         safe = norms > 1e-12
@@ -252,25 +246,16 @@ def scan_view(
     return PointCloud(points)
 
 
-def merge_scans(scans: list[PointCloud]) -> PointCloud:
-    """Concatenate world-frame scans in view order; poses are already baked in."""
-    if not scans:
-        return PointCloud(np.empty((0, 3)))
-    points = np.concatenate([s.points for s in scans], axis=0)
-    if all(s.has_normals() or len(s) == 0 for s in scans):
-        parts = [s.normals if s.has_normals() else np.empty((0, 3)) for s in scans]
-        normals = np.concatenate(parts, axis=0)
-        if len(normals) == len(points):
-            return PointCloud(points, normals)
-    return PointCloud(points)
-
-
-def scan_surface(surface: ImplicitSurface, cfg: ScanConfig, min_feature: float | None = None) -> PointCloud:
-    """All views, merged; PCA+MST normals attached here when that mode is on."""
+def scan_surface(surface: ImplicitSurface, cfg: ScanConfig, min_feature: float) -> PointCloud:
+    """All views, concatenated in view order; PCA+MST normals attached here
+    when that mode is on."""
     cfg.validate()
     poses = viewpoints((surface.bbox_lo, surface.bbox_hi), cfg.views, cfg.standoff)
     clouds = [scan_view(surface, pose, cfg, min_feature) for pose in poses]
-    merged = merge_scans(clouds)
+    normals = None
+    if cfg.normal_mode == "analytic":
+        normals = np.concatenate([c.normals for c in clouds], axis=0)
+    merged = PointCloud(np.concatenate([c.points for c in clouds], axis=0), normals)
     if cfg.normal_mode == "pca-mst" and len(merged) >= cfg.pca_k:
         merged = orient_normals(estimate_normals(merged, cfg.pca_k), cfg.pca_k)
     return merged

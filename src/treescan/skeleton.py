@@ -65,9 +65,6 @@ class SkeletonGraph:
     def positions(self) -> np.ndarray:
         return np.array([n.position for n in self.nodes], dtype=np.float64)
 
-    def radii(self) -> np.ndarray:
-        return np.array([n.radius for n in self.nodes], dtype=np.float64)
-
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         pos = self.positions()
         return pos.min(axis=0), pos.max(axis=0)
@@ -368,19 +365,3 @@ def load_skeleton(path) -> SkeletonGraph:
     graph = SkeletonGraph(nodes=nodes, edges=edges, root=root)
     graph.validate()
     return graph
-
-
-def graphs_equal(a: SkeletonGraph, b: SkeletonGraph, tol: float = 0.0) -> bool:
-    """Structural equality; positions/radii compared within absolute `tol`."""
-    if a.root != b.root or len(a.nodes) != len(b.nodes) or a.edges != b.edges:
-        return False
-    bi = b._index()
-    for n in a.nodes:
-        if n.id not in bi:
-            return False
-        m = b.nodes[bi[n.id]]
-        if np.any(np.abs(n.position - m.position) > tol):
-            return False
-        if abs(n.radius - m.radius) > tol:
-            return False
-    return True

@@ -43,9 +43,15 @@ def sphere_surface():
     return build_surface(icosphere(subdivisions=3, radius=1.0), FitConfig())
 
 
+def diagonal_feature(surface):
+    """A twentieth of the surface's bbox diagonal: the march feature size
+    for scans of shapes that have no skeleton to give a minimum radius."""
+    return surface.bbox_diagonal() / 20.0
+
+
 @pytest.fixture(scope="session")
 def sphere_scan(sphere_surface):
-    return scan_surface(sphere_surface, ScanConfig())
+    return scan_surface(sphere_surface, ScanConfig(), diagonal_feature(sphere_surface))
 
 
 def make_cylinder_skeleton(radius=0.1, length=1.0):

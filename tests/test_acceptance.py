@@ -40,7 +40,7 @@ from treescan import (
     uneven_density,
 )
 
-from .conftest import fibonacci_sphere
+from .conftest import diagonal_feature, fibonacci_sphere
 
 
 def report(num, label, ok, detail):
@@ -60,7 +60,7 @@ def test_criterion_01_sphere_fit_and_scan_accuracy():
     t0 = time.perf_counter()
     mesh = icosphere(subdivisions=3, radius=1.0)
     surface = build_surface(mesh, FitConfig())
-    cloud = scan_surface(surface, ScanConfig(resolution=100, views=6))
+    cloud = scan_surface(surface, ScanConfig(resolution=100, views=6), diagonal_feature(surface))
     elapsed = time.perf_counter() - t0
 
     lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
@@ -80,7 +80,6 @@ def test_criterion_01_sphere_fit_and_scan_accuracy():
 
 
 def test_criterion_02_cylinder_radial_accuracy(cylinder_surface):
-    # radius 0.1 is under the default march feature size, so pass it in
     cloud = scan_surface(cylinder_surface, ScanConfig(), min_feature=0.1)
     z = cloud.points[:, 2]
     band = (z >= 0.05) & (z <= 0.95)  # drop 5% end bands: caps dominate there
@@ -138,7 +137,7 @@ def test_criterion_03_gradient_matches_central_differences(sphere_surface):
 
 
 def test_criterion_04_resolution_scaling(sphere_surface):
-    variants = density_variants(sphere_surface, ScanConfig())
+    variants = density_variants(sphere_surface, ScanConfig(), diagonal_feature(sphere_surface))
     counts = [len(v) for v in variants]
     ratio = counts[2] / counts[0]
     ok = counts[0] < counts[1] < counts[2] and 4.0 <= ratio <= 12.0

@@ -430,6 +430,8 @@ def test_refusals_print_one_error_line(tmp_path):
     (tmp_path / "bad.json").write_text("{bad")
     (tmp_path / "list.json").write_text("[]")
     (tmp_path / "section.json").write_text('{"tree": 5}')
+    (tmp_path / "ok.json").write_text("{}")
+    (tmp_path / "twice.json").write_text('{"degradations": [{"kind": "noise"}, {"kind": "noise"}]}')
     not_json = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
     refusals = [
         (["scan", "--surface", "nothing.mpuf", "--out", "x.ply"], MISSING_FEATURE),
@@ -444,6 +446,8 @@ def test_refusals_print_one_error_line(tmp_path):
             "tree: 5 is not a JSON object",
         ),
         (["batch", "--configs", "bad.json", "section.json"], f"bad.json: {not_json}"),
+        (["batch", "--configs", "ok.json", "section.json"], "section.json: tree: 5 is not a JSON object"),
+        (["batch", "--configs", "ok.json", "twice.json"], "twice.json: duplicate degradation kind: noise"),
     ]
     for args, message in refusals:
         command = [sys.executable, "-m", "treescan.cli", *args]
@@ -451,7 +455,8 @@ def test_refusals_print_one_error_line(tmp_path):
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [f"error: {message}"]
         assert proc.stdout == ""
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "list.json", "section.json"]
+    files = ["bad.json", "list.json", "ok.json", "section.json", "twice.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
 
 
 def test_size_class_flag_keeps_the_config_files_tree_keys(tmp_path):

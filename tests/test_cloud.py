@@ -47,15 +47,6 @@ def test_binary_round_trip_is_exact_at_f32(tmp_path):
     assert np.array_equal(back.normals, cloud.normals.astype(np.float32).astype(np.float64))
 
 
-def test_ascii_round_trip(tmp_path):
-    cloud = random_cloud(17, 2, with_normals=False)
-    path = tmp_path / "a.ply"
-    write_ply(cloud, path, binary=False)
-    back = read_ply(path)
-    assert not back.has_normals()
-    assert np.allclose(back.points, cloud.points, atol=1e-6, rtol=1e-6)
-
-
 @settings(max_examples=20)
 @given(arrays(np.float64, (7, 3), elements=f32able))
 def test_round_trip_any_values(tmp_path_factory, pts):
@@ -125,26 +116,6 @@ def test_double_precision_properties_accepted(tmp_path):
     )
     cloud = read_ply(path)
     assert np.allclose(cloud.points[0], [0.1, 0.2, 0.3], atol=1e-12)
-
-
-def test_transformed_applies_rigid_motion():
-    cloud = random_cloud(50, 4)
-    theta = 0.3
-    rot = np.array(
-        [
-            [np.cos(theta), -np.sin(theta), 0.0],
-            [np.sin(theta), np.cos(theta), 0.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    t = np.array([1.0, -2.0, 0.5])
-    moved = cloud.transformed(rot, t)
-    assert np.allclose(moved.points, cloud.points @ rot.T + t)
-    assert np.allclose(moved.normals, cloud.normals @ rot.T)
-    # pairwise distances survive the motion
-    d0 = np.linalg.norm(cloud.points[0] - cloud.points[1])
-    d1 = np.linalg.norm(moved.points[0] - moved.points[1])
-    assert np.isclose(d0, d1)
 
 
 def test_bbox():

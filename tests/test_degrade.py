@@ -29,6 +29,8 @@ from treescan.errors import (
 from treescan.rng import uniform
 from treescan.scanner import ScanConfig, scan_surface
 
+from .conftest import diagonal_feature
+
 
 def unit_normal_cloud(n, seed=0):
     rng = np.random.default_rng(seed)
@@ -45,6 +47,11 @@ def rotation_about(axis, angle):
         [[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]]
     )
     return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
+
+
+def moved(cloud, rotation, translation):
+    """The cloud under the rigid motion x -> R x + t (normals turn by R)."""
+    return PointCloud(cloud.points @ rotation.T + translation, cloud.normals @ rotation.T)
 
 
 # -- noise -------------------------------------------------------------------
@@ -113,8 +120,8 @@ def test_noise_commutes_with_rigid_motion():
     p = NoiseParams(s=0.04, d=3, seed=13)
     rot = rotation_about([1.0, 2.0, 0.5], 0.8)
     t = np.array([0.3, -1.2, 2.0])
-    before = add_noise(cloud, p).transformed(rot, t)
-    after = add_noise(cloud.transformed(rot, t), p)
+    before = moved(add_noise(cloud, p), rot, t)
+    after = add_noise(moved(cloud, rot, t), p)
     assert np.allclose(before.points, after.points, atol=1e-12)
     assert np.allclose(before.normals, after.normals, atol=1e-12)
 
@@ -402,7 +409,8 @@ def test_default_region_is_a_30_percent_box():
 
 def test_density_variants_counts_increase(sphere_surface_320):
     base = ScanConfig(resolution=100, views=2)
-    low, mid, high = density_variants(sphere_surface_320, base)
+    feature = diagonal_feature(sphere_surface_320)
+    low, mid, high = density_variants(sphere_surface_320, base, feature)
     assert len(low) < len(mid) < len(high)
-    direct = scan_surface(sphere_surface_320, replace(base, resolution=DENSITY_RESOLUTIONS[1]))
+    direct = scan_surface(sphere_surface_320, replace(base, resolution=DENSITY_RESOLUTIONS[1]), feature)
     assert np.array_equal(mid.points, direct.points)

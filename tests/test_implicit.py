@@ -26,8 +26,6 @@ from treescan.implicit import (
     _quadrature_points,
     build_surface,
     cell_markers,
-    eval as eval_field,
-    gradient,
     load_surface,
     save_surface,
     surface_key,
@@ -403,7 +401,8 @@ def test_build_small_radius_scale_still_covers(sphere_mesh_320):
 
 
 def test_build_auto_epsilon_rule(sphere_mesh_320, sphere_surface_320):
-    want = DEFAULT_EPSILON_SCALE * sphere_mesh_320.bbox_diagonal()
+    lo, hi = sphere_mesh_320.bbox()
+    want = DEFAULT_EPSILON_SCALE * np.linalg.norm(hi - lo)
     assert sphere_surface_320.epsilon == pytest.approx(want, rel=1e-12)
     assert sphere_surface_320.diagnostics["epsilon"] == sphere_surface_320.epsilon
 
@@ -661,13 +660,15 @@ def test_eval_planar_zero_on_plane(plane_surface):
 
 
 def test_eval_plane_sign_convention(plane_surface):
-    assert eval_field(plane_surface, np.array([0.0, 0.0, 0.3])) > 0.0
-    assert eval_field(plane_surface, np.array([0.0, 0.0, -0.3])) < 0.0
+    above, below = plane_surface.eval_many(np.array([[0.0, 0.0, 0.3], [0.0, 0.0, -0.3]]))
+    assert above > 0.0
+    assert below < 0.0
 
 
 def test_eval_sphere_signs(sphere_surface_320):
-    assert eval_field(sphere_surface_320, np.array([0.0, 0.0, 0.0])) < 0.0
-    assert eval_field(sphere_surface_320, np.array([0.0, 0.0, 2.0])) > 0.0
+    inside, outside = sphere_surface_320.eval_many(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]))
+    assert inside < 0.0
+    assert outside > 0.0
 
 
 def test_partition_of_unity_reproduces_shared_affine():
@@ -725,20 +726,6 @@ def test_uncovered_sentinel_leaves_covered_points_alone(sphere_surface_320):
     assert np.array_equal(marked[:2], plain[:2])
 
 
-def test_eval_and_gradient_wrappers(sphere_surface_320):
-    one = np.array([0.0, 0.0, 1.0])
-    batch = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.5]])
-    f1 = eval_field(sphere_surface_320, one)
-    assert isinstance(f1, float)
-    fb = eval_field(sphere_surface_320, batch)
-    assert fb.shape == (2,)
-    assert fb[0] == f1
-    g1 = gradient(sphere_surface_320, one)
-    gb = gradient(sphere_surface_320, batch)
-    assert g1.shape == (3,)
-    assert np.array_equal(gb[0], g1)
-
-
 def test_field_calls_are_batch_independent(sphere_surface_320):
     # a point's value and gradient must not depend on the other points of
     # its call: the scanner's march evaluates whichever rays are still
@@ -775,7 +762,7 @@ def test_gradient_planar_parallel_to_normal(plane_surface):
 
 
 def test_gradient_sphere_is_radial(sphere_surface):
-    g = gradient(sphere_surface, np.array([0.0, 0.0, 1.0]))
+    g = sphere_surface.gradient_many(np.array([[0.0, 0.0, 1.0]]))[0]
     cos = g[2] / np.linalg.norm(g)
     assert cos >= np.cos(np.radians(2.0))
 

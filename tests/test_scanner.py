@@ -8,7 +8,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 from scipy.spatial import cKDTree
 
-from treescan import geometry, scanner
+from treescan import FitConfig, build_surface, geometry, scanner, sweep_mesh
 from treescan.cloud import PointCloud
 from treescan.errors import (
     InvalidParameterError,
@@ -18,16 +18,14 @@ from treescan.errors import (
 from treescan.geometry import principal_axes
 from treescan.scanner import (
     ScanConfig,
-    default_march_feature,
     estimate_normals,
-    merge_scans,
     orient_normals,
     scan_surface,
     scan_view,
     viewpoints,
 )
 
-from .conftest import fibonacci_sphere
+from .conftest import diagonal_feature, fibonacci_sphere, make_cylinder_skeleton
 
 UNIT_BOX = (np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0]))
 
@@ -77,33 +75,27 @@ def test_viewpoints_reject_zero_views():
 # -- single rays -----------------------------------------------------------------
 
 
-def march_one(surface, origin, direction, min_feature=None):
+def march_one(surface, origin, direction, min_feature):
     """The hit point of one ray through `_march_batch`, or None."""
     hit, points = scanner._march_batch(surface, np.array([origin]), np.array([direction]), ScanConfig(), min_feature)
     return points[0] if hit[0] else None
 
 
 def test_ray_hits_sphere_front_face(sphere_surface):
-    hit = march_one(sphere_surface, [0.0, 0.0, -2.0], [0.0, 0.0, 1.0])
+    hit = march_one(sphere_surface, [0.0, 0.0, -2.0], [0.0, 0.0, 1.0], diagonal_feature(sphere_surface))
     assert hit is not None
     assert np.linalg.norm(hit - np.array([0.0, 0.0, -1.0])) <= 5e-3
     assert abs(float(sphere_surface.eval_many(hit[None])[0])) <= ScanConfig().hit_tolerance
 
 
 def test_ray_misses_off_axis(sphere_surface):
-    assert march_one(sphere_surface, [0.0, 5.0, -2.0], [0.0, 0.0, 1.0]) is None
+    assert march_one(sphere_surface, [0.0, 5.0, -2.0], [0.0, 0.0, 1.0], diagonal_feature(sphere_surface)) is None
 
 
 def test_ray_cast_explicit_feature_size(sphere_surface):
     hit = march_one(sphere_surface, [0.0, 0.0, -2.0], [0.0, 0.0, 1.0], min_feature=0.1)
     assert hit is not None
     assert np.linalg.norm(hit - np.array([0.0, 0.0, -1.0])) <= 5e-3
-
-
-def test_default_march_feature_is_twentieth_of_diagonal(sphere_surface):
-    assert default_march_feature(sphere_surface) == pytest.approx(
-        sphere_surface.bbox_diagonal() / 20.0
-    )
 
 
 # -- the march rule --------------------------------------------------------------
@@ -201,7 +193,7 @@ def slab_rays(rng, n):
 @pytest.mark.parametrize("case", ["sphere", "thin tube", "slabs"])
 def test_march_follows_the_documented_rule(case, sphere_surface_320, cylinder_surface):
     surface, rays, feature = {
-        "sphere": (sphere_surface_320, sphere_rays, default_march_feature(sphere_surface_320)),
+        "sphere": (sphere_surface_320, sphere_rays, diagonal_feature(sphere_surface_320)),
         "thin tube": (cylinder_surface, tube_rays, 0.1),
         # a stride of 2 * feature spans more than two slabs
         "slabs": (Slabs(0.006), slab_rays, 0.05),
@@ -235,22 +227,23 @@ def test_scan_view_plane_hits_lie_on_plane(plane_surface):
 
 def test_scan_view_resolution_scaling(sphere_surface_320):
     pose = viewpoints((sphere_surface_320.bbox_lo, sphere_surface_320.bbox_hi), 1)[0]
-    low = scan_view(sphere_surface_320, pose, ScanConfig(resolution=20))
-    high = scan_view(sphere_surface_320, pose, ScanConfig(resolution=40))
+    feature = diagonal_feature(sphere_surface_320)
+    low = scan_view(sphere_surface_320, pose, ScanConfig(resolution=20), feature)
+    high = scan_view(sphere_surface_320, pose, ScanConfig(resolution=40), feature)
     assert len(high) >= 3 * len(low)
 
 
 def test_scan_view_hits_satisfy_field_tolerance(sphere_surface_320):
     cfg = ScanConfig(resolution=30)
     pose = viewpoints((sphere_surface_320.bbox_lo, sphere_surface_320.bbox_hi), 1)[0]
-    cloud = scan_view(sphere_surface_320, pose, cfg)
+    cloud = scan_view(sphere_surface_320, pose, cfg, diagonal_feature(sphere_surface_320))
     residuals = np.abs(sphere_surface_320.eval_many(cloud.points))
     assert np.max(residuals) <= cfg.hit_tolerance + 1e-15
 
 
 def test_scan_view_sphere_points_on_shell(sphere_surface):
     pose = viewpoints((sphere_surface.bbox_lo, sphere_surface.bbox_hi), 1)[0]
-    cloud = scan_view(sphere_surface, pose, ScanConfig(resolution=40))
+    cloud = scan_view(sphere_surface, pose, ScanConfig(resolution=40), diagonal_feature(sphere_surface))
     r = np.linalg.norm(cloud.points, axis=1)
     assert np.max(np.abs(r - 1.0)) <= 5e-3
 
@@ -261,12 +254,12 @@ def test_scan_view_rejects_interior_viewpoint(sphere_surface_320):
         position=np.zeros(3), forward=pose.forward, right=pose.right, up=pose.up
     )
     with pytest.raises(InvalidParameterError, match="inside"):
-        scan_view(sphere_surface_320, inside, ScanConfig(resolution=10))
+        scan_view(sphere_surface_320, inside, ScanConfig(resolution=10), diagonal_feature(sphere_surface_320))
 
 
 def test_analytic_normals_face_the_sensor(sphere_surface_320):
     pose = viewpoints((sphere_surface_320.bbox_lo, sphere_surface_320.bbox_hi), 1)[0]
-    cloud = scan_view(sphere_surface_320, pose, ScanConfig(resolution=30))
+    cloud = scan_view(sphere_surface_320, pose, ScanConfig(resolution=30), diagonal_feature(sphere_surface_320))
     assert cloud.has_normals()
     assert np.allclose(np.linalg.norm(cloud.normals, axis=1), 1.0, atol=1e-9)
     grads = sphere_surface_320.gradient_many(cloud.points)
@@ -276,22 +269,28 @@ def test_analytic_normals_face_the_sensor(sphere_surface_320):
     assert np.min(toward_sensor) > 0.0
 
 
+def test_a_view_that_hits_nothing_has_empty_analytic_normals():
+    # a thin tube seen end-on through a 2 x 2 ray grid: every ray passes by it
+    surface = build_surface(sweep_mesh(make_cylinder_skeleton(0.1, 1.0), sides=24), FitConfig())
+    cfg = ScanConfig(resolution=2)
+    for pose in viewpoints((surface.bbox_lo, surface.bbox_hi), 2, 1.5):
+        cloud = scan_view(surface, pose, cfg, 0.1)
+        assert len(cloud) == 0
+        assert cloud.normals.shape == (0, 3)
+
+
 # -- merging ---------------------------------------------------------------------
 
 
-def test_merge_concatenates_in_view_order(sphere_surface_320):
-    poses = viewpoints((sphere_surface_320.bbox_lo, sphere_surface_320.bbox_hi), 2)
-    cfg = ScanConfig(resolution=20)
-    scans = [scan_view(sphere_surface_320, p, cfg) for p in poses]
-    merged = merge_scans(scans)
-    assert len(merged) == sum(len(s) for s in scans)
-    assert np.array_equal(merged.points[: len(scans[0])], scans[0].points)
-    assert np.array_equal(merged.points[len(scans[0]) :], scans[1].points)
-    assert merged.has_normals()
-
-
-def test_merge_handles_empty_input():
-    assert len(merge_scans([])) == 0
+def test_scan_surface_concatenates_views_in_order(sphere_surface_320):
+    cfg = ScanConfig(resolution=20, views=2)
+    feature = diagonal_feature(sphere_surface_320)
+    poses = viewpoints((sphere_surface_320.bbox_lo, sphere_surface_320.bbox_hi), cfg.views, cfg.standoff)
+    scans = [scan_view(sphere_surface_320, p, cfg, feature) for p in poses]
+    assert all(len(s) > 0 for s in scans)
+    merged = scan_surface(sphere_surface_320, cfg, feature)
+    assert np.array_equal(merged.points, np.concatenate([s.points for s in scans]))
+    assert np.array_equal(merged.normals, np.concatenate([s.normals for s in scans]))
 
 
 def test_merged_sphere_scan_covers_most_directions(sphere_scan):
@@ -309,8 +308,8 @@ def test_merged_sphere_scan_covers_most_directions(sphere_scan):
 
 def test_scan_surface_is_deterministic(sphere_surface_320):
     cfg = ScanConfig(resolution=25, views=2)
-    a = scan_surface(sphere_surface_320, cfg)
-    b = scan_surface(sphere_surface_320, cfg)
+    a = scan_surface(sphere_surface_320, cfg, diagonal_feature(sphere_surface_320))
+    b = scan_surface(sphere_surface_320, cfg, diagonal_feature(sphere_surface_320))
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.normals, b.normals)
 
@@ -503,7 +502,7 @@ def test_orientation_requires_normals():
 
 def test_pca_mst_scan_mode(sphere_surface_320):
     cfg = ScanConfig(resolution=25, views=2, normal_mode="pca-mst")
-    cloud = scan_surface(sphere_surface_320, cfg)
+    cloud = scan_surface(sphere_surface_320, cfg, diagonal_feature(sphere_surface_320))
     assert cloud.has_normals()
     radial = cloud.points / np.linalg.norm(cloud.points, axis=1, keepdims=True)
     outward = np.einsum("ij,ij->i", cloud.normals, radial) > 0.0

@@ -16,7 +16,7 @@ from treescan import (
     load_skeleton,
     save_skeleton,
 )
-from treescan.skeleton import graphs_equal, save_skeleton_text
+from treescan.skeleton import save_skeleton_text
 
 
 def expected_node_count(branch_levels, k, nodes_per_curve):
@@ -143,6 +143,14 @@ def test_param_validation(field, value):
 
 # -- gravity ------------------------------------------------------------------
 
+def assert_same_graph(a, b, atol):
+    """Same root, edges and node ids; positions and radii within atol."""
+    assert (a.root, a.edges) == (b.root, b.edges)
+    assert [n.id for n in a.nodes] == [n.id for n in b.nodes]
+    assert np.allclose(a.positions(), b.positions(), rtol=0.0, atol=atol)
+    assert np.allclose([n.radius for n in a.nodes], [n.radius for n in b.nodes], rtol=0.0, atol=atol)
+
+
 def horizontal_edge_graph():
     nodes = [
         SkeletonNode(0, np.zeros(3), 1.0),
@@ -154,7 +162,7 @@ def horizontal_edge_graph():
 def test_gravity_zero_is_identity():
     g = horizontal_edge_graph()
     out = apply_gravity(g, 0.0)
-    assert graphs_equal(g, out, tol=0.0)
+    assert_same_graph(g, out, atol=0.0)
 
 
 def test_gravity_one_bends_forty_five_degrees():
@@ -200,7 +208,7 @@ def test_round_trip(tmp_path):
     save_skeleton(g, path)
     back = load_skeleton(path)
     # 9 significant digits survive a parse within float64 rounding
-    assert graphs_equal(g, back, tol=1e-8)
+    assert_same_graph(g, back, atol=1e-8)
     save_skeleton(back, tmp_path / "again.skel")
     assert (tmp_path / "again.skel").read_text() == path.read_text()
 
@@ -266,8 +274,7 @@ def test_validate_rejects_two_parents():
 
 def test_min_radius_and_bbox():
     g = generate_skeleton(TreeParams.preset("small", seed=9))
-    radii = g.radii()
-    assert np.isclose(g.min_radius(), radii.min())
+    assert g.min_radius() == min(n.radius for n in g.nodes)
     lo, hi = g.bbox()
     pos = g.positions()
     assert np.array_equal(lo, pos.min(axis=0))
