@@ -131,7 +131,7 @@ def _cmd_degrade(args) -> int:
     """Run the pipeline's runner of `args.kind` on the inputs its flags name.
 
     Occlusion balls are sized by the --skeleton bbox, else the cloud's; the
-    default uneven region is drawn from the params seed.
+    default uneven region is drawn from the params seed over the cloud's bbox.
     """
     params = _params_from_flags(args.kind, args)
     if args.kind == "density":
@@ -141,8 +141,9 @@ def _cmd_degrade(args) -> int:
         )
     else:
         clean = read_ply(args.input)
-        bbox = load_skeleton(args.skeleton).bbox() if getattr(args, "skeleton", None) else clean.bbox()
-        ctx = StageContext(bbox=bbox, region_seed=params.seed)
+        ctx = StageContext(region_seed=params.seed)
+        if args.kind == "occlusion":
+            ctx.bbox = load_skeleton(args.skeleton).bbox() if args.skeleton else clean.bbox()
     for _, stem, cloud in DEGRADATIONS[args.kind][1](params, clean, ctx):
         path = args.out if clean is not None else f"{args.out_prefix}_{stem}.ply"
         write_ply(cloud, path)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedHeaderError, TruncatedPayloadError
+from .errors import EmptyCloudError, MalformedHeaderError, TruncatedPayloadError
 
 _PLY_DTYPES = {
     "float": np.dtype("<f4"),
@@ -39,6 +39,8 @@ class PointCloud:
         return self.normals is not None
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
+        if len(self.points) == 0:
+            raise EmptyCloudError("an empty cloud has no bbox")
         return self.points.min(axis=0), self.points.max(axis=0)
 
 
@@ -80,10 +82,9 @@ def read_ply(path) -> PointCloud:
         elif tokens[0] == "element":
             in_vertex = len(tokens) == 3 and tokens[1] == "vertex"
             if in_vertex:
-                try:
-                    count = int(tokens[2])
-                except ValueError:
-                    raise MalformedHeaderError(f"bad vertex count: {line!r}") from None
+                if not tokens[2].isdecimal():
+                    raise MalformedHeaderError(f"bad vertex count: {line!r}")
+                count = int(tokens[2])
             elif count is None:
                 raise MalformedHeaderError(f"unsupported leading element: {line!r}")
         elif tokens[0] == "property" and in_vertex:

@@ -61,7 +61,8 @@ class OcclusionParams:
 
 @dataclass
 class UnevenParams:
-    region: tuple | None = None  # ((lo x,y,z), (hi x,y,z)); None = seeded default
+    # (lo x,y,z), (hi x,y,z); None = seeded default
+    region: tuple[tuple[float, float, float], tuple[float, float, float]] | None = None
     r: float = 0.05
     lambda1_range: tuple[float, float] | None = None  # None = [-r/2, r/2]
     lambda2_range: tuple[float, float] | None = None

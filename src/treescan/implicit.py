@@ -4,8 +4,7 @@ The mesh's bounding box is subdivided into an octree; a cell splits while
 more than `max_triangles_per_cell` triangles lie within its support sphere
 (radius = `sphere_radius_scale` x cell diagonal, centered at the cell center)
 and the depth cap allows. Leaves whose sphere reaches no triangle at all are
-dropped: they would only dilute the blend, and queries out there take the
-nearest-cell fallback anyway. Kept spheres holding fewer than
+dropped: they have nothing to fit. Kept spheres holding fewer than
 `min_triangles_for_fit` triangles grow to exactly the k-th nearest triangle
 distance: an overshot support would drag a wide, badly-planar cap of
 surface into the blend and bias the zero set.
@@ -30,10 +29,9 @@ zero at the sphere boundary:
     q(u) = 1.125 (1 - u)^2         for 1/3 < u <= 1,
     q(u) = 0                       beyond.
 
-Queries outside every sphere fall back to the shape function of the cell
-with the nearest center, so `eval_many` and `gradient_many` are defined
-everywhere and affine out there. The ray marcher skips the fallback: it asks
-for a positive placeholder (`uncovered_value=1.0`) outside every support.
+The blend is defined only where some sphere strictly holds the query point
+(r_i < R_i); `eval_many` and `gradient_many` return NaN everywhere else.
+The ray marcher reads NaN as exterior.
 
 The fit works in bounded pieces without moving a bit of its output. The
 octree descent walks batches of subtrees depth first, stepping each batch
@@ -322,7 +320,6 @@ class ImplicitSurface:
         if len(self.centers) == 0:
             raise InvalidParameterError("a surface needs at least one cell")
         self.index = _CellIndex(self.centers, self.radii)
-        self._center_tree = cKDTree(self.centers)
         # the field's pair kernel gathers one contiguous axis at a time and
         # prefilters squared distances (see `_pairs`)
         self._center_axes = tuple(np.ascontiguousarray(self.centers[:, axis]) for axis in range(3))
@@ -365,6 +362,8 @@ class ImplicitSurface:
         return rows[keep], cells[keep], r[keep]
 
     def _blend(self, points: np.ndarray, want_gradient: bool):
+        """Field values (n,), and gradients (n, 3) if wanted; NaN rows where
+        no sphere holds the point."""
         n = len(points)
         rows, cells, r = self._pairs(points)
         radii = self.radii[cells]
@@ -376,10 +375,11 @@ class ImplicitSurface:
         num = np.bincount(rows, weights=q * s, minlength=n)
         den = np.bincount(rows, weights=q, minlength=n)
         covered = den > 0.0
-        f = np.where(covered, num / np.where(covered, den, 1.0), 0.0)
+        den_safe = np.where(covered, den, 1.0)
+        f = np.where(covered, num / den_safe, np.nan)
 
         if not want_gradient:
-            return f, covered
+            return f
 
         delta = points[rows] - self.centers[cells]
         # dq/du * grad u; the inner branch folds the 1/r singularity away
@@ -397,43 +397,17 @@ class ImplicitSurface:
                 rows, weights=grad_q[:, d] * s + q * self.normals[cells, d], minlength=n
             )
             grad_den[:, d] = np.bincount(rows, weights=grad_q[:, d], minlength=n)
-        den_safe = np.where(covered, den, 1.0)
         grad = (grad_num * den_safe[:, None] - num[:, None] * grad_den) / (den_safe**2)[:, None]
-        return f, covered, grad
+        grad[~covered] = np.nan
+        return f, grad
 
-    def _fallback_cells(self, points: np.ndarray) -> np.ndarray:
-        _, nearest = self._center_tree.query(points, k=1)
-        return np.atleast_1d(nearest)
-
-    def eval_many(self, points: np.ndarray, uncovered_value: float | None = None) -> np.ndarray:
-        """Field values for (n, 3) points.
-
-        uncovered_value short-circuits the nearest-cell fallback for callers
-        (the ray marcher) that only need a positive placeholder outside the
-        covered region; None keeps the exact fallback.
-        """
-        points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        f, covered = self._blend(points, want_gradient=False)
-        if np.all(covered):
-            return f
-        if uncovered_value is not None:
-            f[~covered] = uncovered_value
-            return f
-        miss = np.flatnonzero(~covered)
-        near = self._fallback_cells(points[miss])
-        f[miss] = (
-            np.einsum("ij,ij->i", points[miss], self.normals[near]) - self.offsets[near]
-        )
-        return f
+    def eval_many(self, points: np.ndarray) -> np.ndarray:
+        """Field values for (n, 3) points; NaN outside every sphere."""
+        return self._blend(np.asarray(points, dtype=np.float64).reshape(-1, 3), want_gradient=False)
 
     def gradient_many(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        _, covered, grad = self._blend(points, want_gradient=True)
-        if not np.all(covered):
-            miss = np.flatnonzero(~covered)
-            near = self._fallback_cells(points[miss])
-            grad[miss] = self.normals[near]
-        return grad
+        """Field gradients for (n, 3) points; NaN rows outside every sphere."""
+        return self._blend(np.asarray(points, dtype=np.float64).reshape(-1, 3), want_gradient=True)[1]
 
 
 # (cell, triangle) pairs per batch of `_batched_affines`.  Each batch adds

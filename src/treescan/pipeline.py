@@ -70,16 +70,13 @@ def _coerced(name: str, declared: tuple, value):
     A bool field takes only true/false, an int field only an integral
     number, a float field a number or a numeric string, and null only a
     nullable field, so no value is silently changed; anything else raises.
-    A tuple[...] field takes a list of its length, item by item; a bare
-    tuple field takes any list.
+    A tuple[...] field takes a list of its length, item by item.
     """
     typ, nullable = declared
     if value is None and nullable:
         return None
-    if typ is tuple or get_origin(typ) is tuple:
+    if get_origin(typ) is tuple:
         items = get_args(typ)
-        if isinstance(value, (list, tuple)) and not items:
-            return tuple(_coerced(name, declared, v) if isinstance(v, list) else v for v in value)
         if isinstance(value, (list, tuple)) and len(items) == len(value):
             return tuple(_coerced(name, (t, False), v) for t, v in zip(items, value))
     elif typ in (int, float):
@@ -192,6 +189,10 @@ class PipelineConfig:
         self.tree.validate()
         self.fit.validate()
         self.scan.validate()
+        if not 0 <= self.master_seed <= 0xFFFFFFFFFFFFFFFF:
+            raise InvalidParameterError("master_seed must fit in 64 unsigned bits")
+        if self.sides < 3:
+            raise InvalidParameterError("sides must be >= 3")
         if not self.name or any(c in self.name for c in "/\\"):
             raise InvalidParameterError("name must be a plain file stem")
         seen = set()

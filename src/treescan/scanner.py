@@ -125,11 +125,10 @@ def _ray_sphere_spans(origins, directions, center, radius):
 def _march_batch(surface, origins, directions, cfg: ScanConfig, min_feature: float):
     """First surface crossing per ray, vectorized over the active set.
 
-    Returns (hit mask, hit points). Uncovered field regions evaluate to a
-    positive placeholder, which is safe here: outside every support the
-    model is absent, so treating it as exterior loses nothing, and a
-    bracket whose endpoint lies in such a gap simply fails the tolerance
-    check and is dropped.
+    Returns (hit mask, hit points). The field is NaN outside every support,
+    where the model is absent; the march reads it as the positive value 1,
+    exterior, which loses nothing, and a bracket whose endpoint lies in such
+    a gap simply fails the tolerance check and is dropped.
 
     Marching is two-level: coarse strides of several fine steps, dropping to
     fine stepping only inside strides where either endpoint's field dips
@@ -148,9 +147,9 @@ def _march_batch(surface, origins, directions, cfg: ScanConfig, min_feature: flo
     t_lo, t_hi = _ray_sphere_spans(origins, directions, center, radius)
 
     def field(rows, ts):
-        return surface.eval_many(
-            origins[rows] + ts[:, None] * directions[rows], uncovered_value=1.0
-        )
+        f = surface.eval_many(origins[rows] + ts[:, None] * directions[rows])
+        f[np.isnan(f)] = 1.0  # outside every support: exterior
+        return f
 
     # march state of the active rays, and the bracket of each crossed ray:
     # the field is positive at lo and nonpositive at hi
@@ -210,9 +209,12 @@ def scan_view(surface: ImplicitSurface, pose: Pose, cfg: ScanConfig, min_feature
     an empty (0, 3) array when no ray hits.
 
     min_feature is the thinnest feature the fine march step must not step
-    through (the skeleton's minimum radius in the pipeline).
+    through (the skeleton's minimum radius in the pipeline); it must be
+    positive and finite.
     """
     cfg.validate()
+    if not 0.0 < min_feature < np.inf:
+        raise InvalidParameterError(f"min_feature must be positive and finite, got {min_feature}")
     center, radius = _domain_sphere(surface)
     dist = float(np.linalg.norm(pose.position - center))
     if dist <= radius:

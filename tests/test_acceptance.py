@@ -108,9 +108,7 @@ def test_criterion_03_gradient_matches_central_differences(sphere_surface):
         # keep points whose entire 6-probe stencil stays covered
         probes = batch_pts[:, None, :] + h * np.vstack([np.eye(3), -np.eye(3)])
         stencil = np.concatenate([batch_pts[:, None, :], probes], axis=1)
-        vals = sphere_surface.eval_many(
-            stencil.reshape(-1, 3), uncovered_value=np.nan
-        ).reshape(len(batch_pts), 7)
+        vals = sphere_surface.eval_many(stencil.reshape(-1, 3)).reshape(len(batch_pts), 7)
         pts = np.vstack([pts, batch_pts[np.isfinite(vals).all(axis=1)]])
     pts = pts[:1000]
 

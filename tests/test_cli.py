@@ -24,7 +24,7 @@ from treescan.degrade import (
     occlude,
     uneven_density,
 )
-from treescan.implicit import FitConfig, load_surface, surface_key
+from treescan.implicit import FitConfig, load_surface, save_surface, surface_key
 from treescan.mesh import load_obj
 from treescan.pipeline import PipelineConfig, field_types, run_pipeline, save_config
 from treescan.rng import derive_seed
@@ -311,7 +311,8 @@ def test_batch_subcommand(tmp_path, capsys):
 
 def test_batch_failure_exit_code(tmp_path, capsys):
     good = tiny_pipeline_config(tmp_path / "set" / "good", "good")
-    bad = tiny_pipeline_config(tmp_path / "set" / "bad", "bad", sides=2)
+    # valid, but no sphere of the mesh can hold the fit quota
+    bad = tiny_pipeline_config(tmp_path / "set" / "bad", "bad", fit=FitConfig(min_triangles_for_fit=100_000))
     paths = []
     for cfg, stem in ((good, "good"), (bad, "bad")):
         path = tmp_path / f"{stem}.json"
@@ -424,6 +425,30 @@ def test_scans_refuse_without_a_feature_size(tmp_path, command, capsys):
     assert capsys.readouterr().err == f"error: {MISSING_FEATURE}\n"
 
 
+def test_scan_refuses_a_feature_size_that_is_not_positive(tmp_path, sphere_surface_320):
+    save_surface(sphere_surface_320, tmp_path / "s.mpuf")
+    env = {**os.environ, "PYTHONPATH": str(Path(treescan.__file__).resolve().parents[1])}
+    command = [sys.executable, "-m", "treescan.cli", "scan", "--surface", "s.mpuf", "--min-feature", "0", "--out", "x.ply"]
+    proc = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: min_feature must be positive and finite, got 0.0"]
+    assert not (tmp_path / "x.ply").exists()
+
+
+@pytest.mark.parametrize("kind", ["noise", "occlude", "uneven"])
+def test_degrade_an_empty_cloud(tmp_path, kind, capsys):
+    src, out = tmp_path / "empty.ply", tmp_path / "out.ply"
+    write_ply(PointCloud(np.zeros((0, 3)), np.zeros((0, 3))), src)
+    code = main(["degrade", kind, "--in", str(src), "--out", str(out)])
+    if kind == "noise":
+        assert code == 0
+        assert len(read_ply(out)) == 0
+    else:
+        assert code == 1
+        assert capsys.readouterr().err == "error: an empty cloud has no bbox\n"
+        assert not out.exists()
+
+
 def test_refusals_print_one_error_line(tmp_path):
     # the command line's own entry point: one `error:` line, no traceback
     env = {**os.environ, "PYTHONPATH": str(Path(treescan.__file__).resolve().parents[1])}
@@ -432,6 +457,8 @@ def test_refusals_print_one_error_line(tmp_path):
     (tmp_path / "section.json").write_text('{"tree": 5}')
     (tmp_path / "ok.json").write_text("{}")
     (tmp_path / "twice.json").write_text('{"degradations": [{"kind": "noise"}, {"kind": "noise"}]}')
+    (tmp_path / "seed.json").write_text('{"master_seed": -3}')
+    (tmp_path / "sides.json").write_text('{"sides": 2}')
     not_json = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
     refusals = [
         (["scan", "--surface", "nothing.mpuf", "--out", "x.ply"], MISSING_FEATURE),
@@ -448,6 +475,9 @@ def test_refusals_print_one_error_line(tmp_path):
         (["batch", "--configs", "bad.json", "section.json"], f"bad.json: {not_json}"),
         (["batch", "--configs", "ok.json", "section.json"], "section.json: tree: 5 is not a JSON object"),
         (["batch", "--configs", "ok.json", "twice.json"], "twice.json: duplicate degradation kind: noise"),
+        (["pipeline", "--master-seed", "-1", "--output-dir", "out"], "master_seed must fit in 64 unsigned bits"),
+        (["batch", "--configs", "ok.json", "seed.json"], "seed.json: master_seed must fit in 64 unsigned bits"),
+        (["batch", "--configs", "sides.json", "ok.json"], "sides.json: sides must be >= 3"),
     ]
     for args, message in refusals:
         command = [sys.executable, "-m", "treescan.cli", *args]
@@ -455,7 +485,7 @@ def test_refusals_print_one_error_line(tmp_path):
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [f"error: {message}"]
         assert proc.stdout == ""
-    files = ["bad.json", "list.json", "ok.json", "section.json", "twice.json"]
+    files = ["bad.json", "list.json", "ok.json", "section.json", "seed.json", "sides.json", "twice.json"]
     assert sorted(p.name for p in tmp_path.iterdir()) == files
 
 

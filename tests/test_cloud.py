@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from treescan import (
+    EmptyCloudError,
     MalformedHeaderError,
     PointCloud,
     TruncatedPayloadError,
@@ -90,6 +91,19 @@ def test_truncated_ascii_payload(tmp_path):
         read_ply(path)
 
 
+def test_negative_vertex_count_is_refused(tmp_path):
+    header = "ply\nformat {}\nelement vertex -2\nproperty float x\nproperty float y\nproperty float z\nend_header\n"
+    payloads = {
+        "binary_little_endian 1.0": np.arange(9, dtype="<f4").tobytes(),
+        "ascii 1.0": " ".join(str(v) for v in range(9)).encode("ascii"),
+    }
+    for fmt, payload in payloads.items():
+        path = tmp_path / "negative.ply"
+        path.write_bytes(header.format(fmt).encode("ascii") + payload)
+        with pytest.raises(MalformedHeaderError, match="vertex count"):
+            read_ply(path)
+
+
 def test_malformed_headers(tmp_path):
     cases = {
         "not_ply.ply": "plx\nformat ascii 1.0\nend_header\n",
@@ -123,3 +137,5 @@ def test_bbox():
     lo, hi = cloud.bbox()
     assert np.array_equal(lo, [-1.0, 1.0, 0.0])
     assert np.array_equal(hi, [0.0, 5.0, 2.0])
+    with pytest.raises(EmptyCloudError):
+        PointCloud(np.zeros((0, 3))).bbox()

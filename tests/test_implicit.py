@@ -236,9 +236,9 @@ def test_fit_cell_planar_is_exact():
     surf = one_cell_surface(tri, epsilon=0.05)
     assert np.array_equal(surf.normals[0], [0.0, 0.0, 1.0])
     assert surf.offsets[0] == 0.0
-    # two probes inside the cell's sphere, one outside (the fallback)
+    # two probes inside the cell's sphere, one outside it (no field there)
     probes = np.array([[0.0, 0.0, 0.25], [1.0, -2.0, -0.75], [5.0, 5.0, 0.0]])
-    assert np.array_equal(surf.eval_many(probes), probes[:, 2])
+    assert np.array_equal(surf.eval_many(probes), [*probes[:2, 2], np.nan], equal_nan=True)
 
 
 def test_fit_cell_two_coplanar_triangles():
@@ -666,9 +666,12 @@ def test_eval_plane_sign_convention(plane_surface):
 
 
 def test_eval_sphere_signs(sphere_surface_320):
-    inside, outside = sphere_surface_320.eval_many(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]))
+    inside, outside, far = sphere_surface_320.eval_many(
+        np.array([[0.0, 0.0, 0.9], [0.0, 0.0, 1.1], [0.0, 0.0, 2.0]])
+    )
     assert inside < 0.0
     assert outside > 0.0
+    assert np.isnan(far)  # outside every sphere
 
 
 def test_partition_of_unity_reproduces_shared_affine():
@@ -685,7 +688,7 @@ def test_partition_of_unity_reproduces_shared_affine():
             rng.uniform(z - 0.2, z + 0.2, 400),
         ]
     )
-    probe = surf.eval_many(pts, uncovered_value=np.nan)
+    probe = surf.eval_many(pts)
     covered = ~np.isnan(probe)
     assert covered.sum() >= 50
     assert np.max(np.abs(probe[covered] - (pts[covered, 2] - z))) <= 1e-12
@@ -708,22 +711,21 @@ def test_larger_epsilon_smooths_the_crease_more():
     assert residuals[-1] > residuals[0]
 
 
-def test_exterior_fallback_uses_nearest_cell(sphere_surface_320):
-    pts = np.array([[10.0, 0.0, 0.0], [0.0, -7.0, 3.0], [5.0, 5.0, 5.0]])
-    assert np.all(np.isnan(sphere_surface_320.eval_many(pts, uncovered_value=np.nan)))
+def test_field_is_nan_outside_every_sphere(sphere_surface_320):
+    # the blend is defined only where some sphere strictly holds the point;
+    # covered points keep their values whatever else shares the call
     surf = sphere_surface_320
-    got = surf.eval_many(pts)
-    for p, g in zip(pts, got):
-        near = int(np.argmin(np.linalg.norm(surf.centers - p, axis=1)))
-        assert abs(g - (p @ surf.normals[near] - surf.offsets[near])) <= 1e-12
-
-
-def test_uncovered_sentinel_leaves_covered_points_alone(sphere_surface_320):
-    pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.97], [9.0, 9.0, 9.0]])
-    plain = sphere_surface_320.eval_many(pts)
-    marked = sphere_surface_320.eval_many(pts, uncovered_value=123.0)
-    assert marked[2] == 123.0
-    assert np.array_equal(marked[:2], plain[:2])
+    covered = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.97], [0.3, -0.2, 0.9]])
+    outside = np.array([[10.0, 0.0, 0.0], [0.0, -7.0, 3.0], [5.0, 5.0, 5.0], [0.0, 0.0, 0.0]])
+    assert all(brute_force_coverage_gap(p[None], surf) >= 0.0 for p in outside)
+    mixed = np.vstack([covered[:2], outside, covered[2:]])
+    at = [0, 1, len(mixed) - 1]
+    f, g = surf.eval_many(mixed), surf.gradient_many(mixed)
+    assert np.all(np.isnan(np.delete(f, at)))
+    assert np.all(np.isnan(np.delete(g, at, axis=0)))
+    assert np.array_equal(f[at], surf.eval_many(covered))
+    assert np.array_equal(g[at], surf.gradient_many(covered))
+    assert np.all(np.isfinite(f[at])) and np.all(np.isfinite(g[at]))
 
 
 def test_field_calls_are_batch_independent(sphere_surface_320):
@@ -733,18 +735,15 @@ def test_field_calls_are_batch_independent(sphere_surface_320):
     rng = np.random.default_rng(31)
     u = rng.normal(size=(400, 3))
     pts = u / np.linalg.norm(u, axis=1)[:, None] * rng.uniform(0.0, 2.5, (400, 1))
-    assert np.any(np.isnan(sphere_surface_320.eval_many(pts, uncovered_value=np.nan)))
-    calls = [
-        sphere_surface_320.eval_many,
-        lambda p: sphere_surface_320.eval_many(p, uncovered_value=1.0),
-        sphere_surface_320.gradient_many,
-    ]
+    assert np.any(np.isnan(sphere_surface_320.eval_many(pts)))
+    calls = [sphere_surface_320.eval_many, sphere_surface_320.gradient_many]
     splits = [np.arange(1, 400)]  # one point per call
     splits += [np.sort(rng.choice(np.arange(1, 400), size=k, replace=False)) for k in (1, 5, 40)]
     for call in calls:
         whole = call(pts)
         for cuts in splits:
-            assert np.array_equal(np.concatenate([call(part) for part in np.split(pts, cuts)]), whole)
+            parts = np.concatenate([call(part) for part in np.split(pts, cuts)])
+            assert np.array_equal(parts, whole, equal_nan=True)
 
 
 # -- gradients ----------------------------------------------------------------------
@@ -755,9 +754,10 @@ def test_gradient_planar_parallel_to_normal(plane_surface):
     pts = np.column_stack(
         [rng.uniform(-0.9, 0.9, 32), rng.uniform(-0.9, 0.9, 32), rng.uniform(-0.05, 0.05, 32)]
     )
-    pts = np.vstack([pts, [[40.0, 0.0, 0.0]]])  # exterior point exercises the fallback
+    pts = np.vstack([pts, [[40.0, 0.0, 0.0]]])  # outside every sphere
     g = plane_surface.gradient_many(pts)
-    unit = g / np.linalg.norm(g, axis=1, keepdims=True)
+    assert np.all(np.isnan(g[-1]))
+    unit = g[:-1] / np.linalg.norm(g[:-1], axis=1, keepdims=True)
     assert np.min(unit[:, 2]) >= 1.0 - 1e-9
 
 
@@ -772,7 +772,7 @@ def test_gradient_matches_central_differences(sphere_surface):
     dirs = rng.normal(size=(200, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts = dirs * rng.uniform(0.97, 1.03, 200)[:, None]
-    covered = ~np.isnan(sphere_surface.eval_many(pts, uncovered_value=np.nan))
+    covered = ~np.isnan(sphere_surface.eval_many(pts))
     pts = pts[covered]
     assert len(pts) >= 150
     h = 1e-5 * sphere_surface.bbox_diagonal()
@@ -813,7 +813,9 @@ def test_surface_cache_round_trip(tmp_path, sphere_surface_320):
     assert np.array_equal(back.bbox_lo, sphere_surface_320.bbox_lo)
     assert np.array_equal(back.bbox_hi, sphere_surface_320.bbox_hi)
     pts = np.array([[0.0, 0.0, 1.0], [0.3, -0.2, 0.9], [4.0, 0.0, 0.0]])
-    assert np.array_equal(back.eval_many(pts), sphere_surface_320.eval_many(pts))
+    f = back.eval_many(pts)
+    assert np.isnan(f[2])  # outside every sphere
+    assert np.array_equal(f, sphere_surface_320.eval_many(pts), equal_nan=True)
 
 
 def test_surface_cache_rejects_corruption(tmp_path, sphere_surface_320):

@@ -9,7 +9,7 @@ import pytest
 
 from treescan import degrade, geometry, pipeline
 from treescan.cloud import read_ply
-from treescan.errors import InvalidParameterError, PipelineStageError
+from treescan.errors import InsufficientTrianglesError, InvalidParameterError, PipelineStageError
 from treescan.implicit import FitConfig, load_surface
 from treescan.mesh import load_obj
 from treescan.pipeline import (
@@ -44,6 +44,11 @@ def tiny_config(out, name="tiny", degradations=(), **overrides) -> PipelineConfi
     )
     kwargs.update(overrides)
     return PipelineConfig(**kwargs)
+
+
+# a valid config that fails at run time: no sphere of the tiny model's mesh
+# can hold this many triangles, so its fit stage fails
+UNREACHABLE_FIT = FitConfig(min_triangles_for_fit=100_000)
 
 
 def role_digests(manifest) -> dict:
@@ -242,11 +247,11 @@ def test_uneven_far_region_warns_and_keeps_cloud(tmp_path):
 
 def test_stage_error_reports_stage_and_cleans_up(tmp_path):
     out = tmp_path / "boom"
-    cfg = tiny_config(out, name="boom", sides=2)  # sweep needs >= 3 sides
+    cfg = tiny_config(out, name="boom", fit=UNREACHABLE_FIT)
     with pytest.raises(PipelineStageError) as err:
         run_pipeline(cfg)
-    assert err.value.stage == "mesh"
-    assert isinstance(err.value.cause, InvalidParameterError)
+    assert err.value.stage == "fit"
+    assert isinstance(err.value.cause, InsufficientTrianglesError)
     leftovers = [p for p in out.iterdir()] if out.exists() else []
     assert leftovers == []
 
@@ -324,11 +329,14 @@ def test_config_load_drops_legacy_scan_seed(tmp_path):
         {"scan": {"march_stride": 2.0}},
         {"tree": 5},
         {"fit": [["max_depth", 8]]},
+        {"degradations": [{"kind": "uneven", "region": [[0, 0, "a"], [1, 1, 1]]}]},
+        {"degradations": [{"kind": "uneven", "region": [[0, 0, False], [1, 1, 1]]}]},
     ],
 )
 def test_config_load_rejects_inexact_values(data):
+    # degradation entries are read when the config is validated
     with pytest.raises(InvalidParameterError):
-        PipelineConfig.from_dict(data)
+        PipelineConfig.from_dict(data).validate()
 
 
 def test_config_load_takes_numeric_strings_and_null_for_optional_floats():
@@ -365,6 +373,9 @@ def test_config_load_takes_integral_floats():
         lambda c: c.degradations.append({"kind": "uneven", "lambda1_range": [0.01]}),
         lambda c: c.degradations.append({"kind": "uneven", "region": [[0, 0, 0], [1, 1]]}),
         lambda c: c.degradations.append("noise"),
+        lambda c: setattr(c, "master_seed", -1),
+        lambda c: setattr(c, "master_seed", 1 << 64),
+        lambda c: setattr(c, "sides", 2),
     ],
 )
 def test_config_validation_rejects(tmp_path, mutate):
@@ -421,11 +432,11 @@ def test_batch_writes_index(tmp_path):
 
 def test_batch_isolates_a_failing_model(tmp_path):
     configs = batch_configs(tmp_path / "mix")
-    configs[1].sides = 2  # fails at the mesh stage
+    configs[1].fit = UNREACHABLE_FIT
     records, failed = batch(configs, workers=1, index_path=tmp_path / "mix" / "index.json")
     assert failed
     assert [r["ok"] for r in records] == [True, False, True]
-    assert "sides" in records[1]["error"] or "mesh" in records[1]["error"]
+    assert "stage 'fit' failed" in records[1]["error"]
     for r in (records[0], records[2]):
         out = tmp_path / "mix" / r["name"]
         assert (out / "manifest.json").exists()

@@ -10,6 +10,7 @@ from scipy.spatial import cKDTree
 
 from treescan import FitConfig, build_surface, geometry, scanner, sweep_mesh
 from treescan.cloud import PointCloud
+from treescan.degrade import density_variants
 from treescan.errors import (
     InvalidParameterError,
     MissingNormalsError,
@@ -112,7 +113,8 @@ def reference_march(surface, origin, direction, t_lo, t_hi, cfg, feature):
     """
 
     def field(t):
-        return surface.eval_many((origin + t * direction)[None], uncovered_value=1.0)[0]
+        f = surface.eval_many((origin + t * direction)[None])[0]
+        return 1.0 if np.isnan(f) else f  # outside every support: exterior
 
     step = cfg.march_step * feature
     stride = step * scanner._COARSE_STEPS
@@ -167,7 +169,7 @@ class Slabs:
     def bbox_diagonal(self):
         return float(np.linalg.norm(self.bbox_hi - self.bbox_lo))
 
-    def eval_many(self, points, uncovered_value=None):
+    def eval_many(self, points):
         return np.sin(points[:, 2] / self.width)
 
 
@@ -255,6 +257,19 @@ def test_scan_view_rejects_interior_viewpoint(sphere_surface_320):
     )
     with pytest.raises(InvalidParameterError, match="inside"):
         scan_view(sphere_surface_320, inside, ScanConfig(resolution=10), diagonal_feature(sphere_surface_320))
+
+
+@pytest.mark.parametrize("feature", [0.0, -0.05, np.nan])
+def test_scans_refuse_a_feature_size_that_is_not_positive_and_finite(sphere_surface_320, feature):
+    pose = viewpoints((sphere_surface_320.bbox_lo, sphere_surface_320.bbox_hi), 1)[0]
+    cfg = ScanConfig(resolution=10, views=1)
+    for scan in (
+        lambda: scan_view(sphere_surface_320, pose, cfg, feature),
+        lambda: scan_surface(sphere_surface_320, cfg, feature),
+        lambda: density_variants(sphere_surface_320, cfg, feature),
+    ):
+        with pytest.raises(InvalidParameterError, match="min_feature"):
+            scan()
 
 
 def test_analytic_normals_face_the_sensor(sphere_surface_320):
