@@ -30,7 +30,7 @@ runs `build_surface` alone on the mesh the pipeline makes for that size and
 master seed, with the named `FitConfig` fields set (each VALUE a JSON
 number, or null), and hashes the cell arrays, epsilon and bbox; its
 diagnostics are kept as text. It reaches fit paths the default config
-leaves idle, such as sphere growth and coverage regrowth. A degrade case,
+leaves idle, such as coverage regrowth. A degrade case,
 degrade:SIZE:MASTER_SEED, runs the pipeline once for the clean cloud,
 skeleton and surface of that model (default `ScanConfig`, no degradation).
 Through `treescan.cli.main` it then runs `treescan skeleton`, `mesh` and
@@ -74,7 +74,6 @@ DEFAULT_CASES = [
     "medium:1:4:60:analytic",
     "cloud:1:100000",
     "fit:small:1:sphere_radius_scale=0.3",
-    "fit:small:1:min_triangles_for_fit=3",
     "degrade:small:1",
 ]
 CLOUD_K = 16

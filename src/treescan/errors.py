@@ -38,7 +38,7 @@ class EmptyMeshError(TreescanError, ValueError):
 
 
 class InsufficientTrianglesError(TreescanError, ValueError):
-    """A cell fit received fewer triangles than the configured minimum."""
+    """A fitted cell's member triangles are all degenerate (zero area)."""
 
 
 class MissingNormalsError(TreescanError, ValueError):

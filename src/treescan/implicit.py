@@ -4,19 +4,18 @@ The mesh's bounding box is subdivided into an octree; a cell splits while
 more than `max_triangles_per_cell` triangles lie within its support sphere
 (radius = `sphere_radius_scale` x cell diagonal, centered at the cell center)
 and the depth cap allows. Leaves whose sphere reaches no triangle at all are
-dropped: they have nothing to fit. Kept spheres holding fewer than
-`min_triangles_for_fit` triangles grow to exactly the k-th nearest triangle
-distance: an overshot support would drag a wide, badly-planar cap of
-surface into the blend and bias the zero set.
+dropped: they have nothing to fit. Every other leaf is a cell: the fit
+integrates over whole triangles, so one member triangle already fixes a
+plane, and no sphere grows to gather more.
 
 Each cell fits an affine shape function to the triangles in its sphere,
 
     s(x) = <x, n_avg> - <p_avg, n_avg>,
 
 where n_avg and p_avg are weighted averages over the member triangles with
-weight w(x, t) = 1 / (|x - t|^2 + eps^2)^2 integrated per triangle by a
-fixed symmetric barycentric quadrature. Outward mesh normals make s (and
-hence the blend) positive outside.
+weight w(x, t) = 1 / (|x - t|^2 + eps^2)^2 integrated per triangle by the
+symmetric 7-point barycentric rule, exact for polynomials of degree 5.
+Outward mesh normals make s (and hence the blend) positive outside.
 
 The global field blends the cells that contain the query point:
 
@@ -64,41 +63,31 @@ from .mesh import TriangleMesh
 
 DEFAULT_EPSILON_SCALE = 0.005  # of the bbox diagonal, when epsilon is not given
 
-# symmetric barycentric rules: (coords (k,3), weights (k,))
-_QUADRATURE = {
-    1: (
-        np.array([[1 / 3, 1 / 3, 1 / 3]]),
-        np.array([1.0]),
+# the symmetric 7-point barycentric rule: coords (7, 3), weights (7,)
+_QUADRATURE = (
+    np.array(
+        [
+            [1 / 3, 1 / 3, 1 / 3],
+            [0.059715871789770, 0.470142064105115, 0.470142064105115],
+            [0.470142064105115, 0.059715871789770, 0.470142064105115],
+            [0.470142064105115, 0.470142064105115, 0.059715871789770],
+            [0.797426985353087, 0.101286507323456, 0.101286507323456],
+            [0.101286507323456, 0.797426985353087, 0.101286507323456],
+            [0.101286507323456, 0.101286507323456, 0.797426985353087],
+        ]
     ),
-    3: (
-        np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]]),
-        np.array([1 / 3, 1 / 3, 1 / 3]),
+    np.array(
+        [
+            0.225,
+            0.132394152788506,
+            0.132394152788506,
+            0.132394152788506,
+            0.125939180544827,
+            0.125939180544827,
+            0.125939180544827,
+        ]
     ),
-    7: (
-        np.array(
-            [
-                [1 / 3, 1 / 3, 1 / 3],
-                [0.059715871789770, 0.470142064105115, 0.470142064105115],
-                [0.470142064105115, 0.059715871789770, 0.470142064105115],
-                [0.470142064105115, 0.470142064105115, 0.059715871789770],
-                [0.797426985353087, 0.101286507323456, 0.101286507323456],
-                [0.101286507323456, 0.797426985353087, 0.101286507323456],
-                [0.101286507323456, 0.101286507323456, 0.797426985353087],
-            ]
-        ),
-        np.array(
-            [
-                0.225,
-                0.132394152788506,
-                0.132394152788506,
-                0.132394152788506,
-                0.125939180544827,
-                0.125939180544827,
-                0.125939180544827,
-            ]
-        ),
-    ),
-}
+)
 
 
 @dataclass
@@ -106,15 +95,13 @@ class FitConfig:
     """Fitting controls.
 
     epsilon: smoothing width of the weight function, in model units; None
-    picks 0.005 x bbox diagonal at build time.  quadrature_order selects the
-    per-triangle rule by point count (1, 3, or 7).
+    picks 0.005 x bbox diagonal at build time.  The quadrature rule and the
+    one-triangle floor of a cell are fixed (module docstring).
     """
 
     epsilon: float | None = None
     max_depth: int = 10
     max_triangles_per_cell: int = 32
-    min_triangles_for_fit: int = 1
-    quadrature_order: int = 7
     sphere_radius_scale: float = 1.0
 
     def validate(self) -> None:
@@ -124,12 +111,6 @@ class FitConfig:
             raise InvalidParameterError("max_depth must lie in [1, 21]")
         if self.max_triangles_per_cell < 1:
             raise InvalidParameterError("max_triangles_per_cell must be >= 1")
-        if self.min_triangles_for_fit < 1:
-            raise InvalidParameterError("min_triangles_for_fit must be >= 1")
-        if self.quadrature_order not in _QUADRATURE:
-            raise InvalidParameterError(
-                f"quadrature_order must be one of {sorted(_QUADRATURE)}"
-            )
         if not self.sphere_radius_scale > 0.0:
             raise InvalidParameterError("sphere_radius_scale must be positive")
 
@@ -152,9 +133,9 @@ def weight(x, t, epsilon: float):
     return 1.0 / (d2 + epsilon * epsilon) ** 2
 
 
-def _quadrature_points(v0, v1, v2, order: int):
-    """Quadrature points (k, q, 3) of k triangles and the rule's weights (q,)."""
-    bary, omega = _QUADRATURE[order]
+def _quadrature_points(v0, v1, v2):
+    """Quadrature points (k, 7, 3) of k triangles and the rule's weights (7,)."""
+    bary, omega = _QUADRATURE
     pts = (
         bary[None, :, 0, None] * v0[:, None, :]
         + bary[None, :, 1, None] * v1[:, None, :]
@@ -483,7 +464,7 @@ def _batched_affines(centers, pair_cells, pair_tris, quad_pts, omega, areas, tri
     for i in cancelled:
         # opposing normals cancelled; use the nearest member triangle's
         tids = pair_tris[pair_cells == i]
-        tri_c = quad_pts[tids].mean(axis=1)  # symmetric rules average to the centroid
+        tri_c = quad_pts[tids].mean(axis=1)  # the symmetric rule averages to the centroid
         nearest = tids[int(np.argmin(np.sum((tri_c - centers[i]) ** 2, axis=1)))]
         avg_normal[i] = tri_normals[nearest]
 
@@ -492,29 +473,27 @@ def _batched_affines(centers, pair_cells, pair_tris, quad_pts, omega, areas, tri
 
 
 def _descend(lo, hi, v0, v1, v2, cfg: FitConfig):
-    """The octree descent: kept leaves, their members, undersized centres.
+    """The octree descent: kept leaves and their members.
 
-    Returns (centers, radii, pair_cells, pair_tris, grow_at).  Leaves are
-    listed in level order: by depth, and within a depth by base-8 child
-    path (root to node, children in `_CHILD_OFFSETS` order).  Each leaf's
-    members are its candidates within its radius, in candidate order;
-    undersized centres are listed in level order too.
+    Returns (centers, radii, pair_cells, pair_tris).  Leaves are listed in
+    level order: by depth, and within a depth by base-8 child path (root to
+    node, children in `_CHILD_OFFSETS` order).  Each leaf's members are its
+    candidates within its radius, in candidate order.
 
     The walk is depth first over batches of nodes of one depth, each batch
     holding about `_DESCENT_PAIRS` (node, candidate) pairs and stepping all
     its nodes one level at once.  A batch's children are consecutive in path
-    order, and so is each batch cut from them; so the leaves (or undersized
-    centres) a step finds form one run of the level order, tagged with the
-    depth and path of its first node, and sorting the runs by their tags
-    gives the order of a walk that steps a whole level at once.
+    order, and so is each batch cut from them; so the leaves a step finds
+    form one run of the level order, tagged with the depth and path of its
+    first node, and sorting the runs by their tags gives the order of a
+    walk that steps a whole level at once.
     """
     scale = cfg.sphere_radius_scale
     n_tris = len(v0)
     # (depth, path, centers, radii, pair leaf index within run, pair
-    # triangles) and (depth, path, centers); an empty run at depth 0 keeps
-    # the concatenations defined when no leaf settles or grows
+    # triangles); an empty run at depth 0 keeps the concatenations defined
+    # when no leaf settles
     leaf_runs = [(0, 0, np.empty((0, 3)), np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))]
-    grow_runs = [(0, 0, np.empty((0, 3)))]
     # a batch: depth, node paths, centers, box sizes, flat candidates,
     # candidates per node.  A path holds one base-8 digit per level below
     # the root, 60 bits at the deepest `max_depth` (21), so it fits an int64
@@ -531,9 +510,8 @@ def _descend(lo, hi, v0, v1, v2, cfg: FitConfig):
         member_mask = d <= radii[node_of_pair]
         member_counts = np.bincount(node_of_pair[member_mask], minlength=n_nodes)
         split = (member_counts > cfg.max_triangles_per_cell) & (depth < cfg.max_depth)
-        # empty leaves are dropped outright; undersized ones grow later
-        settle = ~split & (member_counts >= max(1, cfg.min_triangles_for_fit))
-        grow = ~split & (member_counts > 0) & ~settle
+        # empty leaves are dropped; a leaf with any member is a cell
+        settle = ~split & (member_counts > 0)
 
         if np.any(settle):
             ids = np.flatnonzero(settle)
@@ -542,8 +520,6 @@ def _descend(lo, hi, v0, v1, v2, cfg: FitConfig):
             leaf_runs.append(
                 (depth, paths[ids[0]], centers[ids], radii[ids], local[node_of_pair[keep_pair]], cand[keep_pair])
             )
-        if np.any(grow):
-            grow_runs.append((depth, paths[np.argmax(grow)], centers[grow]))
         if not np.any(split):
             continue
 
@@ -589,14 +565,12 @@ def _descend(lo, hi, v0, v1, v2, cfg: FitConfig):
             )
 
     leaf_runs.sort(key=lambda run: (run[0], int(run[1])))
-    grow_runs.sort(key=lambda run: (run[0], int(run[1])))
     starts = np.cumsum([0, *(len(run[2]) for run in leaf_runs)])
     return (
         np.concatenate([run[2] for run in leaf_runs]),
         np.concatenate([run[3] for run in leaf_runs]),
         np.concatenate([run[4] + start for run, start in zip(leaf_runs, starts)]),
         np.concatenate([run[5] for run in leaf_runs]),
-        np.concatenate([run[2] for run in grow_runs]),
     )
 
 
@@ -606,12 +580,6 @@ def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitS
     cfg.validate()
     if len(mesh.triangles) == 0:
         raise EmptyMeshError("mesh has no triangles")
-    if cfg.min_triangles_for_fit > len(mesh.triangles):
-        # no sphere could ever hold the quota
-        raise InsufficientTrianglesError(
-            f"min_triangles_for_fit={cfg.min_triangles_for_fit} exceeds the "
-            f"mesh's {len(mesh.triangles)} triangles"
-        )
     v0, v1, v2 = mesh.corners()
     areas, tri_normals = triangle_areas_normals(v0, v1, v2)
     if not np.any(areas > 0.0):
@@ -641,7 +609,9 @@ def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitS
 
     # the octree descent: subtrees walked depth first in batches under a
     # fixed pair budget, their leaves put back in level order
-    centers, radii, pair_cells, pair_tris, grow_at = _descend(lo, hi, v0, v1, v2, cfg)
+    centers, radii, pair_cells, pair_tris = _descend(lo, hi, v0, v1, v2, cfg)
+    if len(centers) == 0:
+        raise EmptyMeshError("no octree cell reached any triangle")
 
     def near_triangles(center: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
         # ascending ids of every triangle whose centroid lies within
@@ -651,30 +621,6 @@ def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitS
         ids = centroid_tree.query_ball_point(center, radius + reach, return_sorted=True)
         ids = np.array(ids, dtype=np.int64)
         return ids, _pair_distances(np.tile(center, (len(ids), 1)), ids, v0, v1, v2)
-
-    # undersized spheres grow to the k-th nearest triangle distance (module
-    # docstring).  No triangle lies farther than its centroid, so the k-th
-    # nearest centroid distance bounds that distance and one ball holds it.
-    # Grown cells follow the leaves, in the order of their centres.
-    need = cfg.min_triangles_for_fit
-    bounds = centroid_tree.query(grow_at, k=[need])[0][:, 0]
-    grown_radii, grown_cells, grown_tris = [], [], []
-    for cid, (center, bound) in enumerate(zip(grow_at, bounds), start=len(centers)):
-        ids, d = near_triangles(center, bound)
-        radius = float(np.partition(d, need - 1)[need - 1]) * (1.0 + 1e-9)
-        members = ids[d <= radius]
-        grown_cells.append(np.full(len(members), cid, dtype=np.int64))
-        grown_tris.append(members)
-        grown_radii.append(radius)
-    grown = len(grow_at)
-    if grown:
-        centers = np.concatenate([centers, grow_at])
-        radii = np.concatenate([radii, grown_radii])
-        pair_cells = np.concatenate([pair_cells, *grown_cells])
-        pair_tris = np.concatenate([pair_tris, *grown_tris])
-
-    if len(centers) == 0:
-        raise EmptyMeshError("no octree cell reached any triangle")
 
     # ensure sphere coverage of every mesh vertex; a vertex can end up bare
     # when sphere_radius_scale < 0.5 leaves its own box's sphere too small
@@ -703,7 +649,7 @@ def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitS
         pair_cells = np.concatenate([pair_cells[keep], *regrown_cells])
         pair_tris = np.concatenate([pair_tris[keep], *regrown_tris])
 
-    quad_pts, omega = _quadrature_points(v0, v1, v2, cfg.quadrature_order)
+    quad_pts, omega = _quadrature_points(v0, v1, v2)
     normals_out, offsets_out = _batched_affines(
         centers, pair_cells, pair_tris, quad_pts, omega, areas, tri_normals, epsilon
     )
@@ -711,7 +657,9 @@ def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitS
 
     diagnostics = {
         "cells": len(centers),
-        "grown_spheres": grown,
+        # always 0, since no sphere grows (module docstring); kept for the
+        # tools that read the diagnostics
+        "grown_spheres": 0,
         "coverage_regrown": regrown,
         "epsilon": epsilon,
     }

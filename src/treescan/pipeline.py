@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
@@ -68,8 +69,8 @@ def _coerced(name: str, declared: tuple, value):
     """The JSON value of field `name` in its declared (type, nullable), lists to tuples.
 
     A bool field takes only true/false, an int field only an integral
-    number, a float field a number or a numeric string, and null only a
-    nullable field, so no value is silently changed; anything else raises.
+    number, a float field a finite number or numeric string, and null only
+    a nullable field, so no value is silently changed; anything else raises.
     A tuple[...] field takes a list of its length, item by item.
     """
     typ, nullable = declared
@@ -82,11 +83,11 @@ def _coerced(name: str, declared: tuple, value):
     elif typ in (int, float):
         number = isinstance(value, Real) and not isinstance(value, bool)
         try:
-            if typ is float and (number or isinstance(value, str)):
+            if typ is float and (number or isinstance(value, str)) and math.isfinite(float(value)):
                 return float(value)
             if typ is int and number and (isinstance(value, Integral) or float(value).is_integer()):
                 return int(value)
-        except ValueError:
+        except (ValueError, OverflowError):
             pass
     elif isinstance(value, typ):
         return value
@@ -172,6 +173,15 @@ def degradation_params(entry: dict, seed: int | None = None):
     return params
 
 
+# Keys that older configs hold and this program no longer reads: section ->
+# key -> the one value still taken, the value the program always uses, or
+# None where any value is dropped because the key never had an effect.
+_RETIRED_KEYS = {
+    "fit": {"quadrature_order": 7, "min_triangles_for_fit": 1},
+    "scan": {"seed": None},
+}
+
+
 @dataclass
 class PipelineConfig:
     tree: TreeParams = field(default_factory=TreeParams)
@@ -210,7 +220,9 @@ class PipelineConfig:
         """A config from its JSON form; absent keys keep the defaults.
 
         A tree section starts from the preset of its size_class, and its
-        other keys apply over that preset.
+        other keys apply over that preset.  A retired key (`_RETIRED_KEYS`)
+        is dropped when it holds the value it is retired at, and refused
+        with any other.
         """
         default = cls()
         values = {}
@@ -224,8 +236,12 @@ class PipelineConfig:
             if not isinstance(value, dict):
                 raise InvalidParameterError(f"{name}: {value!r} is not a JSON object")
             section = dict(value)
-            if name == "scan":
-                section.pop("seed", None)  # older configs carry a scan seed that nothing read
+            for key, kept in _RETIRED_KEYS.get(name, {}).items():
+                if key not in section:
+                    continue
+                old = section.pop(key)
+                if kept is not None and _coerced(f"{name}.{key}", (int, False), old) != kept:
+                    raise InvalidParameterError(f"{name}.{key} is retired: only {kept} is taken, not {old!r}")
             if name == "tree" and "size_class" in section:
                 base = TreeParams.preset(_coerced("tree.size_class", (str, False), section["size_class"]))
             types = field_types(type(base))
@@ -424,13 +440,21 @@ def _pool(workers: int) -> ProcessPoolExecutor:
 def batch(configs: list[PipelineConfig], workers: int | None = None, index_path=None):
     """Run many models, isolating failures; returns (records, any_failed).
 
+    Configs that share an output directory are refused before any model
+    runs: a directory holds one model's manifest.
+
     Writes an index.json (default: alongside the first config's output dir
     parent) summarizing every model and its digests.
     """
     if workers is None:
         workers = usable_cores()
+    dirs = set()
     for config in configs:
         config.validate()
+        out = Path(config.output_dir).resolve()
+        if out in dirs:
+            raise InvalidParameterError(f"two configs write to {config.output_dir}")
+        dirs.add(out)
     payloads = [c.to_dict() for c in configs]
     if workers <= 1 or len(configs) <= 1:
         records = [_run_one(p) for p in payloads]

@@ -51,8 +51,9 @@ class ScanConfig:
             raise InvalidParameterError("resolution must be >= 2")
         if self.views < 1:
             raise InvalidParameterError("views must be >= 1")
-        if not self.standoff > 1.0:
-            raise InvalidParameterError("standoff must exceed 1")
+        if not self.standoff > DOMAIN_MARGIN:
+            # a camera at or inside the march domain cannot scan
+            raise InvalidParameterError(f"standoff must exceed the march domain's margin, {DOMAIN_MARGIN}")
         if not self.march_step > 0.0:
             raise InvalidParameterError("march_step must be positive")
         if not self.hit_tolerance > 0.0:

@@ -16,15 +16,33 @@ from treescan import (
     SkeletonNode,
     build_surface,
     icosphere,
+    pipeline,
     scan_surface,
     sweep_mesh,
 )
+from treescan.errors import InsufficientTrianglesError
 from treescan.mesh import TriangleMesh
 
 hypothesis.settings.register_profile(
     "ci", max_examples=50, deadline=None, derandomize=True
 )
 hypothesis.settings.load_profile("ci")
+
+
+@pytest.fixture
+def failing_fit(monkeypatch):
+    """A valid fit config whose fit stage fails at run time: the pipeline's
+    `build_surface` raises InsufficientTrianglesError for it alone."""
+    fit = FitConfig(max_depth=9)
+    real = pipeline.build_surface
+
+    def build_surface(mesh, cfg=None):
+        if cfg == fit:
+            raise InsufficientTrianglesError("a cell has only degenerate member triangles")
+        return real(mesh, cfg)
+
+    monkeypatch.setattr(pipeline, "build_surface", build_surface)
+    return fit
 
 
 @pytest.fixture(scope="session")

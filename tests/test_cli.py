@@ -309,10 +309,9 @@ def test_batch_subcommand(tmp_path, capsys):
     assert json.loads(index.read_text())["failures"] == 0
 
 
-def test_batch_failure_exit_code(tmp_path, capsys):
+def test_batch_failure_exit_code(tmp_path, capsys, failing_fit):
     good = tiny_pipeline_config(tmp_path / "set" / "good", "good")
-    # valid, but no sphere of the mesh can hold the fit quota
-    bad = tiny_pipeline_config(tmp_path / "set" / "bad", "bad", fit=FitConfig(min_triangles_for_fit=100_000))
+    bad = tiny_pipeline_config(tmp_path / "set" / "bad", "bad", fit=failing_fit)
     paths = []
     for cfg, stem in ((good, "good"), (bad, "bad")):
         path = tmp_path / f"{stem}.json"
@@ -341,10 +340,7 @@ _TREE = (
     "--size-class --trunk-length --trunk-radius --branch-levels --radius-decay --length-decay"
     " --gravity --bend --nodes-per-curve --seed"
 )
-_FIT = (
-    "--epsilon --max-depth --max-triangles-per-cell --min-triangles-for-fit --quadrature-order"
-    " --sphere-radius-scale"
-)
+_FIT = "--epsilon --max-depth --max-triangles-per-cell --sphere-radius-scale"
 CLI_SURFACE = {
     "skeleton": f"{_TREE} --branch-angle-range --branches-per-node-range --out",
     "mesh": "--skeleton --sides --out",

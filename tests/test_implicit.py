@@ -48,7 +48,7 @@ def mc_weight_moments(center, tri, epsilon, n=1_000_000, seed=987123):
     """Monte-Carlo estimates of integral(w) and integral(x*w) over one triangle.
 
     Uniform barycentric sampling; the estimate is area * mean(integrand).
-    Entirely independent of the quadrature tables under test.
+    Entirely independent of the quadrature rule under test.
     """
     rng = np.random.default_rng(seed)
     u = rng.random(n)
@@ -169,11 +169,11 @@ def test_weight_decreases_with_distance(near, gap, eps):
 # -- quadrature vs Monte-Carlo ---------------------------------------------------
 
 
-def tri_moments(center, tri, epsilon, order):
+def tri_moments(center, tri, epsilon):
     """The fit kernel's (int_w, int_xw, area) for one (center, triangle) pair."""
     v0, v1, v2 = tri[None, 0], tri[None, 1], tri[None, 2]
     areas, _ = triangle_areas_normals(v0, v1, v2)
-    quad_pts, omega = _quadrature_points(v0, v1, v2, order)
+    quad_pts, omega = _quadrature_points(v0, v1, v2)
     int_w, int_xw = _pair_moments(np.asarray(center)[None], quad_pts, omega, areas, epsilon)
     return int_w[0], int_xw[0], areas[0]
 
@@ -182,23 +182,14 @@ def test_moments_match_monte_carlo():
     center = np.zeros(3)
     eps = 0.05
     mc_w, mc_xw = mc_weight_moments(center, SKEW_TRI, eps)
-    int_w, int_xw, _ = tri_moments(center, SKEW_TRI, eps, order=7)
+    int_w, int_xw, _ = tri_moments(center, SKEW_TRI, eps)
     assert abs(int_w - mc_w) / mc_w <= 1e-3
     assert np.linalg.norm(int_xw - mc_xw) / np.linalg.norm(mc_xw) <= 1e-3
 
 
-@pytest.mark.parametrize("order,tol", [(1, 5e-2), (3, 1e-2), (7, 1e-3)])
-def test_quadrature_orders_converge(order, tol):
-    center = np.zeros(3)
-    eps = 0.05
-    mc_w, _ = mc_weight_moments(center, SKEW_TRI, eps)
-    int_w, _, _ = tri_moments(center, SKEW_TRI, eps, order=order)
-    assert abs(int_w - mc_w) / mc_w <= tol
-
-
 def test_moments_zero_area_triangle():
     tri = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [2.0, 0.0, 1.0]])
-    int_w, int_xw, area = tri_moments(np.zeros(3), tri, 0.05, order=7)
+    int_w, int_xw, area = tri_moments(np.zeros(3), tri, 0.05)
     assert area == 0.0
     assert int_w == 0.0
     assert np.all(int_xw == 0.0)
@@ -225,7 +216,7 @@ def kernel_fit(mesh, center, members, epsilon):
     summed in the order given."""
     v0, v1, v2 = mesh.corners()
     areas, tri_normals = triangle_areas_normals(v0, v1, v2)
-    quad_pts, omega = _quadrature_points(v0, v1, v2, FitConfig().quadrature_order)
+    quad_pts, omega = _quadrature_points(v0, v1, v2)
     cells = np.zeros(len(members), dtype=np.int64)
     normals, offsets = _batched_affines(center[None], cells, members, quad_pts, omega, areas, tri_normals, epsilon)
     return normals[0], offsets[0]
@@ -266,16 +257,6 @@ def test_fit_cell_opposing_normals_fall_back_to_nearest():
         assert np.allclose(surf.normals[0], normal)
 
 
-def test_fit_cell_quota_errors():
-    # a cell short of its quota grows to it, unless the mesh is too small
-    far = SKEW_TRI + np.array([10.0, 0.0, 0.0])
-    cfg = FitConfig(epsilon=0.05, max_triangles_per_cell=1, min_triangles_for_fit=2)
-    with pytest.raises(InsufficientTrianglesError):
-        build_surface(triangle_soup(SKEW_TRI), cfg)
-    surf = build_surface(triangle_soup(SKEW_TRI, far), cfg)
-    assert surf.diagnostics["grown_spheres"] >= 1
-
-
 def test_fit_cell_all_degenerate_rejected():
     # the degenerate triangle, far from the other, gets a cell of its own
     line = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [2.0, 0.0, 1.0]]) + np.array([10.0, 0.0, 0.0])
@@ -290,40 +271,21 @@ def test_fit_cell_radius_carried():
 
 
 def test_fit_cell_is_the_build_kernel(sphere_mesh_320, sphere_surface_320):
-    # every cell, an octree leaf, a grown sphere or a regrown one, is fitted
-    # on the triangles within its radius, in ascending id order.  A lone
-    # triangle off the sphere holds its leaf alone, so that leaf grows to
-    # its nearest sphere triangle, far past the lone triangle's own reach.
-    lone = SKEW_TRI + np.array([3.0, 0.0, 0.0])
-    n = len(sphere_mesh_320.vertices)
-    with_lone = TriangleMesh(
-        np.vstack([sphere_mesh_320.vertices, lone]),
-        np.vstack([sphere_mesh_320.triangles, [[n, n + 1, n + 2]]]),
-    )
-    grown = build_surface(with_lone, FitConfig(min_triangles_for_fit=2))
+    # every cell, an octree leaf or a regrown one, is fitted on the
+    # triangles within its radius, in ascending id order
     regrown = build_surface(sphere_mesh_320, FitConfig(sphere_radius_scale=0.3))
-    assert sphere_surface_320.diagnostics["grown_spheres"] == 0
     assert sphere_surface_320.diagnostics["coverage_regrown"] == 0
-    assert grown.diagnostics["grown_spheres"] > 0
-    assert grown.diagnostics["coverage_regrown"] == 0
     assert regrown.diagnostics["coverage_regrown"] > 0
 
-    for mesh, surf in ((sphere_mesh_320, sphere_surface_320), (with_lone, grown), (sphere_mesh_320, regrown)):
-        v0, v1, v2 = mesh.corners()
+    v0, v1, v2 = sphere_mesh_320.corners()
+    for surf in (sphere_surface_320, regrown):
+        assert surf.diagnostics["grown_spheres"] == 0
         for center, radius, normal, offset in zip(surf.centers, surf.radii, surf.normals, surf.offsets):
             d = dist_points_to_triangles(np.broadcast_to(center, v0.shape).copy(), v0, v1, v2)
             members = np.flatnonzero(d <= radius)
-            want_normal, want_offset = kernel_fit(mesh, center, members, surf.epsilon)
+            want_normal, want_offset = kernel_fit(sphere_mesh_320, center, members, surf.epsilon)
             assert np.array_equal(want_normal, normal)
             assert want_offset == offset
-
-    # grown spheres follow the octree leaves; each stops at its exact
-    # second nearest triangle distance
-    v0, v1, v2 = with_lone.corners()
-    k = grown.diagnostics["grown_spheres"]
-    for center, radius in zip(grown.centers[-k:], grown.radii[-k:]):
-        d = dist_points_to_triangles(np.broadcast_to(center, v0.shape).copy(), v0, v1, v2)
-        assert radius == np.partition(d, 1)[1] * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize(
@@ -334,8 +296,8 @@ def test_fit_cell_is_the_build_kernel(sphere_mesh_320, sphere_surface_320):
         {"max_depth": 0},
         {"max_depth": 22},
         {"max_triangles_per_cell": 0},
-        {"min_triangles_for_fit": 0},
-        {"quadrature_order": 5},
+        {"epsilon": float("nan")},
+        {"sphere_radius_scale": float("nan")},
         {"sphere_radius_scale": 0.0},
     ],
 )
@@ -361,22 +323,6 @@ def test_build_sphere_covers_every_vertex(sphere_mesh_320, sphere_surface_320):
     assert np.all(np.linalg.norm(sphere_surface_320.normals, axis=1) > 0.0)
 
 
-def test_build_two_distant_triangles_grow_spheres():
-    far = SKEW_TRI + np.array([10.0, 0.0, 0.0])
-    mesh = TriangleMesh(np.vstack([SKEW_TRI, far]), np.array([[0, 1, 2], [3, 4, 5]]))
-    cfg = FitConfig(max_depth=3, max_triangles_per_cell=1, min_triangles_for_fit=2)
-    surf = build_surface(mesh, cfg)
-    assert surf.diagnostics["grown_spheres"] >= 1
-    # independent membership recheck: every support sphere reaches both triangles
-    edge = max(np.linalg.norm(SKEW_TRI[i] - SKEW_TRI[j]) for i, j in ((0, 1), (1, 2), (2, 0)))
-    slack = edge / 160 + 1e-9
-    for c, r in zip(surf.centers, surf.radii):
-        reached = sum(
-            1 for tri in (SKEW_TRI, far) if sampled_tri_distance(c, tri) <= r * (1 + 1e-9) + slack
-        )
-        assert reached >= 2
-
-
 def test_build_rejects_empty_and_degenerate_meshes():
     with pytest.raises(EmptyMeshError):
         build_surface(TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)))
@@ -386,12 +332,6 @@ def test_build_rejects_empty_and_degenerate_meshes():
     )
     with pytest.raises(EmptyMeshError, match="non-degenerate"):
         build_surface(line)
-
-
-def test_build_rejects_unreachable_fit_quota():
-    mesh = TriangleMesh(SKEW_TRI, np.array([[0, 1, 2]]))
-    with pytest.raises(InsufficientTrianglesError):
-        build_surface(mesh, FitConfig(min_triangles_for_fit=5))
 
 
 def test_build_small_radius_scale_still_covers(sphere_mesh_320):
@@ -459,7 +399,6 @@ def test_fit_memory_peak_is_bounded():
         {},
         # at this scale a cell splits less; a low cap takes it deep again
         {"sphere_radius_scale": 0.3, "max_triangles_per_cell": 4},
-        {"min_triangles_for_fit": 3},
     ],
 )
 def test_fit_is_piece_size_independent(monkeypatch, fit):
@@ -478,8 +417,6 @@ def test_fit_is_piece_size_independent(monkeypatch, fit):
     assert whole.radii.min() <= cfg.sphere_radius_scale * whole.bbox_diagonal() / 16
     if cfg.sphere_radius_scale < 0.5:
         assert whole.diagnostics["coverage_regrown"] > 0
-    if cfg.min_triangles_for_fit > 1:
-        assert whole.diagnostics["grown_spheres"] > 0
     for name in ("centers", "radii", "normals", "offsets"):
         assert np.array_equal(getattr(pieces, name), getattr(whole, name))
     assert np.array_equal(pieces.index.csr_cells, whole.index.csr_cells)

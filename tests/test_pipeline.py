@@ -46,11 +46,6 @@ def tiny_config(out, name="tiny", degradations=(), **overrides) -> PipelineConfi
     return PipelineConfig(**kwargs)
 
 
-# a valid config that fails at run time: no sphere of the tiny model's mesh
-# can hold this many triangles, so its fit stage fails
-UNREACHABLE_FIT = FitConfig(min_triangles_for_fit=100_000)
-
-
 def role_digests(manifest) -> dict:
     return {f["role"]: f["sha256"] for f in manifest.files}
 
@@ -245,9 +240,9 @@ def test_uneven_far_region_warns_and_keeps_cloud(tmp_path):
     assert any("uneven" in w for w in manifest.warnings)
 
 
-def test_stage_error_reports_stage_and_cleans_up(tmp_path):
+def test_stage_error_reports_stage_and_cleans_up(tmp_path, failing_fit):
     out = tmp_path / "boom"
-    cfg = tiny_config(out, name="boom", fit=UNREACHABLE_FIT)
+    cfg = tiny_config(out, name="boom", fit=failing_fit)
     with pytest.raises(PipelineStageError) as err:
         run_pipeline(cfg)
     assert err.value.stage == "fit"
@@ -301,15 +296,46 @@ def test_degradation_params_coerce_alias_and_seed():
     assert pipeline.degradation_params({"kind": "density"}) is None
 
 
-def test_config_load_drops_legacy_scan_seed(tmp_path):
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("fit", "quadrature_order", 7),
+        ("fit", "min_triangles_for_fit", 1),
+        ("fit", "min_triangles_for_fit", 1.0),
+        ("scan", "seed", 1234),
+        ("scan", "seed", None),
+    ],
+)
+def test_config_load_drops_retired_keys(tmp_path, section, key, value):
+    # older configs hold keys the program no longer reads, at the values it
+    # always uses (a scan seed never had an effect): they load unchanged
     cfg = tiny_config(tmp_path / "x")
     legacy = cfg.to_dict()
-    legacy["scan"]["seed"] = 1234
+    legacy[section][key] = value
     path = tmp_path / "legacy.json"
     path.write_text(json.dumps(legacy))
     back = load_config(path)
-    assert back.scan == cfg.scan
-    assert "seed" not in back.to_dict()["scan"]
+    assert back == cfg
+    assert key not in back.to_dict()[section]
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("fit", "quadrature_order", 3),
+        ("fit", "min_triangles_for_fit", 2),
+        ("fit", "quadrature_order", 7.5),
+        ("fit", "min_triangles_for_fit", None),
+    ],
+)
+def test_config_load_refuses_retired_keys_at_other_values(tmp_path, section, key, value):
+    # a config that asked for another value would silently change meaning
+    legacy = tiny_config(tmp_path / "x").to_dict()
+    legacy[section][key] = value
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps(legacy))
+    with pytest.raises(InvalidParameterError, match=rf"legacy\.json: {section}\.{key}"):
+        load_config(path)
 
 
 @pytest.mark.parametrize(
@@ -331,6 +357,17 @@ def test_config_load_drops_legacy_scan_seed(tmp_path):
         {"fit": [["max_depth", 8]]},
         {"degradations": [{"kind": "uneven", "region": [[0, 0, "a"], [1, 1, 1]]}]},
         {"degradations": [{"kind": "uneven", "region": [[0, 0, False], [1, 1, 1]]}]},
+        # a float field takes only finite values
+        {"degradations": [{"kind": "noise", "s": "nan"}]},
+        {"degradations": [{"kind": "noise", "s": float("nan")}]},
+        {"tree": {"trunk_length": "nan"}},
+        {"tree": {"gravity": "nan"}},
+        {"tree": {"branch_angle_range": ["nan", 1.0]}},
+        {"degradations": [{"kind": "uneven", "r": "inf"}]},
+        {"degradations": [{"kind": "occlusion", "lambda": float("inf")}]},
+        {"scan": {"standoff": "-inf"}},
+        {"fit": {"epsilon": "1e999"}},
+        {"fit": {"epsilon": 10**400}},
     ],
 )
 def test_config_load_rejects_inexact_values(data):
@@ -430,9 +467,19 @@ def test_batch_writes_index(tmp_path):
     assert not failed
 
 
-def test_batch_isolates_a_failing_model(tmp_path):
+def test_batch_refuses_a_shared_output_dir(tmp_path):
+    # one directory holds one manifest: two models there would leave a
+    # manifest that describes only the last, so none runs
+    configs = batch_configs(tmp_path / "set", n=2)
+    configs[1].output_dir = str(tmp_path / "set" / "." / "t0")
+    with pytest.raises(InvalidParameterError, match="two configs write to"):
+        batch(configs, workers=1)
+    assert not (tmp_path / "set").exists()
+
+
+def test_batch_isolates_a_failing_model(tmp_path, failing_fit):
     configs = batch_configs(tmp_path / "mix")
-    configs[1].fit = UNREACHABLE_FIT
+    configs[1].fit = failing_fit
     records, failed = batch(configs, workers=1, index_path=tmp_path / "mix" / "index.json")
     assert failed
     assert [r["ok"] for r in records] == [True, False, True]

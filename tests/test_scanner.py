@@ -1,7 +1,5 @@
 """Virtual scanning: viewpoints, ray marching, merging, and normal recovery."""
 
-import inspect
-
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
@@ -149,14 +147,6 @@ def reference_march(surface, origin, direction, t_lo, t_hi, cfg, feature):
     return None
 
 
-def march(surface, origins, directions, cfg, feature):
-    """scanner._march_batch, called with whichever signature it has."""
-    if "cfg" in inspect.signature(scanner._march_batch).parameters:
-        return scanner._march_batch(surface, origins, directions, cfg, feature)
-    step = cfg.march_step * feature
-    return scanner._march_batch(surface, origins, directions, step, cfg.hit_tolerance)
-
-
 class Slabs:
     """Field sin(z / width): slabs pi * width thick, 2 pi * width apart, so
     a ray along z enters several of them in one stride."""
@@ -204,7 +194,7 @@ def test_march_follows_the_documented_rule(case, sphere_surface_320, cylinder_su
     directions = targets - origins
     directions /= np.linalg.norm(directions, axis=1)[:, None]
     cfg = ScanConfig()
-    hit, points = march(surface, origins, directions, cfg, feature)
+    hit, points = scanner._march_batch(surface, origins, directions, cfg, feature)
 
     t_lo, t_hi = scanner._ray_sphere_spans(origins, directions, *scanner._domain_sphere(surface))
     expected = [
@@ -537,6 +527,8 @@ def test_pca_mst_scan_mode(sphere_surface_320):
         {"hit_tolerance": 0.0},
         {"normal_mode": "guess"},
         {"pca_k": 2},
+        # cameras at the march domain's margin sit on or inside its sphere
+        {"standoff": 1.05},
     ],
 )
 def test_scan_config_validation(kwargs):
