@@ -15,7 +15,7 @@ status is 1 if there is any.
     PYTHONPATH=src python scripts/digests.py --out after.json --against before.json
     PYTHONPATH=src python scripts/digests.py --case small:1:2:100:analytic --out one.json
     PYTHONPATH=src python scripts/digests.py --case cloud:1:100000 --out cloud.json
-    PYTHONPATH=src python scripts/digests.py --case fit:small:1:sphere_radius_scale=0.3 --out fit.json
+    PYTHONPATH=src python scripts/digests.py --case fit:small:1:sphere_radius_scale=0.6 --out fit.json
     PYTHONPATH=src python scripts/digests.py --case degrade:small:1 --out degrade.json
 
 A pipeline case is SIZE:MASTER_SEED:VIEWS:RESOLUTION:NORMAL_MODE. A cloud
@@ -29,10 +29,11 @@ cloud exercises them. A fit case, fit:SIZE:SEED:KEY=VALUE[,KEY=VALUE...],
 runs `build_surface` alone on the mesh the pipeline makes for that size and
 master seed, with the named `FitConfig` fields set (each VALUE a JSON
 number, or null), and hashes the cell arrays, epsilon and bbox; its
-diagnostics are kept as text. It reaches fit paths the default config
-leaves idle, such as coverage regrowth. A degrade case,
-degrade:SIZE:MASTER_SEED, runs the pipeline once for the clean cloud,
-skeleton and surface of that model (default `ScanConfig`, no degradation).
+diagnostics are kept as text. It reaches fit settings the default
+config leaves out, such as a sphere radius scale near its 0.5 floor. A
+degrade case, degrade:SIZE:MASTER_SEED, runs the pipeline once for the
+clean cloud, skeleton and surface of that model (default `ScanConfig`,
+no degradation).
 Through `treescan.cli.main` it then runs `treescan skeleton`, `mesh` and
 `fit` with the pipeline's settings (size class, derived skeleton seed,
 range flags, sides; default fit), and `treescan scan` and the four
@@ -73,7 +74,7 @@ DEFAULT_CASES = [
     "small:2:3:150:analytic",
     "medium:1:4:60:analytic",
     "cloud:1:100000",
-    "fit:small:1:sphere_radius_scale=0.3",
+    "fit:small:1:sphere_radius_scale=0.6",
     "degrade:small:1",
 ]
 CLOUD_K = 16

@@ -8,6 +8,12 @@ dropped: they have nothing to fit. Every other leaf is a cell: the fit
 integrates over whole triangles, so one member triangle already fixes a
 plane, and no sphere grows to gather more.
 
+The field is defined on every point of the mesh, because
+`sphere_radius_scale` exceeds 0.5. Each box of the descent that holds a
+point of a triangle holds it within half the box's diagonal of its center,
+so the triangle stays a candidate and a member of each such box, down to a
+kept leaf, and the point lies strictly inside that leaf's sphere.
+
 Each cell fits an affine shape function to the triangles in its sphere,
 
     s(x) = <x, n_avg> - <p_avg, n_avg>,
@@ -50,7 +56,6 @@ import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     EmptyMeshError,
@@ -95,8 +100,10 @@ class FitConfig:
     """Fitting controls.
 
     epsilon: smoothing width of the weight function, in model units; None
-    picks 0.005 x bbox diagonal at build time.  The quadrature rule and the
-    one-triangle floor of a cell are fixed (module docstring).
+    picks 0.005 x bbox diagonal at build time.  sphere_radius_scale must
+    exceed 0.5, so each leaf's sphere holds its box and the descent alone
+    covers the mesh.  The quadrature rule and the one-triangle floor of a
+    cell are fixed (module docstring).
     """
 
     epsilon: float | None = None
@@ -111,8 +118,8 @@ class FitConfig:
             raise InvalidParameterError("max_depth must lie in [1, 21]")
         if self.max_triangles_per_cell < 1:
             raise InvalidParameterError("max_triangles_per_cell must be >= 1")
-        if not self.sphere_radius_scale > 0.0:
-            raise InvalidParameterError("sphere_radius_scale must be positive")
+        if not self.sphere_radius_scale > 0.5:
+            raise InvalidParameterError("sphere_radius_scale must exceed 0.5")
 
 
 def weight(x, t, epsilon: float):
@@ -154,14 +161,6 @@ def _pair_moments(centers, quad_pts, omega, areas, epsilon: float):
     int_w = areas * (w @ omega)
     int_xw = areas[:, None] * np.einsum("pq,q,pqd->pd", w, omega, quad_pts)
     return int_w, int_xw
-
-
-def _default_epsilon(points: np.ndarray) -> float:
-    """DEFAULT_EPSILON_SCALE x the bbox diagonal of a point set, or 1e-3 when
-    the points coincide."""
-    points = points.reshape(-1, 3)
-    diag = float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
-    return DEFAULT_EPSILON_SCALE * diag if diag > 0.0 else 1e-3
 
 
 def _running_index(lengths: np.ndarray) -> np.ndarray:
@@ -523,10 +522,10 @@ def _descend(lo, hi, v0, v1, v2, cfg: FitConfig):
         if not np.any(split):
             continue
 
-        # children inherit candidates provably sufficient for their spheres
-        # and their own boxes: anything within max(scale, 1/2) x child
-        # diagonal of a child center lies within this bound of the parent
-        child_bound = (0.5 * max(scale, 0.5) + 0.25) * diag
+        # children inherit candidates provably sufficient for their spheres,
+        # which hold their own boxes (scale > 1/2): anything within scale x
+        # child diagonal of a child center lies within this bound of the parent
+        child_bound = (0.5 * scale + 0.25) * diag
         cand_mask = split[node_of_pair] & (d <= child_bound[node_of_pair])
         split_ids = np.flatnonzero(split)
         seg_counts = np.bincount(node_of_pair[cand_mask], minlength=n_nodes)[split_ids]
@@ -591,76 +590,24 @@ def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitS
     degenerate_axes = (hi - lo) <= 0.0
     lo = lo - np.where(degenerate_axes, 1e-6 + pad, pad)
     hi = hi + np.where(degenerate_axes, 1e-6 + pad, pad)
-    epsilon = cfg.epsilon if cfg.epsilon is not None else _default_epsilon(mesh.vertices)
-
-    centroids = (v0 + v1 + v2) / 3.0
-    reach = float(
-        np.sqrt(
-            np.maximum(
-                np.sum((v0 - centroids) ** 2, axis=1),
-                np.maximum(
-                    np.sum((v1 - centroids) ** 2, axis=1),
-                    np.sum((v2 - centroids) ** 2, axis=1),
-                ),
-            ).max()
-        )
-    )
-    centroid_tree = cKDTree(centroids)
+    epsilon = cfg.epsilon if cfg.epsilon is not None else DEFAULT_EPSILON_SCALE * diag
 
     # the octree descent: subtrees walked depth first in batches under a
     # fixed pair budget, their leaves put back in level order
     centers, radii, pair_cells, pair_tris = _descend(lo, hi, v0, v1, v2, cfg)
-    if len(centers) == 0:
-        raise EmptyMeshError("no octree cell reached any triangle")
-
-    def near_triangles(center: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-        # ascending ids of every triangle whose centroid lies within
-        # radius + reach, a superset of those within radius (`reach` bounds
-        # how far a triangle extends past its centroid), and their exact
-        # distances from the descent's kernel
-        ids = centroid_tree.query_ball_point(center, radius + reach, return_sorted=True)
-        ids = np.array(ids, dtype=np.int64)
-        return ids, _pair_distances(np.tile(center, (len(ids), 1)), ids, v0, v1, v2)
-
-    # ensure sphere coverage of every mesh vertex; a vertex can end up bare
-    # when sphere_radius_scale < 0.5 leaves its own box's sphere too small
-    # (possibly dropping that box as empty).  Bare vertices only scale radii
-    # here; each regrown cell takes its members once, after the loop.
-    tree = cKDTree(centers)
-    d_near, near = tree.query(mesh.vertices, k=1)
-    uncovered = d_near > radii[near]
-    regrown = 0
-    is_regrown = np.zeros(len(centers), dtype=bool)
-    while np.any(uncovered):
-        cids = np.unique(near[uncovered])
-        radii[cids] *= 1.5
-        regrown += len(cids)
-        is_regrown[cids] = True
-        uncovered = np.linalg.norm(mesh.vertices - centers[near], axis=1) > radii[near]
-
-    if regrown:
-        regrown_cells, regrown_tris = [], []
-        for cid in np.flatnonzero(is_regrown):
-            ids, d = near_triangles(centers[cid], radii[cid])
-            members = ids[d <= radii[cid]]
-            regrown_cells.append(np.full(len(members), cid, dtype=np.int64))
-            regrown_tris.append(members)
-        keep = ~is_regrown[pair_cells]
-        pair_cells = np.concatenate([pair_cells[keep], *regrown_cells])
-        pair_tris = np.concatenate([pair_tris[keep], *regrown_tris])
 
     quad_pts, omega = _quadrature_points(v0, v1, v2)
     normals_out, offsets_out = _batched_affines(
         centers, pair_cells, pair_tris, quad_pts, omega, areas, tri_normals, epsilon
     )
-    del pair_cells, pair_tris, tree  # freed before the cell index is built
+    del pair_cells, pair_tris  # freed before the cell index is built
 
     diagnostics = {
         "cells": len(centers),
-        # always 0, since no sphere grows (module docstring); kept for the
-        # tools that read the diagnostics
+        # always 0, since no sphere grows and the descent alone covers the
+        # mesh (module docstring); kept for the tools that read them
         "grown_spheres": 0,
-        "coverage_regrown": regrown,
+        "coverage_regrown": 0,
         "epsilon": epsilon,
     }
     return ImplicitSurface(centers, radii, normals_out, offsets_out, lo, hi, epsilon, diagnostics)
@@ -685,7 +632,7 @@ def cell_markers(surface: ImplicitSurface) -> TriangleMesh:
 # -- binary cache ------------------------------------------------------------
 
 _MAGIC = b"MPUF"
-_VERSION = 2
+_VERSION = 3
 _HEADER = 4 + 4 + 32 + 8 + 48 + 8
 
 

@@ -455,6 +455,7 @@ def test_refusals_print_one_error_line(tmp_path):
     (tmp_path / "twice.json").write_text('{"degradations": [{"kind": "noise"}, {"kind": "noise"}]}')
     (tmp_path / "seed.json").write_text('{"master_seed": -3}')
     (tmp_path / "sides.json").write_text('{"sides": 2}')
+    (tmp_path / "scale.json").write_text('{"fit": {"sphere_radius_scale": 0.5}}')
     not_json = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
     refusals = [
         (["scan", "--surface", "nothing.mpuf", "--out", "x.ply"], MISSING_FEATURE),
@@ -474,6 +475,7 @@ def test_refusals_print_one_error_line(tmp_path):
         (["pipeline", "--master-seed", "-1", "--output-dir", "out"], "master_seed must fit in 64 unsigned bits"),
         (["batch", "--configs", "ok.json", "seed.json"], "seed.json: master_seed must fit in 64 unsigned bits"),
         (["batch", "--configs", "sides.json", "ok.json"], "sides.json: sides must be >= 3"),
+        (["pipeline", "--config", "scale.json"], "sphere_radius_scale must exceed 0.5"),
     ]
     for args, message in refusals:
         command = [sys.executable, "-m", "treescan.cli", *args]
@@ -481,7 +483,9 @@ def test_refusals_print_one_error_line(tmp_path):
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [f"error: {message}"]
         assert proc.stdout == ""
-    files = ["bad.json", "list.json", "ok.json", "section.json", "seed.json", "sides.json", "twice.json"]
+    files = [
+        "bad.json", "list.json", "ok.json", "scale.json", "section.json", "seed.json", "sides.json", "twice.json"
+    ]
     assert sorted(p.name for p in tmp_path.iterdir()) == files
 
 

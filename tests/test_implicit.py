@@ -271,15 +271,11 @@ def test_fit_cell_radius_carried():
 
 
 def test_fit_cell_is_the_build_kernel(sphere_mesh_320, sphere_surface_320):
-    # every cell, an octree leaf or a regrown one, is fitted on the
-    # triangles within its radius, in ascending id order
-    regrown = build_surface(sphere_mesh_320, FitConfig(sphere_radius_scale=0.3))
-    assert sphere_surface_320.diagnostics["coverage_regrown"] == 0
-    assert regrown.diagnostics["coverage_regrown"] > 0
-
+    # every cell is fitted on the triangles within its radius, in ascending
+    # id order
+    narrow = build_surface(sphere_mesh_320, FitConfig(sphere_radius_scale=0.6))
     v0, v1, v2 = sphere_mesh_320.corners()
-    for surf in (sphere_surface_320, regrown):
-        assert surf.diagnostics["grown_spheres"] == 0
+    for surf in (sphere_surface_320, narrow):
         for center, radius, normal, offset in zip(surf.centers, surf.radii, surf.normals, surf.offsets):
             d = dist_points_to_triangles(np.broadcast_to(center, v0.shape).copy(), v0, v1, v2)
             members = np.flatnonzero(d <= radius)
@@ -299,6 +295,8 @@ def test_fit_cell_is_the_build_kernel(sphere_mesh_320, sphere_surface_320):
         {"epsilon": float("nan")},
         {"sphere_radius_scale": float("nan")},
         {"sphere_radius_scale": 0.0},
+        {"sphere_radius_scale": 0.3},
+        {"sphere_radius_scale": 0.5},
     ],
 )
 def test_fit_config_validation(kwargs):
@@ -334,10 +332,19 @@ def test_build_rejects_empty_and_degenerate_meshes():
         build_surface(line)
 
 
-def test_build_small_radius_scale_still_covers(sphere_mesh_320):
-    surf = build_surface(sphere_mesh_320, FitConfig(sphere_radius_scale=0.3))
-    assert brute_force_coverage_gap(sphere_mesh_320.vertices, surf) <= 1e-12
-    assert surf.diagnostics["coverage_regrown"] > 0
+@pytest.mark.parametrize("scale", [0.51, 1.0])
+@pytest.mark.parametrize("shape", ["sphere", "small preset"])
+def test_field_is_defined_on_every_mesh_point(sphere_mesh_320, shape, scale):
+    # with sphere_radius_scale > 0.5 the descent alone covers the mesh: each
+    # point of a triangle lies strictly inside its own leaf's sphere
+    mesh = sphere_mesh_320 if shape == "sphere" else small_preset_mesh()
+    surf = build_surface(mesh, FitConfig(sphere_radius_scale=scale))
+    quad_pts, _ = _quadrature_points(*mesh.corners())
+    assert np.all(np.isfinite(surf.eval_many(mesh.vertices)))
+    assert np.all(np.isfinite(surf.eval_many(quad_pts.reshape(-1, 3))))
+    # no sphere is grown or regrown; the tracer still reads both keys
+    assert surf.diagnostics["grown_spheres"] == 0
+    assert surf.diagnostics["coverage_regrown"] == 0
 
 
 def test_build_auto_epsilon_rule(sphere_mesh_320, sphere_surface_320):
@@ -398,7 +405,7 @@ def test_fit_memory_peak_is_bounded():
     [
         {},
         # at this scale a cell splits less; a low cap takes it deep again
-        {"sphere_radius_scale": 0.3, "max_triangles_per_cell": 4},
+        {"sphere_radius_scale": 0.6, "max_triangles_per_cell": 4},
     ],
 )
 def test_fit_is_piece_size_independent(monkeypatch, fit):
@@ -415,8 +422,6 @@ def test_fit_is_piece_size_independent(monkeypatch, fit):
 
     # the tree splits to depth 5 or more, so many batches ran
     assert whole.radii.min() <= cfg.sphere_radius_scale * whole.bbox_diagonal() / 16
-    if cfg.sphere_radius_scale < 0.5:
-        assert whole.diagnostics["coverage_regrown"] > 0
     for name in ("centers", "radii", "normals", "offsets"):
         assert np.array_equal(getattr(pieces, name), getattr(whole, name))
     assert np.array_equal(pieces.index.csr_cells, whole.index.csr_cells)
@@ -775,7 +780,7 @@ def test_surface_cache_rejects_corruption(tmp_path, sphere_surface_320):
     with pytest.raises(SurfaceCacheError):
         load_surface(stub)
 
-    for version in (1, 999):
+    for version in (1, 2, 999):
         bad_version = tmp_path / "version.mpuf"
         bad_version.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
         with pytest.raises(SurfaceCacheError, match="version"):
