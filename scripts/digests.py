@@ -8,6 +8,9 @@ and bbox it loads to, which stays comparable when only the header changes.
 `manifest.json` is hashed as its sorted-key JSON without `timings` and
 without `config.output_dir` (the temporary directory), so file order,
 roles, seeds, warnings, occlusion balls and the config echo are compared.
+`manifest.json content` hashes the same JSON without `config`: a change
+that alters only the config echo (a retired field, say) moves
+`manifest.json` and keeps `manifest.json content`.
 With --against, every difference from a saved set is listed and the exit
 status is 1 if there is any.
 
@@ -137,6 +140,10 @@ def cloud_digests(case: str) -> dict[str, str]:
     }
 
 
+def json_digest(data) -> str:
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def surface_digest(s) -> str:
     return array_digest(s.centers, s.radii, s.normals, s.offsets, [s.epsilon], s.bbox_lo, s.bbox_hi)
 
@@ -202,7 +209,9 @@ def case_digests(case: str) -> dict[str, str]:
             digests[f"{name} cells"] = surface_digest(load_surface(out / name))
         recorded = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         del recorded["timings"], recorded["config"]["output_dir"]
-        digests["manifest.json"] = hashlib.sha256(json.dumps(recorded, sort_keys=True).encode("utf-8")).hexdigest()
+        digests["manifest.json"] = json_digest(recorded)
+        del recorded["config"]
+        digests["manifest.json content"] = json_digest(recorded)
     return digests
 
 

@@ -174,11 +174,6 @@ def _running_index(lengths: np.ndarray) -> np.ndarray:
     return np.cumsum(pos, dtype=np.int32, out=pos)
 
 
-# Relative slack on R^2 in the field's squared-distance prefilter: far
-# above the rounding of R*R, so the prefilter never drops a pair that the
-# exact r < R test keeps (see `ImplicitSurface._pairs`).
-_PREFILTER_SLACK = 1e-12
-
 # Relative slack on a sphere's radius when deciding which voxels its ball
 # reaches.  Voxel faces, gaps and point binning each round by a few ulp of
 # the coordinates; the slack only ever adds (sphere, voxel) entries.
@@ -300,11 +295,8 @@ class ImplicitSurface:
         if len(self.centers) == 0:
             raise InvalidParameterError("a surface needs at least one cell")
         self.index = _CellIndex(self.centers, self.radii)
-        # the field's pair kernel gathers one contiguous axis at a time and
-        # prefilters squared distances (see `_pairs`)
+        # the field's pair kernel gathers one contiguous axis at a time
         self._center_axes = tuple(np.ascontiguousarray(self.centers[:, axis]) for axis in range(3))
-        r2 = self.radii * self.radii
-        self._prefilter_r2 = np.where(r2 >= np.finfo(np.float64).tiny, r2 * (1.0 + _PREFILTER_SLACK), np.inf)
 
     def bbox_diagonal(self) -> float:
         return float(np.linalg.norm(self.bbox_hi - self.bbox_lo))
@@ -316,17 +308,7 @@ class ImplicitSurface:
         with r the point's distance from the center; by row, then cell.
 
         r is sqrt(dx*dx + dy*dy + dz*dz), summed in the order
-        np.linalg.norm(axis=1) uses, so it has the same bits.  Candidates
-        are first cut by d2 < R2 with R2 = fl(fl(R*R) * (1 + 1e-12)); only
-        survivors pay for the sqrt and the exact test.  The cut keeps every
-        pair the exact test keeps: r = fl(sqrt(d2)) < R with R a double
-        means sqrt(d2) < R (rounding is monotone), so d2 < R*R exactly.
-        Where fl(R*R) is a normal double it is at least R*R*(1 - 2**-53),
-        and the slack, 1e-12 against three roundings (R*R, 1 + 1e-12 and
-        the product) of at most 2**-53 each, lifts R2 above R*R.  Where
-        R*R underflows (fl(R*R) below the smallest normal double) that
-        relative bound fails, so R2 is infinite there and the exact test
-        alone decides.
+        np.linalg.norm(axis=1) uses, so it has the same bits.
         """
         rows, cells = self.index.candidate_pairs(points)
         d2 = None
@@ -335,10 +317,8 @@ class ImplicitSurface:
             d -= center_axis[cells]
             d *= d
             d2 = d if d2 is None else np.add(d2, d, out=d2)
-        near = np.flatnonzero(d2 < self._prefilter_r2[cells])
-        rows, cells = rows[near], cells[near]
-        r = np.sqrt(d2[near])
-        keep = r < self.radii[cells]
+        r = np.sqrt(d2, out=d2)
+        keep = np.flatnonzero(r < self.radii[cells])
         return rows[keep], cells[keep], r[keep]
 
     def _blend(self, points: np.ndarray, want_gradient: bool):

@@ -83,7 +83,8 @@ def evaluate(ground_truth: SkeletonGraph, extracted: SkeletonGraph, spacing: flo
     """Comparison report: raw and bbox-normalized Hausdorff, both directions.
 
     spacing=None compares node sets only; a positive spacing also samples
-    edge interiors of both skeletons.
+    edge interiors of both skeletons.  The normalized distance is None
+    where the ground truth's bbox diagonal is 0 (a single node).
     """
     g = sample_skeleton(ground_truth, spacing)
     s = sample_skeleton(extracted, spacing)
@@ -96,7 +97,7 @@ def evaluate(ground_truth: SkeletonGraph, extracted: SkeletonGraph, spacing: flo
         "hd": hd,
         "hd_directed_gs": d_gs,
         "hd_directed_sg": d_sg,
-        "hd_normalized": hd / diag if diag > 0.0 else float("inf"),
+        "hd_normalized": hd / diag if diag > 0.0 else None,
         "mode": g.source,
         "spacing": spacing,
         "digest_ground_truth": _digest(ground_truth),
@@ -105,4 +106,4 @@ def evaluate(ground_truth: SkeletonGraph, extracted: SkeletonGraph, spacing: flo
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -178,7 +178,7 @@ def degradation_params(entry: dict, seed: int | None = None):
 # None where any value is dropped because the key never had an effect.
 _RETIRED_KEYS = {
     "fit": {"quadrature_order": 7, "min_triangles_for_fit": 1},
-    "scan": {"seed": None},
+    "scan": {"seed": None, "march_step": 0.5, "hit_tolerance": 1e-6, "pca_k": 16},
 }
 
 
@@ -240,7 +240,7 @@ class PipelineConfig:
                 if key not in section:
                     continue
                 old = section.pop(key)
-                if kept is not None and _coerced(f"{name}.{key}", (int, False), old) != kept:
+                if kept is not None and _coerced(f"{name}.{key}", (type(kept), False), old) != kept:
                     raise InvalidParameterError(f"{name}.{key} is retired: only {kept} is taken, not {old!r}")
             if name == "tree" and "size_class" in section:
                 base = TreeParams.preset(_coerced("tree.size_class", (str, False), section["size_class"]))
@@ -307,20 +307,21 @@ def run_pipeline(config: PipelineConfig) -> DatasetManifest:
     config.validate()
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # an earlier run's manifest would vouch for files this run may replace
+    # or delete
+    (out / "manifest.json").unlink(missing_ok=True)
 
     labels = ("skeleton", "noise", "occlusion", "uneven", "region")
     seeds = {label: derive_seed(config.master_seed, label) for label in labels}
 
     files: list[dict] = []
-    written: list[Path] = []
+    reused = None  # a surface cache this run only read: a failure keeps it
     warnings: list[str] = []
     timings: dict[str, float] = {}
 
     def emit(role: str, filename: str, count: int) -> Path:
-        path = out / filename
-        written.append(path)
         files.append({"role": role, "path": filename, "count": count, "sha256": None})
-        return path
+        return out / filename
 
     def finish_digests() -> None:
         for entry in files:
@@ -357,6 +358,8 @@ def run_pipeline(config: PipelineConfig) -> DatasetManifest:
             surface = build_surface(mesh, config.fit)
             if config.cache_surface:
                 save_surface(surface, cache_path, key)
+        else:
+            reused = cache_path.name
         if config.cache_surface:
             emit("surface-cache", cache_path.name, len(surface.centers))
         if config.debug_obj:
@@ -403,11 +406,12 @@ def run_pipeline(config: PipelineConfig) -> DatasetManifest:
             fh.write("\n")
         return manifest
     except Exception as exc:
-        for path in written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        for entry in files:
+            if entry["path"] != reused:
+                try:
+                    (out / entry["path"]).unlink()
+                except OSError:
+                    pass
         raise PipelineStageError(stage, exc) from exc
 
 

@@ -32,6 +32,9 @@ from .implicit import ImplicitSurface
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 DOMAIN_MARGIN = 1.05  # bounding sphere inflation for the march domain
+MARCH_STEP = 0.5  # fine march step, in units of the smallest feature size
+HIT_TOLERANCE = 1e-6  # |f| at which bisection takes a hit
+PCA_K = 16  # neighbours of a PCA normal and of the orientation graph
 _COARSE_STEPS = 4  # fine steps folded into one far-field march step
 _NORMAL_MODES = ("analytic", "pca-mst")
 
@@ -41,10 +44,7 @@ class ScanConfig:
     resolution: int = 100
     views: int = 6
     standoff: float = 1.5
-    march_step: float = 0.5
-    hit_tolerance: float = 1e-6
     normal_mode: str = "analytic"
-    pca_k: int = 16
 
     def validate(self) -> None:
         if self.resolution < 2:
@@ -54,14 +54,8 @@ class ScanConfig:
         if not self.standoff > DOMAIN_MARGIN:
             # a camera at or inside the march domain cannot scan
             raise InvalidParameterError(f"standoff must exceed the march domain's margin, {DOMAIN_MARGIN}")
-        if not self.march_step > 0.0:
-            raise InvalidParameterError("march_step must be positive")
-        if not self.hit_tolerance > 0.0:
-            raise InvalidParameterError("hit_tolerance must be positive")
         if self.normal_mode not in _NORMAL_MODES:
             raise InvalidParameterError(f"normal_mode must be one of {_NORMAL_MODES}")
-        if self.pca_k < 3:
-            raise InvalidParameterError("pca_k must be >= 3")
 
 
 @dataclass
@@ -123,7 +117,7 @@ def _ray_sphere_spans(origins, directions, center, radius):
     return t0, t1
 
 
-def _march_batch(surface, origins, directions, cfg: ScanConfig, min_feature: float):
+def _march_batch(surface, origins, directions, min_feature: float):
     """First surface crossing per ray, vectorized over the active set.
 
     Returns (hit mask, hit points). The field is NaN outside every support,
@@ -136,10 +130,10 @@ def _march_batch(surface, origins, directions, cfg: ScanConfig, min_feature: flo
     below a guard band (the field tracks distance near the surface, so a
     large value at both ends means no crossing hides between them; sign
     changes always fall below the band). Rays lost to a field that outruns
-    the band are dropped, never misplaced. The fine step is cfg.march_step
+    the band are dropped, never misplaced. The fine step is MARCH_STEP
     times min_feature.
     """
-    step = cfg.march_step * min_feature
+    step = MARCH_STEP * min_feature
     stride = step * _COARSE_STEPS
     guard = 2.0 * stride
     offsets = np.arange(_COARSE_STEPS + 1) * step
@@ -194,7 +188,7 @@ def _march_batch(surface, origins, directions, cfg: ScanConfig, min_feature: flo
             break
         mid = 0.5 * (lo + hi)
         f_mid = field(rows, mid)
-        good = np.abs(f_mid) <= cfg.hit_tolerance
+        good = np.abs(f_mid) <= HIT_TOLERANCE
         ok = rows[good]
         hit[ok] = True
         points[ok] = origins[ok] + mid[good, None] * directions[ok]
@@ -234,7 +228,7 @@ def scan_view(surface: ImplicitSurface, pose: Pose, cfg: ScanConfig, min_feature
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     origins = np.broadcast_to(pose.position, dirs.shape)
 
-    hit, pts = _march_batch(surface, origins, dirs, cfg, min_feature)
+    hit, pts = _march_batch(surface, origins, dirs, min_feature)
     points = pts[hit]
 
     if cfg.normal_mode == "analytic":
@@ -259,8 +253,8 @@ def scan_surface(surface: ImplicitSurface, cfg: ScanConfig, min_feature: float) 
     if cfg.normal_mode == "analytic":
         normals = np.concatenate([c.normals for c in clouds], axis=0)
     merged = PointCloud(np.concatenate([c.points for c in clouds], axis=0), normals)
-    if cfg.normal_mode == "pca-mst" and len(merged) >= cfg.pca_k:
-        merged = orient_normals(estimate_normals(merged, cfg.pca_k), cfg.pca_k)
+    if cfg.normal_mode == "pca-mst" and len(merged) >= PCA_K:
+        merged = orient_normals(estimate_normals(merged, PCA_K), PCA_K)
     return merged
 
 
@@ -284,7 +278,7 @@ def estimate_normals(cloud: PointCloud, k: int, diagnostics: dict | None = None)
     return PointCloud(cloud.points.copy(), normals)
 
 
-def orient_normals(cloud: PointCloud, k: int = 16) -> PointCloud:
+def orient_normals(cloud: PointCloud, k: int = PCA_K) -> PointCloud:
     """Resolve normal signs by flip propagation over the Euclidean MST.
 
     The seed is the highest point (ties: lowest index); its normal points

@@ -335,7 +335,7 @@ def test_unknown_degradation_choice_rejected(tmp_path):
         )
 
 
-_SCAN = "--resolution --views --standoff --march-step --hit-tolerance --normal-mode --pca-k"
+_SCAN = "--resolution --views --standoff --normal-mode"
 _TREE = (
     "--size-class --trunk-length --trunk-radius --branch-levels --radius-decay --length-decay"
     " --gravity --bend --nodes-per-curve --seed"

@@ -515,9 +515,9 @@ def test_cell_index_pairs_match_brute_force():
 
 @pytest.mark.parametrize("scale", [1e-6, 1e6])
 def test_pair_prefilter_matches_brute_force_far_from_unit_scale(scale):
-    # the squared-distance prefilter scales R^2 by a relative slack, so it
-    # must hold at any scale: voxel corners on sphere surfaces, exactly
-    # and one ulp off, with the whole set shrunk or blown up
+    # the exact r < R test must hold at any scale: voxel corners on sphere
+    # surfaces, exactly and one ulp off, with the whole set shrunk or
+    # blown up
     centers, radii = corner_spheres()
     surf = sphere_set_surface(centers * scale, radii * scale)
     ticks = np.arange(17) * (VOXEL_16 * scale)
@@ -528,8 +528,8 @@ def test_pair_prefilter_matches_brute_force_far_from_unit_scale(scale):
 
 def test_pair_prefilter_matches_brute_force_one_ulp_from_surfaces():
     # points one ulp (per coordinate) inside and outside random sphere
-    # surfaces: their distances straddle R by a few ulp, well inside the
-    # prefilter's slack, so the exact r < R test alone must decide them
+    # surfaces: their distances straddle R by a few ulp, and the exact
+    # r < R test must decide them as the brute force does
     centers, radii = mixed_spheres()
     surf = sphere_set_surface(centers, radii)
     rng = np.random.default_rng(29)
@@ -547,8 +547,8 @@ def test_pair_prefilter_matches_brute_force_one_ulp_from_surfaces():
 
 
 def test_pair_prefilter_keeps_spheres_whose_square_underflows():
-    # R * R of these radii rounds to 0 or to a subnormal; a prefilter on
-    # that square would drop points that r < R keeps
+    # R * R of these radii rounds to 0 or to a subnormal; a test on that
+    # square would drop points that r < R keeps
     centers, radii = mixed_spheres()
     tiny = np.array([1e-170, 1e-160])
     assert tiny[0] * tiny[0] == 0.0 and tiny[1] * tiny[1] < np.finfo(np.float64).tiny

@@ -260,3 +260,17 @@ def test_report_json_round_trips():
     back = json.loads(text)
     assert back["hd"] == report["hd"]
     assert list(back.keys()) == sorted(back.keys())
+
+
+def test_one_node_report_is_strict_json():
+    # a one-node ground truth has a zero bbox diagonal: no normalized distance
+    report = evaluate(path_graph([[1.0, 2.0, 3.0]]), path_graph([[1.0, 2.0, 4.0]]))
+    assert report["hd"] == 1.0
+    assert report["hd_normalized"] is None
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    back = json.loads(report_json(report), parse_constant=refuse)
+    assert back["hd_normalized"] is None
+    assert back["hd"] == 1.0

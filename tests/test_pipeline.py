@@ -251,6 +251,34 @@ def test_stage_error_reports_stage_and_cleans_up(tmp_path, failing_fit):
     assert leftovers == []
 
 
+def test_failed_rerun_leaves_no_manifest_of_the_earlier_run(tmp_path, failing_fit):
+    out = tmp_path / "rerun"
+    run_pipeline(tiny_config(out, name="m"))
+    with pytest.raises(PipelineStageError):
+        run_pipeline(tiny_config(out, name="m", fit=failing_fit))
+    # the failed run deleted the .skel and .obj it wrote; no manifest may
+    # still list them beside the earlier run's clean cloud
+    assert sorted(p.name for p in out.iterdir()) == ["m_clean.ply"]
+
+
+def test_failed_scan_keeps_a_surface_cache_it_only_read(tmp_path, monkeypatch):
+    out = tmp_path / "cached"
+    run_pipeline(tiny_config(out, name="m", cache_surface=True))
+    cache = (out / "m.mpuf").read_bytes()
+    fits = counting(monkeypatch, pipeline, "build_surface")
+
+    def failing_scan(*args, **kwargs):
+        raise InvalidParameterError("scan failed")
+
+    monkeypatch.setattr(pipeline, "scan_surface", failing_scan)
+    with pytest.raises(PipelineStageError) as err:
+        run_pipeline(tiny_config(out, name="m", cache_surface=True))
+    assert err.value.stage == "scan"
+    assert fits == []
+    assert sorted(p.name for p in out.iterdir()) == ["m.mpuf", "m_clean.ply"]
+    assert (out / "m.mpuf").read_bytes() == cache
+
+
 # -- config round trips ----------------------------------------------------------------
 
 
@@ -304,11 +332,16 @@ def test_degradation_params_coerce_alias_and_seed():
         ("fit", "min_triangles_for_fit", 1.0),
         ("scan", "seed", 1234),
         ("scan", "seed", None),
+        ("scan", "march_step", 0.5),
+        ("scan", "hit_tolerance", 1e-6),
+        ("scan", "pca_k", 16),
+        ("scan", "pca_k", 16.0),
     ],
 )
 def test_config_load_drops_retired_keys(tmp_path, section, key, value):
-    # older configs hold keys the program no longer reads, at the values it
-    # always uses (a scan seed never had an effect): they load unchanged
+    # older configs and manifests hold keys the program no longer reads, at
+    # the values it always uses (a scan seed never had an effect): they load
+    # unchanged
     cfg = tiny_config(tmp_path / "x")
     legacy = cfg.to_dict()
     legacy[section][key] = value
@@ -326,6 +359,9 @@ def test_config_load_drops_retired_keys(tmp_path, section, key, value):
         ("fit", "min_triangles_for_fit", 2),
         ("fit", "quadrature_order", 7.5),
         ("fit", "min_triangles_for_fit", None),
+        ("scan", "march_step", 0.25),
+        ("scan", "hit_tolerance", 1e-5),
+        ("scan", "pca_k", 8),
     ],
 )
 def test_config_load_refuses_retired_keys_at_other_values(tmp_path, section, key, value):

@@ -76,7 +76,7 @@ def test_viewpoints_reject_zero_views():
 
 def march_one(surface, origin, direction, min_feature):
     """The hit point of one ray through `_march_batch`, or None."""
-    hit, points = scanner._march_batch(surface, np.array([origin]), np.array([direction]), ScanConfig(), min_feature)
+    hit, points = scanner._march_batch(surface, np.array([origin]), np.array([direction]), min_feature)
     return points[0] if hit[0] else None
 
 
@@ -84,7 +84,7 @@ def test_ray_hits_sphere_front_face(sphere_surface):
     hit = march_one(sphere_surface, [0.0, 0.0, -2.0], [0.0, 0.0, 1.0], diagonal_feature(sphere_surface))
     assert hit is not None
     assert np.linalg.norm(hit - np.array([0.0, 0.0, -1.0])) <= 5e-3
-    assert abs(float(sphere_surface.eval_many(hit[None])[0])) <= ScanConfig().hit_tolerance
+    assert abs(float(sphere_surface.eval_many(hit[None])[0])) <= scanner.HIT_TOLERANCE
 
 
 def test_ray_misses_off_axis(sphere_surface):
@@ -100,7 +100,7 @@ def test_ray_cast_explicit_feature_size(sphere_surface):
 # -- the march rule --------------------------------------------------------------
 
 
-def reference_march(surface, origin, direction, t_lo, t_hi, cfg, feature):
+def reference_march(surface, origin, direction, t_lo, t_hi, feature):
     """The documented two-level march of one ray, one field point per call.
 
     Coarse strides of _COARSE_STEPS fine steps run from t_lo to t_hi. A
@@ -114,7 +114,7 @@ def reference_march(surface, origin, direction, t_lo, t_hi, cfg, feature):
         f = surface.eval_many((origin + t * direction)[None])[0]
         return 1.0 if np.isnan(f) else f  # outside every support: exterior
 
-    step = cfg.march_step * feature
+    step = scanner.MARCH_STEP * feature
     stride = step * scanner._COARSE_STEPS
     guard = 2.0 * stride
     t, f = t_lo, field(t_lo)
@@ -138,7 +138,7 @@ def reference_march(surface, origin, direction, t_lo, t_hi, cfg, feature):
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         f_mid = field(mid)
-        if abs(f_mid) <= cfg.hit_tolerance:
+        if abs(f_mid) <= scanner.HIT_TOLERANCE:
             return origin + mid * direction
         if f_mid > 0.0:
             lo = mid
@@ -193,12 +193,11 @@ def test_march_follows_the_documented_rule(case, sphere_surface_320, cylinder_su
     origins, targets = rays(np.random.default_rng(23), 300)
     directions = targets - origins
     directions /= np.linalg.norm(directions, axis=1)[:, None]
-    cfg = ScanConfig()
-    hit, points = scanner._march_batch(surface, origins, directions, cfg, feature)
+    hit, points = scanner._march_batch(surface, origins, directions, feature)
 
     t_lo, t_hi = scanner._ray_sphere_spans(origins, directions, *scanner._domain_sphere(surface))
     expected = [
-        reference_march(surface, o, d, a, b, cfg, feature) if a < b else None
+        reference_march(surface, o, d, a, b, feature) if a < b else None
         for o, d, a, b in zip(origins, directions, t_lo, t_hi)
     ]
     assert np.array_equal(hit, [p is not None for p in expected])
@@ -214,7 +213,7 @@ def test_scan_view_plane_hits_lie_on_plane(plane_surface):
     pose = viewpoints((plane_surface.bbox_lo, plane_surface.bbox_hi), 1, 2.5)[0]
     cloud = scan_view(plane_surface, pose, cfg, min_feature=0.2)
     assert len(cloud) > 50
-    assert np.max(np.abs(cloud.points[:, 2])) <= cfg.hit_tolerance + 1e-12
+    assert np.max(np.abs(cloud.points[:, 2])) <= scanner.HIT_TOLERANCE + 1e-12
 
 
 def test_scan_view_resolution_scaling(sphere_surface_320):
@@ -230,7 +229,7 @@ def test_scan_view_hits_satisfy_field_tolerance(sphere_surface_320):
     pose = viewpoints((sphere_surface_320.bbox_lo, sphere_surface_320.bbox_hi), 1)[0]
     cloud = scan_view(sphere_surface_320, pose, cfg, diagonal_feature(sphere_surface_320))
     residuals = np.abs(sphere_surface_320.eval_many(cloud.points))
-    assert np.max(residuals) <= cfg.hit_tolerance + 1e-15
+    assert np.max(residuals) <= scanner.HIT_TOLERANCE + 1e-15
 
 
 def test_scan_view_sphere_points_on_shell(sphere_surface):
@@ -523,10 +522,7 @@ def test_pca_mst_scan_mode(sphere_surface_320):
         {"resolution": 1},
         {"views": 0},
         {"standoff": 1.0},
-        {"march_step": 0.0},
-        {"hit_tolerance": 0.0},
         {"normal_mode": "guess"},
-        {"pca_k": 2},
         # cameras at the march domain's margin sit on or inside its sphere
         {"standoff": 1.05},
     ],
