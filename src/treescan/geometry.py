@@ -139,73 +139,80 @@ def triangle_areas_normals(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray):
     return areas, normals
 
 
-def dist_points_to_triangles(p: np.ndarray, v0: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """Exact Euclidean distance for paired points and triangles, all (n,3).
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Column-wise dot products of (3, n) arrays, summed as x + y + z."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
-    Vectorized region classification on the triangle parameter plane
-    (Ericson, Real-Time Collision Detection, 5.1.5); the first matching
-    region claims the pair, mirroring the scalar early returns.
+
+def dist_points_to_triangles(p: np.ndarray, v0: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """Exact Euclidean distance for paired points and triangles.
+
+    All four arrays hold coordinates as rows, (3, n): column i pairs point
+    p[:, i] with the triangle v0[:, i], v1[:, i], v2[:, i].  Each pair's
+    region on the triangle's parameter plane (Ericson, Real-Time Collision
+    Detection, 5.1.5) is classified once; the first matching region, in
+    Ericson's order (vertices A, B, C, edges AB, AC, BC, then the face),
+    claims the pair, mirroring the scalar early returns.  Differences, dot
+    products and closest points are computed one axis at a time, on the
+    rows, and every sum is written out as x + y + z, so a pair's distance
+    has the same bits whatever other pairs share the call.  The distance is
+    sqrt(dx*dx + dy*dy + dz*dz), summed in np.linalg.norm's order.
     """
     ab = v1 - v0
     ac = v2 - v0
-
     ap = p - v0
-    d1 = np.einsum("ij,ij->i", ab, ap)
-    d2 = np.einsum("ij,ij->i", ac, ap)
     bp = p - v1
-    d3 = np.einsum("ij,ij->i", ab, bp)
-    d4 = np.einsum("ij,ij->i", ac, bp)
     cp = p - v2
-    d5 = np.einsum("ij,ij->i", ab, cp)
-    d6 = np.einsum("ij,ij->i", ac, cp)
+    d1 = _dot(ab, ap)
+    d2 = _dot(ac, ap)
+    d3 = _dot(ab, bp)
+    d4 = _dot(ac, bp)
+    d5 = _dot(ab, cp)
+    d6 = _dot(ac, cp)
 
     va = d3 * d6 - d5 * d4
     vb = d5 * d2 - d1 * d6
     vc = d1 * d4 - d3 * d2
 
-    closest = np.empty_like(p)
-    open_ = np.ones(len(p), dtype=bool)
+    region = np.select(
+        [
+            (d1 <= 0.0) & (d2 <= 0.0),  # vertex A
+            (d3 >= 0.0) & (d4 <= d3),  # vertex B
+            (d6 >= 0.0) & (d5 <= d6),  # vertex C
+            # a collapsed AB (d1 == d3) would claim every pair left; it
+            # leaves them to edge AC, which the triangle then is
+            (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0) & (d1 != d3),  # edge AB
+            (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0),  # edge AC
+            (va <= 0.0) & ((d4 - d3) >= 0.0) & ((d5 - d6) >= 0.0),  # edge BC
+        ],
+        np.arange(6, dtype=np.int8),
+        default=np.int8(6),  # face
+    )
+    # vertex A's pairs keep p - v0, which is ap
+    vert_b, vert_c, edge_ab, edge_ac, edge_bc, face = (np.flatnonzero(region == r) for r in range(1, 7))
 
-    def claim(mask):
-        m = mask & open_
-        open_[m] = False
-        return m
+    t_ab = d1[edge_ab] / (d1[edge_ab] - d3[edge_ab])
+    den = d2[edge_ac] - d6[edge_ac]
+    t_ac = d2[edge_ac] / np.where(den == 0.0, 1.0, den)
+    num = d4[edge_bc] - d3[edge_bc]
+    den = num + (d5[edge_bc] - d6[edge_bc])
+    t_bc = num / np.where(den == 0.0, 1.0, den)
+    den = va[face] + vb[face] + vc[face]
+    den = np.where(den == 0.0, 1.0, den)
+    v = vb[face] / den
+    w = vc[face] / den
 
-    m = claim((d1 <= 0.0) & (d2 <= 0.0))  # vertex A
-    closest[m] = v0[m]
-
-    m = claim((d3 >= 0.0) & (d4 <= d3))  # vertex B
-    closest[m] = v1[m]
-
-    m = claim((d6 >= 0.0) & (d5 <= d6))  # vertex C
-    closest[m] = v2[m]
-
-    # a collapsed AB (d1 == d3) would claim every pair left; it leaves them
-    # to edge AC, which the triangle then is
-    m = claim((vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0) & (d1 != d3))  # edge AB
-    if np.any(m):
-        t = d1[m] / (d1[m] - d3[m])
-        closest[m] = v0[m] + t[:, None] * ab[m]
-
-    m = claim((vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0))  # edge AC
-    if np.any(m):
-        den = d2[m] - d6[m]
-        t = d2[m] / np.where(den == 0.0, 1.0, den)
-        closest[m] = v0[m] + t[:, None] * ac[m]
-
-    m = claim((va <= 0.0) & ((d4 - d3) >= 0.0) & ((d5 - d6) >= 0.0))  # edge BC
-    if np.any(m):
-        num = d4[m] - d3[m]
-        den = num + (d5[m] - d6[m])
-        t = num / np.where(den == 0.0, 1.0, den)
-        closest[m] = v1[m] + t[:, None] * (v2[m] - v1[m])
-
-    m = open_  # interior
-    if np.any(m):
-        denom = va[m] + vb[m] + vc[m]
-        denom = np.where(denom == 0.0, 1.0, denom)
-        v = vb[m] / denom
-        w = vc[m] / denom
-        closest[m] = v0[m] + v[:, None] * ab[m] + w[:, None] * ac[m]
-
-    return np.linalg.norm(p - closest, axis=1)
+    # p minus the closest point, one axis at a time, written over ap
+    sq = None
+    for k in range(3):
+        pk, ak, bk = p[k], v0[k], v1[k]
+        diff = ap[k]
+        diff[vert_b] = bp[k][vert_b]
+        diff[vert_c] = cp[k][vert_c]
+        diff[edge_ab] = pk[edge_ab] - (ak[edge_ab] + t_ab * ab[k][edge_ab])
+        diff[edge_ac] = pk[edge_ac] - (ak[edge_ac] + t_ac * ac[k][edge_ac])
+        diff[edge_bc] = pk[edge_bc] - (bk[edge_bc] + t_bc * (v2[k][edge_bc] - bk[edge_bc]))
+        diff[face] = pk[face] - (ak[face] + v * ab[k][face] + w * ac[k][face])
+        diff *= diff
+        sq = diff if sq is None else np.add(sq, diff, out=sq)
+    return np.sqrt(sq, out=sq)

@@ -46,6 +46,11 @@ cell ids and the order in which each cell's moments are summed are those
 of one level-synchronous walk of the whole tree. The moments are computed
 in cache-sized blocks, and the cell index is built a chunk of spheres at
 a time.
+
+The descent reads its exact point–triangle distances only in `<=` tests,
+against a node's radius (membership) and its child bound (the children's
+candidates).  A change to how a distance is rounded moves a cell only if
+it moves one of those comparisons.
 """
 
 from __future__ import annotations
@@ -383,10 +388,12 @@ _PAIR_CHUNK = 1 << 18
 # single pair of a larger batch (see `_batched_affines`); keep it >= 2.
 _MOMENT_BLOCK = 1 << 12
 
-# (point, triangle) pairs per call of the distance kernel.  Its two dozen
-# temporaries then take a few MB, and the small preset's fit runs fastest
-# at about this size.  Each pair's distance is computed alone, so the block
-# size never changes a bit.
+# (point, triangle) pairs per call of the distance kernel.  Its three dozen
+# 1-D temporaries then take a few MB, and the small preset's fit runs
+# fastest at about this size (a quarter of it or four times it cost 12 %
+# and 39 % more).
+# Each pair's distance is computed alone, so the block size never changes
+# a bit.
 _DIST_BLOCK = 1 << 14
 
 # (node, candidate) pairs per step of the octree descent: a step's arrays
@@ -399,12 +406,20 @@ _CHILD_OFFSETS = np.array(
 )
 
 
-def _pair_distances(points: np.ndarray, tri_ids: np.ndarray, v0, v1, v2) -> np.ndarray:
+def _pair_distances(points: np.ndarray, tri_ids: np.ndarray, corners) -> np.ndarray:
+    """Distance from each point to its triangle, one kernel call per block.
+
+    points (3, n) and the three corner arrays (3, triangles) hold
+    coordinates as rows; points[:, i] is paired with triangle tri_ids[i].
+    Each block gathers its corners one axis at a time, by triangle id, and
+    `dist_points_to_triangles` computes every pair on its own, axis by axis
+    with sums written out as x + y + z.
+    """
     d = np.empty(len(tri_ids))
     for a in range(0, len(tri_ids), _DIST_BLOCK):
         b = min(a + _DIST_BLOCK, len(tri_ids))
         t = tri_ids[a:b]
-        d[a:b] = dist_points_to_triangles(points[a:b], v0[t], v1[t], v2[t])
+        d[a:b] = dist_points_to_triangles(points[:, a:b], *(np.take(v, t, axis=1) for v in corners))
     return d
 
 
@@ -451,8 +466,11 @@ def _batched_affines(centers, pair_cells, pair_tris, quad_pts, omega, areas, tri
     return avg_normal, offsets
 
 
-def _descend(lo, hi, v0, v1, v2, cfg: FitConfig):
+def _descend(lo, hi, corners, cfg: FitConfig):
     """The octree descent: kept leaves and their members.
+
+    corners are the triangles' v0, v1 and v2, each (3, triangles) with
+    coordinates as rows.
 
     Returns (centers, radii, pair_cells, pair_tris).  Leaves are listed in
     level order: by depth, and within a depth by base-8 child path (root to
@@ -468,7 +486,7 @@ def _descend(lo, hi, v0, v1, v2, cfg: FitConfig):
     walk that steps a whole level at once.
     """
     scale = cfg.sphere_radius_scale
-    n_tris = len(v0)
+    n_tris = corners[0].shape[1]
     # (depth, path, centers, radii, pair leaf index within run, pair
     # triangles); an empty run at depth 0 keeps the concatenations defined
     # when no leaf settles
@@ -484,7 +502,8 @@ def _descend(lo, hi, v0, v1, v2, cfg: FitConfig):
         diag = np.linalg.norm(sizes, axis=1)
         radii = scale * diag
         node_of_pair = np.repeat(np.arange(n_nodes), counts)
-        d = _pair_distances(centers[node_of_pair], cand, v0, v1, v2)
+        # each pair's node center, coordinates as rows
+        d = _pair_distances(np.repeat(centers.T, counts, axis=1), cand, corners)
 
         member_mask = d <= radii[node_of_pair]
         member_counts = np.bincount(node_of_pair[member_mask], minlength=n_nodes)
@@ -574,7 +593,8 @@ def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitS
 
     # the octree descent: subtrees walked depth first in batches under a
     # fixed pair budget, their leaves put back in level order
-    centers, radii, pair_cells, pair_tris = _descend(lo, hi, v0, v1, v2, cfg)
+    corners = tuple(np.ascontiguousarray(v.T) for v in (v0, v1, v2))
+    centers, radii, pair_cells, pair_tris = _descend(lo, hi, corners, cfg)
 
     quad_pts, omega = _quadrature_points(v0, v1, v2)
     normals_out, offsets_out = _batched_affines(

@@ -303,13 +303,35 @@ def save_config(config: PipelineConfig, path) -> None:
         fh.write("\n")
 
 
+def _clear_earlier_run(out: Path) -> None:
+    """Delete the files an earlier run's manifest lists, then the manifest.
+
+    The manifest would vouch for files this run may replace or delete, and
+    a run that fails part way must leave none of the earlier run's files
+    behind.  A surface cache stays: it is checked by its key on load.  Only
+    plain file names inside `out` are touched, no path with a directory
+    part; an unreadable manifest is only deleted.
+    """
+    manifest_path = out / "manifest.json"
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            names = [entry["path"] for entry in json.load(fh)["files"] if entry["role"] != "surface-cache"]
+    except (OSError, ValueError, LookupError, TypeError):
+        names = []
+    for name in names:
+        if isinstance(name, str) and name not in ("", "..") and Path(name).name == name:
+            try:
+                (out / name).unlink(missing_ok=True)
+            except OSError:
+                pass
+    manifest_path.unlink(missing_ok=True)
+
+
 def run_pipeline(config: PipelineConfig) -> DatasetManifest:
     config.validate()
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # an earlier run's manifest would vouch for files this run may replace
-    # or delete
-    (out / "manifest.json").unlink(missing_ok=True)
+    _clear_earlier_run(out)
 
     labels = ("skeleton", "noise", "occlusion", "uneven", "region")
     seeds = {label: derive_seed(config.master_seed, label) for label in labels}

@@ -1,5 +1,7 @@
 """Geometry kernels against closed forms and a sampling oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -53,7 +55,7 @@ def test_triangle_distance_closed_forms():
     p = np.array([c[0] for c in cases])
     want = np.array([c[1] for c in cases])
     n = len(cases)
-    got = dist_points_to_triangles(p, np.tile(v0, (n, 1)), np.tile(v1, (n, 1)), np.tile(v2, (n, 1)))
+    got = dist_points_to_triangles(p.T, *(np.tile(v[:, None], (1, n)) for v in (v0, v1, v2)))
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -63,7 +65,7 @@ def test_triangle_distance_matches_sampling_oracle(p, v0, v1, v2):
     edges = max(
         np.linalg.norm(v1 - v0), np.linalg.norm(v2 - v0), np.linalg.norm(v2 - v1)
     )
-    got = float(dist_points_to_triangles(p[None], v0[None], v1[None], v2[None])[0])
+    got = float(dist_points_to_triangles(p[:, None], v0[:, None], v1[:, None], v2[:, None])[0])
     upper = sampled_triangle_min_distance(p, v0, v1, v2)
     assert got >= -1e-12
     assert got <= upper + 1e-9
@@ -80,35 +82,88 @@ def test_points_on_triangle_have_zero_distance(v0, v1, v2, a, b):
     if a + b > 1.0:
         a, b = 1.0 - a, 1.0 - b
     p = a * v0 + b * v1 + (1.0 - a - b) * v2
-    d = float(dist_points_to_triangles(p[None], v0[None], v1[None], v2[None])[0])
+    d = float(dist_points_to_triangles(p[:, None], v0[:, None], v1[:, None], v2[:, None])[0])
     scale = 1.0 + max(np.abs([v0, v1, v2]).max(), np.abs(p).max())
     assert d <= 1e-9 * scale
 
 
+# (point, v0, v1, v2) collapsed to a segment, to a point, and with A == B
+DEGENERATE_CASES = [
+    ([0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ([3.0, 4.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    ([0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
+]
+
+
 def test_degenerate_triangle_distance_is_finite():
-    # collapsed to a segment and to a point; must not blow up or go NaN
-    seg = dist_points_to_triangles(
-        np.array([[0.0, 1.0, 0.0]]),
-        np.array([[0.0, 0.0, 0.0]]),
-        np.array([[2.0, 0.0, 0.0]]),
-        np.array([[1.0, 0.0, 0.0]]),
-    )
-    pt = dist_points_to_triangles(
-        np.array([[3.0, 4.0, 0.0]]),
-        np.zeros((1, 3)),
-        np.zeros((1, 3)),
-        np.zeros((1, 3)),
-    )
-    # A == B: the triangle is the segment AC, and the point projects inside it
-    ac = dist_points_to_triangles(
-        np.array([[0.0, 1.0, 1.0]]),
-        np.zeros((1, 3)),
-        np.zeros((1, 3)),
-        np.ones((1, 3)),
-    )
-    assert np.isclose(seg[0], 1.0)
-    assert np.isclose(pt[0], 5.0)
-    assert np.isclose(ac[0], np.sqrt(2.0 / 3.0))
+    # must not blow up or go NaN; with A == B the triangle is the segment
+    # AC, and the point projects inside it
+    p, v0, v1, v2 = (np.array(c).T for c in zip(*DEGENERATE_CASES))
+    seg, pt, ac = dist_points_to_triangles(p, v0, v1, v2)
+    assert np.isclose(seg, 1.0)
+    assert np.isclose(pt, 5.0)
+    assert np.isclose(ac, np.sqrt(2.0 / 3.0))
+
+
+def scalar_triangle_distance(p, a, b, c):
+    """Ericson's routine for one pair in plain Python floats: (region, distance).
+
+    Regions in claim order: vertices A, B, C (0-2), edges AB, AC, BC (3-5),
+    face (6).  Every sum is written out as x + y + z, as the kernel's are.
+    """
+
+    def sub(u, v):
+        return [u[0] - v[0], u[1] - v[1], u[2] - v[2]]
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+    def along(o, t, e):
+        return [o[0] + t * e[0], o[1] + t * e[1], o[2] + t * e[2]]
+
+    ab, ac = sub(b, a), sub(c, a)
+    ap, bp, cp = sub(p, a), sub(p, b), sub(p, c)
+    d1, d2 = dot(ab, ap), dot(ac, ap)
+    d3, d4 = dot(ab, bp), dot(ac, bp)
+    d5, d6 = dot(ab, cp), dot(ac, cp)
+    va = d3 * d6 - d5 * d4
+    vb = d5 * d2 - d1 * d6
+    vc = d1 * d4 - d3 * d2
+    if d1 <= 0.0 and d2 <= 0.0:
+        region, q = 0, a
+    elif d3 >= 0.0 and d4 <= d3:
+        region, q = 1, b
+    elif d6 >= 0.0 and d5 <= d6:
+        region, q = 2, c
+    elif vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0 and d1 != d3:
+        region, q = 3, along(a, d1 / (d1 - d3), ab)
+    elif vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0:
+        den = d2 - d6
+        region, q = 4, along(a, d2 / (den if den != 0.0 else 1.0), ac)
+    elif va <= 0.0 and (d4 - d3) >= 0.0 and (d5 - d6) >= 0.0:
+        num = d4 - d3
+        den = num + (d5 - d6)
+        region, q = 5, along(b, num / (den if den != 0.0 else 1.0), sub(c, b))
+    else:
+        den = va + vb + vc
+        den = den if den != 0.0 else 1.0
+        region, q = 6, along(along(a, vb / den, ab), vc / den, ac)
+    dx, dy, dz = sub(p, q)
+    return region, math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def test_triangle_distance_is_the_scalar_routine_bit_for_bit():
+    # pins the kernel's arithmetic order: each distance, region by region,
+    # equals the scalar routine's exactly
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-2.0, 2.0, (3000, 3)).tolist()
+    corners = rng.uniform(-1.0, 1.0, (3, 3000, 3)).tolist()
+    cases = [*zip(pts, *corners), *DEGENERATE_CASES]
+    p, v0, v1, v2 = (np.array(c).T for c in zip(*cases))
+    got = dist_points_to_triangles(p, v0, v1, v2)
+    regions, want = zip(*(scalar_triangle_distance(*case) for case in cases))
+    assert set(regions) == set(range(7))
+    assert np.array_equal(got, np.array(want))
 
 
 def test_normalize_units_and_zero_passthrough():

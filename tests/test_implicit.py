@@ -277,7 +277,7 @@ def test_fit_cell_is_the_build_kernel(sphere_mesh_320, sphere_surface_320):
     v0, v1, v2 = sphere_mesh_320.corners()
     for surf in (sphere_surface_320, narrow):
         for center, radius, normal, offset in zip(surf.centers, surf.radii, surf.normals, surf.offsets):
-            d = dist_points_to_triangles(np.broadcast_to(center, v0.shape).copy(), v0, v1, v2)
+            d = dist_points_to_triangles(np.broadcast_to(center[:, None], (3, len(v0))), v0.T, v1.T, v2.T)
             members = np.flatnonzero(d <= radius)
             want_normal, want_offset = kernel_fit(sphere_mesh_320, center, members, surf.epsilon)
             assert np.array_equal(want_normal, normal)
@@ -369,13 +369,13 @@ def test_build_is_deterministic(sphere_mesh_320):
 def test_pair_distances_are_block_independent(monkeypatch, sphere_mesh_320, block, pairs):
     # the fit's distances run in blocks; a pair's distance must not depend
     # on the block it lands in, so any block size gives the bits of one call
-    v0, v1, v2 = sphere_mesh_320.corners()
+    corners = tuple(np.ascontiguousarray(v.T) for v in sphere_mesh_320.corners())
     rng = np.random.default_rng(23)
-    points = rng.uniform(-1.5, 1.5, (pairs, 3))  # every vertex, edge and face region
-    tri_ids = rng.integers(len(v0), size=pairs)
-    whole = dist_points_to_triangles(points, v0[tri_ids], v1[tri_ids], v2[tri_ids])
+    points = rng.uniform(-1.5, 1.5, (3, pairs))  # every vertex, edge and face region
+    tri_ids = rng.integers(corners[0].shape[1], size=pairs)
+    whole = dist_points_to_triangles(points, *(v[:, tri_ids] for v in corners))
     monkeypatch.setattr(implicit, "_DIST_BLOCK", block)
-    assert np.array_equal(_pair_distances(points, tri_ids, v0, v1, v2), whole)
+    assert np.array_equal(_pair_distances(points, tri_ids, corners), whole)
 
 
 def small_preset_mesh(master_seed=1):

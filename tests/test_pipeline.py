@@ -256,9 +256,9 @@ def test_failed_rerun_leaves_no_manifest_of_the_earlier_run(tmp_path, failing_fi
     run_pipeline(tiny_config(out, name="m"))
     with pytest.raises(PipelineStageError):
         run_pipeline(tiny_config(out, name="m", fit=failing_fit))
-    # the failed run deleted the .skel and .obj it wrote; no manifest may
-    # still list them beside the earlier run's clean cloud
-    assert sorted(p.name for p in out.iterdir()) == ["m_clean.ply"]
+    # the rerun first deleted the earlier run's files and manifest, then the
+    # .skel and .obj it wrote itself when its fit failed
+    assert sorted(p.name for p in out.iterdir()) == []
 
 
 def test_failed_scan_keeps_a_surface_cache_it_only_read(tmp_path, monkeypatch):
@@ -275,8 +275,34 @@ def test_failed_scan_keeps_a_surface_cache_it_only_read(tmp_path, monkeypatch):
         run_pipeline(tiny_config(out, name="m", cache_surface=True))
     assert err.value.stage == "scan"
     assert fits == []
-    assert sorted(p.name for p in out.iterdir()) == ["m.mpuf", "m_clean.ply"]
+    assert sorted(p.name for p in out.iterdir()) == ["m.mpuf"]
     assert (out / "m.mpuf").read_bytes() == cache
+
+
+def test_rerun_deletes_only_plain_names_of_the_earlier_manifest(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (tmp_path / "outside.txt").write_text("keep")
+    (out / "sub").mkdir()
+    (out / "sub" / "inner.txt").write_text("keep")
+    (out / "stale.ply").write_text("stale")
+    listed = ["stale.ply", "../outside.txt", "sub/inner.txt", "sub", "..", ""]
+    files = [{"role": "clean", "path": name} for name in listed]
+    (out / "manifest.json").write_text(json.dumps({"files": files}))
+    pipeline._clear_earlier_run(out)
+    assert sorted(p.name for p in out.iterdir()) == ["sub"]
+    assert (out / "sub" / "inner.txt").read_text() == "keep"
+    assert (tmp_path / "outside.txt").read_text() == "keep"
+
+
+@pytest.mark.parametrize("text", ["{not json", "[]", '{"files": 3}', '{"files": [{"path": "x.ply"}]}'])
+def test_rerun_only_deletes_an_unreadable_manifest(tmp_path, text):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "x.ply").write_text("kept")
+    (out / "manifest.json").write_text(text)
+    pipeline._clear_earlier_run(out)
+    assert sorted(p.name for p in out.iterdir()) == ["x.ply"]
 
 
 # -- config round trips ----------------------------------------------------------------
