@@ -70,7 +70,7 @@ def main() -> int:
             name = f"{size_class}{index:03d}"
             configs.append(
                 PipelineConfig(
-                    tree=TreeParams.preset(size_class, seed=seed),
+                    tree=TreeParams.preset(size_class),
                     scan=ScanConfig(resolution=args.resolution, views=args.views),
                     degradations=[dict(d) for d in degradations],
                     output_dir=str(out / name),

@@ -47,8 +47,9 @@ def _flags(cls) -> dict:
     return {name: typ for name, (typ, _) in field_types(cls).items() if typ in (int, float, str)}
 
 
-def _add_flags(parser: argparse.ArgumentParser, cls) -> None:
-    for name, typ in _flags(cls).items():
+def _add_flags(parser: argparse.ArgumentParser, flags: dict) -> None:
+    """A flag for each {field: type} of `flags`, as `_flags` gives them."""
+    for name, typ in flags.items():
         parser.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
 
 
@@ -198,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("skeleton", help="generate a ground-truth skeleton")
-    _add_flags(p, TreeParams)
+    _add_flags(p, _flags(TreeParams))
     _range_flag(p, "--branch-angle-range")
     p.add_argument("--branches-per-node-range", type=int, nargs=2, default=None, metavar=("LO", "HI"))
     p.add_argument("--out", required=True)
@@ -212,14 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit an implicit surface to a mesh")
     p.add_argument("--mesh", required=True)
-    _add_flags(p, FitConfig)
+    _add_flags(p, _flags(FitConfig))
     p.add_argument("--out", required=True)
     p.add_argument("--dump-debug-obj", default=None)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("scan", help="virtual-scan a fitted surface")
     p.add_argument("--surface", required=True)
-    _add_flags(p, ScanConfig)
+    _add_flags(p, _flags(ScanConfig))
     p.add_argument("--skeleton", default=None, help="skeleton file for the march feature size")
     p.add_argument("--min-feature", type=float, default=None)
     p.add_argument("--out", required=True)
@@ -258,7 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = dsub.add_parser("density", help="rescan at resolutions 50/100/150")
     d.add_argument("--surface", required=True)
-    _add_flags(d, ScanConfig)
+    scan_flags = _flags(ScanConfig)
+    del scan_flags["resolution"]  # the rescans set their own
+    _add_flags(d, scan_flags)
     d.add_argument("--skeleton", default=None)
     d.add_argument("--min-feature", type=float, default=None)
     d.add_argument("--out-prefix", required=True)
@@ -273,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run the full generation pipeline")
     p.add_argument("--config", default=None)
-    _add_flags(p, TreeParams)
-    _add_flags(p, FitConfig)
-    _add_flags(p, ScanConfig)
+    tree_flags = _flags(TreeParams)
+    del tree_flags["seed"]  # the skeleton seed derives from --master-seed
+    _add_flags(p, {**tree_flags, **_flags(FitConfig), **_flags(ScanConfig)})
     p.add_argument("--output-dir", default=None)
     p.add_argument("--name", default=None)
     p.add_argument("--master-seed", type=int, default=None)

@@ -161,6 +161,8 @@ def degradation_params(entry: dict, seed: int | None = None):
     types = {k: t for k, t in field_types(klass).items() if k != "seed"} if klass else {}
     given = {k: v for k, v in entry.items() if k != "kind"}
     if "lam" in types and "lambda" in given:
+        if "lam" in given:
+            raise InvalidParameterError(f"{kind}: give lam or its alias lambda, not both")
         given["lam"] = given.pop("lambda")
     unknown = sorted(set(given) - set(types))
     if unknown:
@@ -199,6 +201,8 @@ class PipelineConfig:
         self.tree.validate()
         self.fit.validate()
         self.scan.validate()
+        if self.tree.seed != 0:
+            raise InvalidParameterError("tree.seed is not read: the skeleton seed derives from master_seed")
         if not 0 <= self.master_seed <= 0xFFFFFFFFFFFFFFFF:
             raise InvalidParameterError("master_seed must fit in 64 unsigned bits")
         if self.sides < 3:

@@ -245,20 +245,20 @@ def scan_view(surface: ImplicitSurface, pose: Pose, cfg: ScanConfig, min_feature
 
 def scan_surface(surface: ImplicitSurface, cfg: ScanConfig, min_feature: float) -> PointCloud:
     """All views, concatenated in view order; PCA+MST normals attached here
-    when that mode is on."""
+    when that mode is on. Every scan carries normals, (0, 3) when empty."""
     cfg.validate()
     poses = viewpoints((surface.bbox_lo, surface.bbox_hi), cfg.views, cfg.standoff)
     clouds = [scan_view(surface, pose, cfg, min_feature) for pose in poses]
-    normals = None
+    points = np.concatenate([c.points for c in clouds], axis=0)
     if cfg.normal_mode == "analytic":
-        normals = np.concatenate([c.normals for c in clouds], axis=0)
-    merged = PointCloud(np.concatenate([c.points for c in clouds], axis=0), normals)
-    if cfg.normal_mode == "pca-mst" and len(merged) >= PCA_K:
-        merged = orient_normals(estimate_normals(merged, PCA_K), PCA_K)
-    return merged
+        return PointCloud(points, np.concatenate([c.normals for c in clouds], axis=0))
+    if len(points) == 0:
+        return PointCloud(points, np.zeros((0, 3)))
+    # 1 to PCA_K - 1 points are too few for a neighbourhood: TooFewPointsError
+    return orient_normals(estimate_normals(PointCloud(points), PCA_K), PCA_K)
 
 
-def estimate_normals(cloud: PointCloud, k: int, diagnostics: dict | None = None) -> PointCloud:
+def estimate_normals(cloud: PointCloud, k: int) -> PointCloud:
     """Unoriented PCA normals from the k nearest neighbors of each point."""
     if k < 3:
         raise InvalidParameterError("k must be >= 3")
@@ -266,15 +266,11 @@ def estimate_normals(cloud: PointCloud, k: int, diagnostics: dict | None = None)
     if n < k:
         raise TooFewPointsError(f"need at least k={k} points, got {n}")
     rows, (_, nbr) = tree_order_neighbours(cloud.points, k=k)  # includes the point itself
-    _, eigvals, eigvecs = principal_axes(cloud.points, nbr.ravel(), np.arange(0, n * k, k))
+    _, _, eigvecs = principal_axes(cloud.points, nbr.ravel(), np.arange(0, n * k, k))
     leading = eigvecs[:, :, 0]  # smallest eigenvalue first
     lengths = np.linalg.norm(leading, axis=1, keepdims=True)
     normals = np.empty((n, 3))
     normals[rows] = leading / np.where(lengths > 0.0, lengths, 1.0)
-    if diagnostics is not None:
-        # rank-deficient neighborhoods: two vanishing eigenvalues
-        scale = np.maximum(eigvals[:, 2], 1e-300)
-        diagnostics["degenerate"] = int(np.count_nonzero(eigvals[:, 1] / scale < 1e-12))
     return PointCloud(cloud.points.copy(), normals)
 
 

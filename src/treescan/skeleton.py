@@ -10,7 +10,7 @@ reproduces the same tree, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +25,10 @@ from .rng import Stream
 DOWN = np.array([0.0, 0.0, -1.0])
 
 SIZE_PRESETS = {
-    # branch_levels, branches_per_node_range, nodes_per_curve, trunk_radius
-    "small": (1, (1, 2), 4, 0.05),
-    "medium": (3, (1, 2), 4, 0.06),
-    "large": (4, (2, 3), 5, 0.07),
+    # the TreeParams fields each size class changes from the defaults, which are small's
+    "small": {},
+    "medium": {"branch_levels": 3, "trunk_radius": 0.06},
+    "large": {"branch_levels": 4, "branches_per_node_range": (2, 3), "nodes_per_curve": 5, "trunk_radius": 0.07},
 }
 
 
@@ -139,7 +139,7 @@ class TreeParams:
 
     size_class is a label recording which preset produced the parameters;
     construction via `TreeParams.preset` keeps it consistent with
-    branch_levels.  Angles are radians.
+    branch_levels.  The defaults are the small preset.  Angles are radians.
     """
 
     size_class: str = "small"
@@ -159,16 +159,7 @@ class TreeParams:
     def preset(cls, size_class: str, seed: int = 0, **overrides) -> "TreeParams":
         if size_class not in SIZE_PRESETS:
             raise InvalidParameterError(f"unknown size class {size_class!r}")
-        levels, bpn, npc, trunk_r = SIZE_PRESETS[size_class]
-        params = cls(
-            size_class=size_class,
-            branch_levels=levels,
-            branches_per_node_range=bpn,
-            nodes_per_curve=npc,
-            trunk_radius=trunk_r,
-            seed=seed,
-        )
-        return replace(params, **overrides) if overrides else params
+        return cls(**{"size_class": size_class, "seed": seed, **SIZE_PRESETS[size_class], **overrides})
 
     def validate(self) -> None:
         if self.size_class not in SIZE_PRESETS:

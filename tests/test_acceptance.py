@@ -312,7 +312,7 @@ def test_criterion_09_pipeline_determinism(tmp_path):
 
     def medium(out):
         return PipelineConfig(
-            tree=TreeParams.preset("medium", seed=11),
+            tree=TreeParams.preset("medium"),
             scan=scan,
             degradations=[dict(d) for d in ALL_DEGRADATIONS],
             output_dir=str(out),
@@ -322,7 +322,7 @@ def test_criterion_09_pipeline_determinism(tmp_path):
 
     def small(out):
         return PipelineConfig(
-            tree=TreeParams.preset("small", seed=5),
+            tree=TreeParams.preset("small"),
             scan=scan,
             degradations=[dict(d) for d in ALL_DEGRADATIONS],
             output_dir=str(out),
@@ -367,7 +367,7 @@ def test_criterion_09_pipeline_determinism(tmp_path):
 def test_criterion_10_small_batch_throughput(tmp_path):
     configs = [
         PipelineConfig(
-            tree=TreeParams.preset("small", seed=s),
+            tree=TreeParams.preset("small"),
             degradations=[dict(d) for d in ALL_DEGRADATIONS],
             output_dir=str(tmp_path / f"model{s:02d}"),
             name=f"small{s:02d}",

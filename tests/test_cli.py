@@ -1,6 +1,7 @@
 """Command line coverage: every subcommand, flag precedence, batch exit codes."""
 
 import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -338,11 +339,11 @@ def test_unknown_degradation_choice_rejected(tmp_path):
 _SCAN = "--resolution --views --standoff --normal-mode"
 _TREE = (
     "--size-class --trunk-length --trunk-radius --branch-levels --radius-decay --length-decay"
-    " --gravity --bend --nodes-per-curve --seed"
+    " --gravity --bend --nodes-per-curve"
 )
 _FIT = "--epsilon --max-depth --max-triangles-per-cell --sphere-radius-scale"
 CLI_SURFACE = {
-    "skeleton": f"{_TREE} --branch-angle-range --branches-per-node-range --out",
+    "skeleton": f"{_TREE} --seed --branch-angle-range --branches-per-node-range --out",
     "mesh": "--skeleton --sides --out",
     "fit": f"--mesh {_FIT} --out --dump-debug-obj",
     "scan": f"--surface {_SCAN} --skeleton --min-feature --out",
@@ -350,7 +351,7 @@ CLI_SURFACE = {
     "degrade noise": "--in --s --d --seed --out",
     "degrade occlude": "--in --skeleton --n --lambda --seed --out --balls-out",
     "degrade uneven": "--in --r --region --lambda1-range --lambda2-range --seed --out",
-    "degrade density": f"--surface {_SCAN} --skeleton --min-feature --out-prefix",
+    "degrade density": "--surface --views --standoff --normal-mode --skeleton --min-feature --out-prefix",
     "eval": "--ground-truth --extracted --spacing --out",
     "pipeline": (
         f"--config {_TREE} {_FIT} {_SCAN} --output-dir --name --master-seed --sides"
@@ -412,6 +413,7 @@ def test_degrade_prints_runner_warnings(tmp_path, capsys):
 
 
 MISSING_FEATURE = "give --skeleton or --min-feature: they size the march step"
+TREE_SEED_UNREAD = "tree.seed is not read: the skeleton seed derives from master_seed"
 
 
 @pytest.mark.parametrize("command", [["scan", "--out", "x.ply"], ["degrade", "density", "--out-prefix", "x"]])
@@ -456,6 +458,7 @@ def test_refusals_print_one_error_line(tmp_path):
     (tmp_path / "seed.json").write_text('{"master_seed": -3}')
     (tmp_path / "sides.json").write_text('{"sides": 2}')
     (tmp_path / "scale.json").write_text('{"fit": {"sphere_radius_scale": 0.5}}')
+    (tmp_path / "tree_seed.json").write_text('{"tree": {"seed": 5}}')
     not_json = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
     refusals = [
         (["scan", "--surface", "nothing.mpuf", "--out", "x.ply"], MISSING_FEATURE),
@@ -476,6 +479,8 @@ def test_refusals_print_one_error_line(tmp_path):
         (["batch", "--configs", "ok.json", "seed.json"], "seed.json: master_seed must fit in 64 unsigned bits"),
         (["batch", "--configs", "sides.json", "ok.json"], "sides.json: sides must be >= 3"),
         (["pipeline", "--config", "scale.json"], "sphere_radius_scale must exceed 0.5"),
+        (["pipeline", "--config", "tree_seed.json"], TREE_SEED_UNREAD),
+        (["batch", "--configs", "ok.json", "tree_seed.json"], f"tree_seed.json: {TREE_SEED_UNREAD}"),
     ]
     for args, message in refusals:
         command = [sys.executable, "-m", "treescan.cli", *args]
@@ -484,19 +489,20 @@ def test_refusals_print_one_error_line(tmp_path):
         assert proc.stderr.splitlines() == [f"error: {message}"]
         assert proc.stdout == ""
     files = [
-        "bad.json", "list.json", "ok.json", "scale.json", "section.json", "seed.json", "sides.json", "twice.json"
+        "bad.json", "list.json", "ok.json", "scale.json", "section.json", "seed.json", "sides.json", "tree_seed.json",
+        "twice.json",
     ]
     assert sorted(p.name for p in tmp_path.iterdir()) == files
 
 
 def test_size_class_flag_keeps_the_config_files_tree_keys(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"tree": {"size_class": "small", "trunk_length": 2.0, "seed": 5}}))
+    path.write_text(json.dumps({"tree": {"size_class": "small", "trunk_length": 2.0, "bend": 0.3}}))
     args = build_parser().parse_args(["pipeline", "--config", str(path), "--size-class", "medium"])
-    assert _pipeline_config(args).tree == TreeParams.preset("medium", seed=5, trunk_length=2.0)
+    assert _pipeline_config(args).tree == TreeParams.preset("medium", trunk_length=2.0, bend=0.3)
     # without the flag, the file's own preset takes the same keys
     args = build_parser().parse_args(["pipeline", "--config", str(path)])
-    assert _pipeline_config(args).tree == TreeParams.preset("small", seed=5, trunk_length=2.0)
+    assert _pipeline_config(args).tree == TreeParams.preset("small", trunk_length=2.0, bend=0.3)
 
 
 def test_scan_with_skeleton_writes_the_pipeline_clean_cloud(tmp_path):
@@ -568,9 +574,10 @@ def config_with_file(tmp_path, data, argv):
 def test_each_pipeline_flag_reads_as_its_config_file_key(tmp_path):
     default = PipelineConfig().to_dict()
     flags = pipeline_flags()
+    # the skeleton seed derives from the master seed: no flag sets tree.seed
     assert set(flags) == set(field_types(PipelineConfig)) - {"tree", "fit", "scan"} | {
         name for cls in (TreeParams, FitConfig, ScanConfig) for name in _flags(cls)
-    }
+    } - {"seed"}
     for dest, (action, section) in flags.items():
         value = FLAG_SAMPLES.get(dest, 3 if action.type is int else 0.25)
         argv = [action.option_strings[0], *map(str, value if isinstance(value, list) else [value])]
@@ -589,3 +596,96 @@ def test_each_pipeline_flag_reads_as_its_config_file_key(tmp_path):
 def test_config_file_switches_stay_on_without_their_flags(tmp_path):
     config = config_with_file(tmp_path, {"cache_surface": True, "debug_obj": True}, [])
     assert config.cache_surface and config.debug_obj
+
+
+# options that only name a file to read or write
+FILE_OPTIONS = {
+    "--out", "--in", "--mesh", "--surface", "--skeleton", "--out-prefix", "--balls-out", "--dump-debug-obj",
+    "--ground-truth", "--extracted",
+}
+# a value other than the one each run below starts from, for every other
+# option of the stage subcommands
+STAGE_SAMPLES = {
+    "skeleton": {
+        "--size-class": "medium",
+        "--trunk-length": "1.5",
+        "--trunk-radius": "0.04",
+        "--branch-levels": "0",
+        "--radius-decay": "0.5",
+        "--length-decay": "0.5",
+        "--gravity": "0.5",
+        "--bend": "0.3",
+        "--nodes-per-curve": "3",
+        "--seed": "3",
+        "--branch-angle-range": "0.2 0.5",
+        "--branches-per-node-range": "2 3",
+    },
+    "mesh": {"--sides": "12"},
+    "fit": {"--epsilon": "0.01", "--max-depth": "5", "--max-triangles-per-cell": "8", "--sphere-radius-scale": "0.8"},
+    "scan": {
+        "--resolution": "30",
+        "--views": "3",
+        "--standoff": "2.0",
+        "--normal-mode": "pca-mst",
+        "--min-feature": "0.01",
+    },
+    "degrade noise": {"--s": "0.05", "--d": "3", "--seed": "3"},
+    "degrade occlude": {"--n": "5", "--lambda": "0.2", "--seed": "3"},
+    "degrade uneven": {
+        "--r": "0.1",
+        "--region": "-2 -2 -2 2 2 0.5",
+        "--lambda1-range": "0.01 0.02",
+        "--lambda2-range": "0.01 0.02",
+        "--seed": "3",
+    },
+    "degrade density": {"--views": "2", "--standoff": "2.0", "--normal-mode": "pca-mst", "--min-feature": "0.01"},
+    "eval": {"--spacing": "0.05"},
+}
+
+
+def test_each_stage_flag_changes_what_its_subcommand_writes(tmp_path):
+    # a flag that changes no byte is a knob nothing reads; the runs start
+    # from the small preset's model, chained through the stages' files
+    surface = option_strings(build_parser())
+    for command, samples in STAGE_SAMPLES.items():
+        assert set(surface[command].split()) - FILE_OPTIONS == set(samples), command
+
+    other = str(tmp_path / "other.skel")
+    assert main(["skeleton", "--seed", "1", "--out", other]) == 0
+    model = {}  # file suffix: the file a base run of skeleton, mesh, fit or scan wrote
+    bases = {
+        "skeleton": lambda out: ["skeleton", "--out", f"{out}/t.skel"],
+        "mesh": lambda out: ["mesh", "--skeleton", model[".skel"], "--out", f"{out}/t.obj"],
+        "fit": lambda out: ["fit", "--mesh", model[".obj"], "--out", f"{out}/t.mpuf"],
+        "scan": lambda out: [
+            "scan", "--surface", model[".mpuf"], "--skeleton", model[".skel"], "--resolution", "100", "--views", "2",
+            "--out", f"{out}/t.ply",
+        ],
+        "degrade noise": lambda out: ["degrade", "noise", "--in", model[".ply"], "--out", f"{out}/t.ply"],
+        "degrade occlude": lambda out: ["degrade", "occlude", "--in", model[".ply"], "--out", f"{out}/t.ply"],
+        "degrade uneven": lambda out: [  # the seeded default region may miss a sparse cloud
+            "degrade", "uneven", "--in", model[".ply"], "--region", "-2", "-2", "-2", "2", "2", "3",
+            "--out", f"{out}/t.ply",
+        ],
+        "degrade density": lambda out: [
+            "degrade", "density", "--surface", model[".mpuf"], "--skeleton", model[".skel"], "--views", "1",
+            "--out-prefix", f"{out}/t",
+        ],
+        "eval": lambda out: ["eval", "--ground-truth", model[".skel"], "--extracted", other, "--out", f"{out}/r.json"],
+    }
+    runs = itertools.count()
+
+    def written(argv) -> tuple:
+        out = tmp_path / f"run{next(runs)}"
+        out.mkdir()
+        assert main(argv(out)) == 0
+        return out, {p.name: p.read_bytes() for p in out.iterdir()}
+
+    for command, samples in STAGE_SAMPLES.items():
+        out, base = written(bases[command])
+        if command in ("skeleton", "mesh", "fit", "scan"):
+            model.update({Path(name).suffix: str(out / name) for name in base})
+        for option, value in samples.items():
+            _, changed = written(lambda out: [*bases[command](out), option, *value.split()])
+            assert changed.keys() == base.keys(), (command, option)
+            assert changed != base, (command, option)

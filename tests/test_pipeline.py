@@ -2,7 +2,9 @@
 
 import copy
 import hashlib
+import inspect
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from treescan.pipeline import (
 )
 from treescan.rng import derive_seed
 from treescan.scanner import ScanConfig
-from treescan.skeleton import TreeParams, load_skeleton
+from treescan.skeleton import TreeParams, generate_skeleton, load_skeleton
 
 ALL_DEGRADATIONS = [
     {"kind": "noise", "s": 0.01, "d": 10},
@@ -163,16 +165,42 @@ def test_cache_and_debug_artifacts(tmp_path):
 
 
 def counting(monkeypatch, module, name) -> list:
-    """Count the calls `module` makes to its global `name`."""
+    """The calls `module` makes to its global `name`: each one's {parameter: argument}, defaults included."""
     calls = []
     real = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def test_each_stage_gets_its_whole_config_section(tmp_path, monkeypatch):
+    # no field of a section is dropped on its way to the stage, and the tree
+    # carries the seed derived from the master seed
+    names = ("generate_skeleton", "sweep_mesh", "build_surface", "scan_surface")
+    calls = {name: counting(monkeypatch, pipeline, name) for name in names}
+    cfg = tiny_config(
+        tmp_path / "m",
+        tree=TreeParams(branch_levels=0, nodes_per_curve=5, bend=0.3, gravity=0.5),
+        fit=FitConfig(epsilon=0.004, max_depth=9, max_triangles_per_cell=16, sphere_radius_scale=0.8),
+        scan=ScanConfig(resolution=30, views=3, standoff=2.0, normal_mode="pca-mst"),
+        sides=8,
+        master_seed=4,
+    )
+    run_pipeline(cfg)
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(names, 1)
+    tree = replace(cfg.tree, seed=derive_seed(4, "skeleton"))
+    assert calls["generate_skeleton"][0]["params"] == tree
+    assert calls["sweep_mesh"][0]["sides"] == 8
+    assert calls["build_surface"][0]["cfg"] == cfg.fit
+    scan = calls["scan_surface"][0]
+    assert scan["cfg"] == cfg.scan
+    assert scan["min_feature"] == generate_skeleton(tree).min_radius()
 
 
 def test_surface_cache_refits_when_stale(tmp_path, monkeypatch):
@@ -228,6 +256,8 @@ def test_occlusion_lambda_key_alias(tmp_path):
         tiny_config(tmp_path / "b", degradations=[{"kind": "occlusion", "lam": 0.08}])
     )
     assert role_digests(spelled)["occlusion"] == role_digests(short)["occlusion"]
+    with pytest.raises(InvalidParameterError, match="give lam or its alias lambda, not both"):
+        pipeline.degradation_params({"kind": "occlusion", "lam": 0.1, "lambda": 0.2})
 
 
 def test_uneven_far_region_warns_and_keeps_cloud(tmp_path):
@@ -444,8 +474,8 @@ def test_config_load_takes_numeric_strings_and_null_for_optional_floats():
 
 
 def test_config_tree_section_starts_from_its_size_class_preset():
-    tree = PipelineConfig.from_dict({"tree": {"size_class": "medium", "seed": 3}}).tree
-    assert tree == TreeParams.preset("medium", seed=3)
+    tree = PipelineConfig.from_dict({"tree": {"size_class": "medium", "bend": 0.3}}).tree
+    assert tree == TreeParams.preset("medium", bend=0.3)
     with pytest.raises(InvalidParameterError, match="size class"):
         TreeParams(size_class="huge").validate()
 
@@ -475,6 +505,8 @@ def test_config_load_takes_integral_floats():
         lambda c: setattr(c, "master_seed", -1),
         lambda c: setattr(c, "master_seed", 1 << 64),
         lambda c: setattr(c, "sides", 2),
+        lambda c: setattr(c, "tree", replace(c.tree, seed=5)),
+        lambda c: c.degradations.append({"kind": "occlusion", "lam": 0.1, "lambda": 0.2}),
     ],
 )
 def test_config_validation_rejects(tmp_path, mutate):

@@ -339,9 +339,7 @@ def test_pca_normals_on_sphere_radial():
 
 def test_pca_normals_flag_colinear_neighborhoods():
     pts = np.column_stack([np.linspace(0, 1, 50), np.zeros(50), np.zeros(50)])
-    diag: dict = {}
-    cloud = estimate_normals(PointCloud(pts), k=5, diagnostics=diag)
-    assert diag["degenerate"] == 50
+    cloud = estimate_normals(PointCloud(pts), k=5)
     assert np.allclose(np.linalg.norm(cloud.normals, axis=1), 1.0)
 
 
@@ -511,6 +509,23 @@ def test_pca_mst_scan_mode(sphere_surface_320):
     radial = cloud.points / np.linalg.norm(cloud.points, axis=1, keepdims=True)
     outward = np.einsum("ij,ij->i", cloud.normals, radial) > 0.0
     assert outward.mean() >= 0.9
+
+
+@pytest.mark.parametrize("normal_mode", ["analytic", "pca-mst"])
+@pytest.mark.parametrize("resolution, hits", [(2, 0), (4, 4)])
+def test_scans_too_small_for_pca_normals(sphere_surface_320, normal_mode, resolution, hits):
+    # one view of a 2 x 2 ray grid misses the sphere, and a 4 x 4 grid hits
+    # it 4 times: every empty scan carries (0, 3) normals, and a pca-mst
+    # scan of 1 to PCA_K - 1 points refuses rather than drop its normals
+    cfg = ScanConfig(resolution=resolution, views=1, normal_mode=normal_mode)
+    feature = diagonal_feature(sphere_surface_320)
+    if hits and normal_mode == "pca-mst":
+        with pytest.raises(TooFewPointsError):
+            scan_surface(sphere_surface_320, cfg, feature)
+        return
+    cloud = scan_surface(sphere_surface_320, cfg, feature)
+    assert len(cloud) == hits
+    assert cloud.normals.shape == (hits, 3)
 
 
 # -- config validation -----------------------------------------------------------------

@@ -117,6 +117,10 @@ def test_presets_scale_complexity():
     assert len(small.nodes) < len(medium.nodes) < len(large.nodes)
 
 
+def test_small_preset_is_the_defaults():
+    assert TreeParams() == TreeParams.preset("small")
+
+
 def test_preset_rejects_unknown_class():
     with pytest.raises(ValueError):
         TreeParams.preset("gigantic")
