@@ -42,7 +42,7 @@ Through `treescan.cli.main` it then runs `treescan skeleton`, `mesh` and
 range flags, sides; default fit), and `treescan scan` and the four
 `treescan degrade` subcommands with their default flags on the pipeline's
 files (`scan` and `density` with `--surface` and `--skeleton`, `occlude`
-with `--skeleton` and `--balls-out`). It hashes every file they write: the
+with `--balls-out`). It hashes every file they write: the
 command line's own path through every stage. Without --case the default
 list below runs (about ten minutes on a 2-core host).
 """
@@ -183,7 +183,7 @@ def degrade_digests(case: str) -> dict[str, str]:
             ["fit", "--mesh", f"{stage}.obj", "--out", f"{stage}.mpuf"],
             ["scan", *surface, *skeleton, "--out", f"{out}/scan.ply"],
             ["degrade", "noise", *clean, "--out", f"{out}/noise.ply"],
-            ["degrade", "occlude", *clean, *skeleton, "--out", f"{out}/occlusion.ply", "--balls-out", f"{out}/balls.json"],
+            ["degrade", "occlude", *clean, "--out", f"{out}/occlusion.ply", "--balls-out", f"{out}/balls.json"],
             ["degrade", "uneven", *clean, "--out", f"{out}/uneven.ply"],
             ["degrade", "density", *surface, *skeleton, "--out-prefix", f"{out}/model"],
         ]

@@ -78,7 +78,6 @@ from .skeleton import (
     SkeletonGraph,
     SkeletonNode,
     TreeParams,
-    apply_gravity,
     generate_skeleton,
     load_skeleton,
     save_skeleton,
@@ -151,7 +150,6 @@ __all__ = [
     "SkeletonGraph",
     "SkeletonNode",
     "TreeParams",
-    "apply_gravity",
     "generate_skeleton",
     "load_skeleton",
     "save_skeleton",

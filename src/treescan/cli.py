@@ -84,7 +84,7 @@ def _cmd_skeleton(args) -> int:
 
 def _cmd_mesh(args) -> int:
     skeleton = load_skeleton(args.skeleton)
-    mesh = sweep_mesh(skeleton, sides=args.sides)
+    mesh = sweep_mesh(skeleton, sides=_pipeline_config(args).sides)
     save_obj(mesh, args.out)
     print(f"wrote {args.out} ({len(mesh.vertices)} vertices, {len(mesh.triangles)} triangles)")
     return 0
@@ -129,11 +129,7 @@ def _params_from_flags(kind: str, args):
 
 
 def _cmd_degrade(args) -> int:
-    """Run the pipeline's runner of `args.kind` on the inputs its flags name.
-
-    Occlusion balls are sized by the --skeleton bbox, else the cloud's; the
-    default uneven region is drawn from the params seed over the cloud's bbox.
-    """
+    """Run the pipeline's runner of `args.kind` on the inputs its flags name."""
     params = _params_from_flags(args.kind, args)
     if args.kind == "density":
         clean = None
@@ -142,9 +138,7 @@ def _cmd_degrade(args) -> int:
         )
     else:
         clean = read_ply(args.input)
-        ctx = StageContext(region_seed=params.seed)
-        if args.kind == "occlusion":
-            ctx.bbox = load_skeleton(args.skeleton).bbox() if args.skeleton else clean.bbox()
+        ctx = StageContext()
     for _, stem, cloud in DEGRADATIONS[args.kind][1](params, clean, ctx):
         path = args.out if clean is not None else f"{args.out_prefix}_{stem}.ply"
         write_ply(cloud, path)
@@ -207,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mesh", help="sweep a tube mesh along a skeleton")
     p.add_argument("--skeleton", required=True)
-    p.add_argument("--sides", type=int, default=24)
+    p.add_argument("--sides", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_mesh)
 
@@ -239,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = dsub.add_parser("occlude", help="remove occlusion-ball interiors")
     d.add_argument("--in", dest="input", required=True)
-    d.add_argument("--skeleton", default=None, help="bbox source; defaults to the cloud bbox")
     d.add_argument("--n", dest="N", type=int, default=None)
     d.add_argument("--lambda", dest="lam", type=float, default=None)
     d.add_argument("--seed", type=int, default=None)

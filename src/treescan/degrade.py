@@ -137,14 +137,12 @@ def occlude(cloud: PointCloud, bbox, p: OcclusionParams):
     return occlude_with_balls(cloud, balls), balls
 
 
-def default_region(bbox, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded box covering 30% of each bbox axis at a random offset."""
-    lo = np.asarray(bbox[0], dtype=np.float64)
-    hi = np.asarray(bbox[1], dtype=np.float64)
-    extent = hi - lo
-    u = uniform(seed, STREAM_REGION, np.arange(3))
-    start = lo + u * 0.7 * extent
-    return start, start + 0.3 * extent
+def default_region(cloud: PointCloud, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded box spanning 30% of each axis of the cloud's bbox, centred on a cloud point."""
+    lo, hi = cloud.bbox()
+    center = cloud.points[uniform_int(seed, STREAM_REGION, 0, 0, len(cloud) - 1)]
+    half = 0.15 * (hi - lo)
+    return center - half, center + half
 
 
 def uneven_density(cloud: PointCloud, p: UnevenParams, diagnostics: dict | None = None) -> PointCloud:

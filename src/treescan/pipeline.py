@@ -96,10 +96,12 @@ def _coerced(name: str, declared: tuple, value):
 
 @dataclass
 class StageContext:
-    """What a degradation runner reads besides its params; a field no runner in use reads may stay None."""
+    """What the density rescans read besides their params, and what the runners report.
 
-    bbox: tuple | None = None  # sizes the occlusion balls
-    region_seed: int | None = None  # draws the default uneven region
+    The other runners read only their params and the clean cloud, so the
+    pipeline and the CLI degrade a cloud by one rule.
+    """
+
     surface: ImplicitSurface | None = None  # with scan and min_feature: the density rescans
     scan: ScanConfig | None = None
     min_feature: float | None = None
@@ -114,7 +116,8 @@ def _noise(params: NoiseParams, clean: PointCloud, ctx: StageContext):
 
 
 def _occlusion(params: OcclusionParams, clean: PointCloud, ctx: StageContext):
-    occluded, balls = occlude(clean, ctx.bbox, params)
+    # the cloud's bbox sizes the balls; with no ball, an empty cloud passes unchanged
+    occluded, balls = occlude(clean, clean.bbox() if params.N else None, params)
     ctx.occlusion_balls.extend({"center": list(map(float, c)), "radius": float(r)} for c, r in balls)
     if len(occluded) == len(clean) and params.N > 0:
         ctx.warnings.append("occlusion removed no points")
@@ -123,7 +126,7 @@ def _occlusion(params: OcclusionParams, clean: PointCloud, ctx: StageContext):
 
 def _uneven(params: UnevenParams, clean: PointCloud, ctx: StageContext):
     if params.region is None:
-        params = replace(params, region=default_region(clean.bbox(), ctx.region_seed))
+        params = replace(params, region=default_region(clean, params.seed))
     uneven = uneven_density(clean, params)
     if len(uneven) == len(clean):
         ctx.warnings.append("uneven density inserted no points")
@@ -337,7 +340,7 @@ def run_pipeline(config: PipelineConfig) -> DatasetManifest:
     out.mkdir(parents=True, exist_ok=True)
     _clear_earlier_run(out)
 
-    labels = ("skeleton", "noise", "occlusion", "uneven", "region")
+    labels = ("skeleton", "noise", "occlusion", "uneven")
     seeds = {label: derive_seed(config.master_seed, label) for label in labels}
 
     files: list[dict] = []
@@ -402,7 +405,7 @@ def run_pipeline(config: PipelineConfig) -> DatasetManifest:
         write_ply(clean, path)
         timings["scan"] = time.perf_counter() - t0
 
-        ctx = StageContext(skeleton.bbox(), seeds["region"], surface, config.scan, skeleton.min_radius(), warnings)
+        ctx = StageContext(surface, config.scan, skeleton.min_radius(), warnings)
         entries = {entry["kind"]: entry for entry in config.degradations}
         for kind, (_, run) in DEGRADATIONS.items():
             if kind not in entries:

@@ -267,10 +267,8 @@ def estimate_normals(cloud: PointCloud, k: int) -> PointCloud:
         raise TooFewPointsError(f"need at least k={k} points, got {n}")
     rows, (_, nbr) = tree_order_neighbours(cloud.points, k=k)  # includes the point itself
     _, _, eigvecs = principal_axes(cloud.points, nbr.ravel(), np.arange(0, n * k, k))
-    leading = eigvecs[:, :, 0]  # smallest eigenvalue first
-    lengths = np.linalg.norm(leading, axis=1, keepdims=True)
     normals = np.empty((n, 3))
-    normals[rows] = leading / np.where(lengths > 0.0, lengths, 1.0)
+    normals[rows] = normalize(eigvecs[:, :, 0])  # smallest eigenvalue first
     return PointCloud(cloud.points.copy(), normals)
 
 

@@ -72,18 +72,6 @@ class SkeletonGraph:
     def min_radius(self) -> float:
         return float(min(n.radius for n in self.nodes))
 
-    def edges_in_order(self) -> list[tuple[int, int]]:
-        """Edges reordered so every parent appears before its children."""
-        kids = self.children()
-        order: list[tuple[int, int]] = []
-        stack = [self.root]
-        while stack:
-            nid = stack.pop()
-            for c in reversed(kids[nid]):
-                order.append((nid, c))
-                stack.append(c)
-        return order
-
     def validate(self) -> None:
         """Raise SkeletonInvariantError naming the first violated invariant."""
         if not self.nodes:
@@ -195,6 +183,15 @@ def _tilt(d: np.ndarray, angle: float, azimuth: float) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
+def _pulled(d: np.ndarray, gravity: float) -> np.ndarray:
+    """Unit d pulled down: normalize(d + gravity * DOWN), or d itself if that nearly cancels."""
+    if gravity == 0.0:
+        return d
+    pulled = d + gravity * DOWN
+    norm = float(np.linalg.norm(pulled))
+    return pulled / norm if norm > 1e-12 else d
+
+
 @dataclass
 class _Branch:
     attach_id: int
@@ -216,7 +213,6 @@ def generate_skeleton(params: TreeParams) -> SkeletonGraph:
     ncur = params.nodes_per_curve
 
     nodes: list[SkeletonNode] = [SkeletonNode(0, np.zeros(3), params.trunk_radius)]
-    positions = {0: nodes[0].position}
     edges: list[tuple[int, int]] = []
     queue: list[_Branch] = []
 
@@ -230,10 +226,9 @@ def generate_skeleton(params: TreeParams) -> SkeletonGraph:
         for j in range(1, ncur):
             d = _tilt(d, rng.uniform(0.0, params.bend), rng.uniform(0.0, 2.0 * math.pi))
             node_id = len(nodes)
-            pos = positions[here] + step * d
+            pos = nodes[here].position + step * (_pulled(d, params.gravity) if level > 0 else d)
             radius = base_r * params.radius_decay ** (j / (ncur - 1))
             nodes.append(SkeletonNode(node_id, pos, radius))
-            positions[node_id] = pos
             edges.append((here, node_id))
             new_ids.append((node_id, d))
             here = node_id
@@ -254,42 +249,8 @@ def generate_skeleton(params: TreeParams) -> SkeletonGraph:
         i += 1
 
     graph = SkeletonGraph(nodes=nodes, edges=edges, root=0)
-    if params.gravity > 0.0:
-        graph = apply_gravity(graph, params.gravity, trunk_nodes=range(ncur))
     graph.validate()
     return graph
-
-
-def apply_gravity(
-    skeleton: SkeletonGraph, gravity: float, trunk_nodes=None
-) -> SkeletonGraph:
-    """Pull growth directions downward and re-integrate positions.
-
-    Every edge direction d becomes normalize(d + gravity * (0,0,-1)); edges
-    with both endpoints in `trunk_nodes` keep their direction (the generator
-    exempts the trunk this way).  Segment lengths, radii, and topology are
-    preserved exactly.
-    """
-    if gravity < 0.0:
-        raise InvalidParameterError("gravity must be non-negative")
-    trunk = set(trunk_nodes) if trunk_nodes is not None else set()
-    old_pos = {n.id: n.position for n in skeleton.nodes}
-    new_pos = {skeleton.root: old_pos[skeleton.root].copy()}
-    for p, c in skeleton.edges_in_order():
-        seg = old_pos[c] - old_pos[p]
-        length = float(np.linalg.norm(seg))
-        if length == 0.0:
-            new_pos[c] = new_pos[p].copy()
-            continue
-        d = seg / length
-        if gravity > 0.0 and not (p in trunk and c in trunk):
-            pulled = d + gravity * DOWN
-            norm = float(np.linalg.norm(pulled))
-            if norm > 1e-12:
-                d = pulled / norm
-        new_pos[c] = new_pos[p] + length * d
-    nodes = [SkeletonNode(n.id, new_pos[n.id], n.radius) for n in skeleton.nodes]
-    return SkeletonGraph(nodes=nodes, edges=list(skeleton.edges), root=skeleton.root)
 
 
 def _fmt(x: float) -> str:

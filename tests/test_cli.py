@@ -133,8 +133,6 @@ def test_stage_subcommands_chain(tmp_path, capsys):
                 "occlude",
                 "--in",
                 str(clean),
-                "--skeleton",
-                str(skel),
                 "--n",
                 "2",
                 "--lambda",
@@ -147,7 +145,7 @@ def test_stage_subcommands_chain(tmp_path, capsys):
         )
         == 0
     )
-    want, want_balls = occlude(cloud, skeleton.bbox(), OcclusionParams(N=2, lam=0.05))
+    want, want_balls = occlude(cloud, cloud.bbox(), OcclusionParams(N=2, lam=0.05))
     assert len(want) < len(cloud)
     write_ply(want, tmp_path / "t_occ_ref.ply")
     assert occluded_path.read_bytes() == (tmp_path / "t_occ_ref.ply").read_bytes()
@@ -349,7 +347,7 @@ CLI_SURFACE = {
     "scan": f"--surface {_SCAN} --skeleton --min-feature --out",
     "degrade": "",
     "degrade noise": "--in --s --d --seed --out",
-    "degrade occlude": "--in --skeleton --n --lambda --seed --out --balls-out",
+    "degrade occlude": "--in --n --lambda --seed --out --balls-out",
     "degrade uneven": "--in --r --region --lambda1-range --lambda2-range --seed --out",
     "degrade density": "--surface --views --standoff --normal-mode --skeleton --min-feature --out-prefix",
     "eval": "--ground-truth --extracted --spacing --out",
@@ -385,11 +383,10 @@ def test_degrade_flags_default_to_the_params_dataclasses(tmp_path):
     src = tmp_path / "in.ply"
     write_ply(cloud, src)
     cloud = read_ply(src)
-    bbox = cloud.bbox()
     expected = {
         "noise": add_noise(cloud, NoiseParams()),
-        "occlude": occlude(cloud, bbox, OcclusionParams())[0],
-        "uneven": uneven_density(cloud, replace(UnevenParams(), region=default_region(bbox, 0))),
+        "occlude": occlude(cloud, cloud.bbox(), OcclusionParams())[0],
+        "uneven": uneven_density(cloud, replace(UnevenParams(), region=default_region(cloud, 0))),
     }
     for kind, want in expected.items():
         assert len(want) != len(cloud)

@@ -8,6 +8,7 @@ from scipy.spatial import cKDTree
 from treescan.cloud import PointCloud
 from treescan.degrade import (
     DENSITY_RESOLUTIONS,
+    STREAM_REGION,
     STREAM_UNEVEN_L1,
     STREAM_UNEVEN_L2,
     NoiseParams,
@@ -26,7 +27,7 @@ from treescan.errors import (
     InvalidParameterError,
     MissingNormalsError,
 )
-from treescan.rng import uniform
+from treescan.rng import uniform, uniform_int
 from treescan.scanner import ScanConfig, scan_surface
 
 from .conftest import diagonal_feature
@@ -392,16 +393,20 @@ def test_uneven_matches_the_per_point_loop():
 
 
 def test_default_region_is_a_30_percent_box():
-    bbox = (np.array([-2.0, 0.0, 1.0]), np.array([4.0, 3.0, 2.0]))
-    lo, hi = default_region(bbox, seed=123)
-    extent = bbox[1] - bbox[0]
-    assert np.allclose(hi - lo, 0.3 * extent, atol=1e-12)
-    assert np.all(lo >= bbox[0] - 1e-12)
-    assert np.all(hi <= bbox[1] + 1e-12)
-    lo2, hi2 = default_region(bbox, seed=123)
+    cloud = unit_normal_cloud(200, seed=4)
+    lo, hi = default_region(cloud, seed=123)
+    bbox_lo, bbox_hi = cloud.bbox()
+    assert np.allclose(hi - lo, 0.3 * (bbox_hi - bbox_lo), rtol=0.0, atol=1e-12)
+    # centred on its seeded cloud point, which it therefore holds
+    center = cloud.points[uniform_int(123, STREAM_REGION, 0, 0, len(cloud) - 1)]
+    assert np.allclose((lo + hi) / 2.0, center, rtol=0.0, atol=1e-12)
+    assert np.all((lo <= center) & (center <= hi))
+    lo2, hi2 = default_region(cloud, seed=123)
     assert np.array_equal(lo, lo2) and np.array_equal(hi, hi2)
-    lo3, _ = default_region(bbox, seed=124)
-    assert not np.array_equal(lo, lo3)
+    lo3, hi3 = default_region(cloud, seed=124)
+    assert not (np.array_equal(lo, lo3) and np.array_equal(hi, hi3))
+    with pytest.raises(EmptyCloudError):
+        default_region(PointCloud(np.zeros((0, 3))), seed=0)
 
 
 # -- density variants -----------------------------------------------------------------

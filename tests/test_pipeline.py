@@ -80,7 +80,8 @@ def test_manifest_counts_and_seeds(tmp_path):
     assert by_role["skeleton"]["count"] == len(skeleton.nodes)
     assert by_role["mesh"]["count"] == len(mesh.vertices)
     assert by_role["clean"]["count"] == len(clean)
-    for label in ("skeleton", "noise", "occlusion", "uneven", "region"):
+    assert list(manifest.seeds) == ["skeleton", "noise", "occlusion", "uneven"]
+    for label in manifest.seeds:
         assert manifest.seeds[label] == derive_seed(31, label)
     assert "scan" not in manifest.seeds  # the scanner draws no random numbers
     disk = json.loads((out / "manifest.json").read_text())
@@ -268,6 +269,52 @@ def test_uneven_far_region_warns_and_keeps_cloud(tmp_path):
     counts = {f["role"]: f["count"] for f in manifest.files}
     assert counts["uneven"] == counts["clean"]
     assert any("uneven" in w for w in manifest.warnings)
+
+
+@pytest.fixture(scope="module")
+def small_models(tmp_path_factory):
+    """{master seed: (manifest, output dir)} of the small preset's model at
+    seeds 1-3, scanned from 2 views, with every degradation at its defaults."""
+    runs = {}
+    for seed in (1, 2, 3):
+        out = tmp_path_factory.mktemp(f"small{seed}")
+        config = PipelineConfig(
+            scan=ScanConfig(views=2),
+            degradations=[{"kind": kind} for kind in pipeline.DEGRADATION_KINDS],
+            output_dir=str(out),
+            master_seed=seed,
+        )
+        runs[seed] = run_pipeline(config), out
+    return runs
+
+
+def test_every_requested_degradation_changes_the_clean_cloud(small_models):
+    for seed, (manifest, _) in small_models.items():
+        digests = role_digests(manifest)
+        clean = digests.pop("clean")
+        # the rescan at the scan's own resolution is the clean cloud itself
+        del digests["skeleton"], digests["mesh"], digests[f"density-{manifest.config['scan']['resolution']}"]
+        assert sorted(digests) == ["density-150", "density-50", "noise", "occlusion", "uneven"], seed
+        assert all(digest != clean for digest in digests.values()), seed
+        assert manifest.warnings == [], seed
+
+
+def test_degradations_read_only_the_clean_cloud(small_models):
+    for seed, (manifest, out) in small_models.items():
+        clean = read_ply(out / "model_clean.ply")
+        lo, hi = clean.bbox()
+        assert len(manifest.occlusion_balls) == degrade.OcclusionParams().N
+        for ball in manifest.occlusion_balls:
+            assert ball["radius"] == pytest.approx(degrade.OcclusionParams().lam * np.linalg.norm(hi - lo), rel=1e-6)
+        uneven = read_ply(out / "model_uneven.ply")
+        assert np.array_equal(uneven.points[: len(clean)], clean.points)
+        inserts = uneven.points[len(clean) :]
+        region_lo, region_hi = degrade.default_region(clean, manifest.seeds["uneven"])
+        donors = clean.points[np.all((clean.points >= region_lo) & (clean.points <= region_hi), axis=1)]
+        r = degrade.UnevenParams().r
+        # two offsets of at most r/2 along orthonormal principal directions
+        reach = np.min(np.linalg.norm(inserts[:, None, :] - donors[None, :, :], axis=2), axis=1)
+        assert len(inserts) > 0 and np.all(reach <= r / np.sqrt(2.0) + 1e-6), seed
 
 
 def test_stage_error_reports_stage_and_cleans_up(tmp_path, failing_fit):

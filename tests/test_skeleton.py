@@ -1,5 +1,7 @@
 """Procedural skeletons: structure, determinism, gravity, serialization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from treescan import (
     SkeletonNode,
     SkeletonParseError,
     TreeParams,
-    apply_gravity,
     generate_skeleton,
     load_skeleton,
     save_skeleton,
@@ -55,8 +56,8 @@ def test_no_branching_gives_a_path():
     g = generate_skeleton(params)
     assert len(g.nodes) == 5
     assert len(g.edges) == 4
-    radii = [g.node(p).radius for p, _ in g.edges_in_order()]
-    radii.append(g.node(g.edges_in_order()[-1][1]).radius)
+    assert g.edges == [(i, i + 1) for i in range(4)]
+    radii = [g.node(p).radius for p, _ in g.edges] + [g.node(4).radius]
     assert all(radii[i + 1] <= radii[i] * (1 + 1e-9) for i in range(len(radii) - 1))
 
 
@@ -155,41 +156,53 @@ def assert_same_graph(a, b, atol):
     assert np.allclose([n.radius for n in a.nodes], [n.radius for n in b.nodes], rtol=0.0, atol=atol)
 
 
-def horizontal_edge_graph():
-    nodes = [
-        SkeletonNode(0, np.zeros(3), 1.0),
-        SkeletonNode(1, np.array([1.0, 0.0, 0.0]), 0.5),
-    ]
-    return SkeletonGraph(nodes=nodes, edges=[(0, 1)], root=0)
+def horizontal_branch_step(gravity):
+    """(step, its unpulled length) of the one node a horizontal, unbent branch adds.
+
+    The trunk is one edge up to node 1, and node 1 spawns one branch at a
+    right angle to it, so the branch grows node 2 one step from node 1.
+    """
+    params = TreeParams(
+        branches_per_node_range=(1, 1),
+        branch_angle_range=(np.pi / 2, np.pi / 2),
+        bend=0.0,
+        gravity=gravity,
+        nodes_per_curve=2,
+    )
+    g = generate_skeleton(params)
+    assert g.edges == [(0, 1), (1, 2)]
+    return g.node(2).position - g.node(1).position, params.trunk_length * params.length_decay
 
 
 def test_gravity_zero_is_identity():
-    g = horizontal_edge_graph()
-    out = apply_gravity(g, 0.0)
-    assert_same_graph(g, out, atol=0.0)
+    step, length = horizontal_branch_step(0.0)
+    assert abs(step[2]) <= 1e-15
+    assert np.isclose(np.linalg.norm(step), length, rtol=1e-15)
 
 
 def test_gravity_one_bends_forty_five_degrees():
-    out = apply_gravity(horizontal_edge_graph(), 1.0)
-    tip = out.node(1).position
-    assert np.allclose(tip, [1.0 / np.sqrt(2.0), 0.0, -1.0 / np.sqrt(2.0)], atol=1e-12)
-    assert np.isclose(np.linalg.norm(tip), 1.0)  # segment length preserved
+    step, length = horizontal_branch_step(1.0)
+    horizontal = np.linalg.norm(step[:2])
+    assert np.isclose(horizontal, length / np.sqrt(2.0), rtol=1e-12)
+    assert np.isclose(step[2], -length / np.sqrt(2.0), rtol=1e-12)
+    assert np.isclose(np.linalg.norm(step), length, rtol=1e-12)  # step length preserved
 
 
 def test_gravity_pull_is_monotone():
     down = np.array([0.0, 0.0, -1.0])
-    dots = []
-    for gravity in [0.0, 0.5, 1.0, 2.0, 8.0]:
-        tip = apply_gravity(horizontal_edge_graph(), gravity).node(1).position
-        dots.append(float(tip @ down))
+    dots = [float(horizontal_branch_step(gravity)[0] @ down) for gravity in [0.0, 0.5, 1.0, 2.0, 8.0]]
     assert all(b > a for a, b in zip(dots, dots[1:]))
 
 
 def test_gravity_preserves_segment_lengths():
-    g = generate_skeleton(TreeParams.preset("medium", seed=5))
-    out = apply_gravity(g, 0.7)
-    pos_in = {n.id: n.position for n in g.nodes}
-    pos_out = {n.id: n.position for n in out.nodes}
+    # gravity draws no random number: the same steps, only pulled down
+    params = TreeParams.preset("medium", seed=5)
+    g = generate_skeleton(params)
+    out = generate_skeleton(replace(params, gravity=0.7))
+    assert out.edges == g.edges
+    assert [n.radius for n in out.nodes] == [n.radius for n in g.nodes]
+    pos_in, pos_out = g.positions(), out.positions()
+    assert not np.allclose(pos_in, pos_out)
     for p, c in g.edges:
         a = np.linalg.norm(pos_in[c] - pos_in[p])
         b = np.linalg.norm(pos_out[c] - pos_out[p])
