@@ -30,6 +30,7 @@ from .errors import (
     InvalidParameterError,
     MalformedHeaderError,
     MissingNormalsError,
+    NonFiniteCoordinateError,
     ObjParseError,
     PipelineStageError,
     SkeletonInvariantError,
@@ -106,6 +107,7 @@ __all__ = [
     "InvalidParameterError",
     "MalformedHeaderError",
     "MissingNormalsError",
+    "NonFiniteCoordinateError",
     "ObjParseError",
     "PipelineStageError",
     "SkeletonInvariantError",

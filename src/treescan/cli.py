@@ -1,10 +1,11 @@
 """Command line front end.
 
 Subcommands mirror the pipeline stages so each artifact can be produced or
-reproduced in isolation. A config flag is read as the key a config file
-would hold, through `PipelineConfig.from_dict`: `pipeline` lays the flags
-given over its --config file key by key, and the stage subcommands read
-theirs over no file. `batch` runs JSON config files as they stand.
+reproduced in isolation. The config flags come from the config dataclasses,
+the degrade subcommands from `DEGRADATIONS`. A config flag is read as the
+key a config file would hold, through `PipelineConfig.from_dict`: `pipeline`
+lays the flags given over its --config file key by key, and the stage
+subcommands read theirs over no file. `batch` runs config files as they stand.
 """
 
 from __future__ import annotations
@@ -12,18 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin
 
 from .cloud import read_ply, write_ply
 from .errors import InvalidParameterError, TreescanError
-from .implicit import (
-    FitConfig,
-    build_surface,
-    cell_markers,
-    load_surface,
-    save_surface,
-    surface_key,
-)
+from .implicit import FitConfig, build_surface, cell_markers, load_surface, save_surface, surface_key
 from .mesh import load_obj, save_obj, sweep_mesh
 from .metrics import evaluate, report_json
 from .pipeline import (
@@ -42,20 +38,56 @@ from .scanner import ScanConfig, scan_surface
 from .skeleton import TreeParams, generate_skeleton, load_skeleton, save_skeleton
 
 
-def _flags(cls) -> dict:
-    """{field: type} of the int, float and str fields of a config dataclass, `X | None` read as X."""
-    return {name: typ for name, (typ, _) in field_types(cls).items() if typ in (int, float, str)}
+# flags not named after their field
+_FLAG_NAMES = {"N": "--n", "lam": "--lambda", "debug_obj": "--dump-debug-obj"}
+
+# degradation kind -> (its degrade subcommand, help)
+_DEGRADE_COMMANDS = {
+    "noise": ("noise", "Gaussian noise along normals"),
+    "occlusion": ("occlude", "remove occlusion-ball interiors"),
+    "uneven": ("uneven", "locally uneven density by PCA insertion"),
+    "density": ("density", "rescan at resolutions 50/100/150"),
+}
 
 
-def _add_flags(parser: argparse.ArgumentParser, flags: dict) -> None:
-    """A flag for each {field: type} of `flags`, as `_flags` gives them."""
-    for name, typ in flags.items():
-        parser.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
+def _leaves(typ) -> list:
+    """The item types of tuple type `typ`, nested tuples flattened in order."""
+    return [leaf for t in get_args(typ) for leaf in (_leaves(t) if get_origin(t) is tuple else [t])]
+
+
+def _nested(typ, items):
+    """The flat flag values of iterator `items` in the shape of tuple type `typ`."""
+    return [_nested(t, items) if get_origin(t) is tuple else next(items) for t in get_args(typ)]
+
+
+def _add_flags(parser: argparse.ArgumentParser, cls, skip=()) -> None:
+    """A flag, default None, for each field of config dataclass `cls` but `skip`, dataclass fields' own included.
+
+    A tuple field's flag takes its items flattened in order, and a bool field's is a switch.
+    """
+    for name, (typ, _) in field_types(cls).items():
+        if name in skip:
+            continue
+        flag = _FLAG_NAMES.get(name, f"--{name.replace('_', '-')}")
+        if is_dataclass(typ):
+            _add_flags(parser, typ, skip)
+        elif typ is bool:
+            parser.add_argument(flag, dest=name, action="store_true", default=None)
+        elif get_origin(typ) is tuple:
+            leaves = _leaves(typ)
+            (item,) = set(leaves)  # argparse converts every item alike
+            parser.add_argument(flag, dest=name, type=item, nargs=len(leaves), default=None)
+        else:
+            parser.add_argument(flag, dest=name, type=typ, default=None)
 
 
 def _given(args: argparse.Namespace, cls) -> dict:
-    """{field: value} of the flags given for the fields of config dataclass `cls`."""
-    return {name: v for name in field_types(cls) if (v := getattr(args, name, None)) is not None}
+    """{field: value} of the flags given for the fields of config dataclass `cls`, tuples in their shape."""
+    return {
+        name: _nested(typ, iter(v)) if get_origin(typ) is tuple else v
+        for name, (typ, _) in field_types(cls).items()
+        if (v := getattr(args, name, None)) is not None
+    }
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
@@ -69,10 +101,6 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         if section is None or isinstance(section, dict):  # from_dict refuses any other section
             data[name] = {**(section or {}), **_given(args, cls)}
     return PipelineConfig.from_dict(data)
-
-
-def _range_flag(parser, name):
-    parser.add_argument(name, type=float, nargs=2, default=None, metavar=("LO", "HI"))
 
 
 def _cmd_skeleton(args) -> int:
@@ -123,8 +151,6 @@ def _params_from_flags(kind: str, args):
     """The params of `kind` from its flags; flags left out keep the dataclass defaults."""
     klass = DEGRADATIONS[kind][0]
     entry = {k: v for k, v in _given(args, klass).items() if k != "seed"} if klass else {}
-    if "region" in entry:
-        entry["region"] = [entry["region"][:3], entry["region"][3:]]
     return degradation_params({"kind": kind, **entry}, getattr(args, "seed", None))
 
 
@@ -186,16 +212,12 @@ def _cmd_batch(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="treescan",
-        description="Synthetic tree point clouds with exact ground-truth skeletons.",
-    )
+    about = "Synthetic tree point clouds with exact ground-truth skeletons."
+    parser = argparse.ArgumentParser(prog="treescan", description=about)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("skeleton", help="generate a ground-truth skeleton")
-    _add_flags(p, _flags(TreeParams))
-    _range_flag(p, "--branch-angle-range")
-    p.add_argument("--branches-per-node-range", type=int, nargs=2, default=None, metavar=("LO", "HI"))
+    _add_flags(p, TreeParams)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_skeleton)
 
@@ -207,14 +229,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit an implicit surface to a mesh")
     p.add_argument("--mesh", required=True)
-    _add_flags(p, _flags(FitConfig))
+    _add_flags(p, FitConfig)
     p.add_argument("--out", required=True)
     p.add_argument("--dump-debug-obj", default=None)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("scan", help="virtual-scan a fitted surface")
     p.add_argument("--surface", required=True)
-    _add_flags(p, _flags(ScanConfig))
+    _add_flags(p, ScanConfig)
     p.add_argument("--skeleton", default=None, help="skeleton file for the march feature size")
     p.add_argument("--min-feature", type=float, default=None)
     p.add_argument("--out", required=True)
@@ -222,43 +244,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degrade", help="degrade a point cloud")
     dsub = p.add_subparsers(dest="degrade_kind", required=True)
-
-    d = dsub.add_parser("noise", help="Gaussian noise along normals")
-    d.add_argument("--in", dest="input", required=True)
-    d.add_argument("--s", type=float, default=None)
-    d.add_argument("--d", type=int, default=None)
-    d.add_argument("--seed", type=int, default=None)
-    d.add_argument("--out", required=True)
-    d.set_defaults(func=_cmd_degrade, kind="noise")
-
-    d = dsub.add_parser("occlude", help="remove occlusion-ball interiors")
-    d.add_argument("--in", dest="input", required=True)
-    d.add_argument("--n", dest="N", type=int, default=None)
-    d.add_argument("--lambda", dest="lam", type=float, default=None)
-    d.add_argument("--seed", type=int, default=None)
-    d.add_argument("--out", required=True)
-    d.add_argument("--balls-out", default=None)
-    d.set_defaults(func=_cmd_degrade, kind="occlusion")
-
-    d = dsub.add_parser("uneven", help="locally uneven density by PCA insertion")
-    d.add_argument("--in", dest="input", required=True)
-    d.add_argument("--r", type=float, default=None)
-    d.add_argument("--region", type=float, nargs=6, default=None, metavar=("X0", "Y0", "Z0", "X1", "Y1", "Z1"))
-    _range_flag(d, "--lambda1-range")
-    _range_flag(d, "--lambda2-range")
-    d.add_argument("--seed", type=int, default=None)
-    d.add_argument("--out", required=True)
-    d.set_defaults(func=_cmd_degrade, kind="uneven")
-
-    d = dsub.add_parser("density", help="rescan at resolutions 50/100/150")
-    d.add_argument("--surface", required=True)
-    scan_flags = _flags(ScanConfig)
-    del scan_flags["resolution"]  # the rescans set their own
-    _add_flags(d, scan_flags)
-    d.add_argument("--skeleton", default=None)
-    d.add_argument("--min-feature", type=float, default=None)
-    d.add_argument("--out-prefix", required=True)
-    d.set_defaults(func=_cmd_degrade, kind="density")
+    for kind, (klass, _) in DEGRADATIONS.items():
+        command, about = _DEGRADE_COMMANDS[kind]
+        d = dsub.add_parser(command, help=about)
+        if kind == "density":
+            d.add_argument("--surface", required=True)
+            _add_flags(d, ScanConfig, skip=("resolution",))  # the rescans set their own
+            d.add_argument("--skeleton", default=None)
+            d.add_argument("--min-feature", type=float, default=None)
+            d.add_argument("--out-prefix", required=True)
+        else:
+            d.add_argument("--in", dest="input", required=True)
+            _add_flags(d, klass)
+            d.add_argument("--out", required=True)
+        if kind == "occlusion":
+            d.add_argument("--balls-out", default=None)
+        d.set_defaults(func=_cmd_degrade, kind=kind)
 
     p = sub.add_parser("eval", help="Hausdorff comparison of two skeletons")
     p.add_argument("--ground-truth", required=True)
@@ -269,22 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run the full generation pipeline")
     p.add_argument("--config", default=None)
-    tree_flags = _flags(TreeParams)
-    del tree_flags["seed"]  # the skeleton seed derives from --master-seed
-    _add_flags(p, {**tree_flags, **_flags(FitConfig), **_flags(ScanConfig)})
-    p.add_argument("--output-dir", default=None)
-    p.add_argument("--name", default=None)
-    p.add_argument("--master-seed", type=int, default=None)
-    p.add_argument("--sides", type=int, default=None)
-    p.add_argument("--cache-surface", action="store_true", default=None)
-    p.add_argument("--dump-debug-obj", dest="debug_obj", action="store_true", default=None)
-    p.add_argument(
-        "--degradations",
-        nargs="*",
-        default=None,
-        choices=DEGRADATION_KINDS,
-        help="replace the config's degradation list",
-    )
+    # the skeleton seed derives from --master-seed; --degradations names kinds
+    _add_flags(p, PipelineConfig, skip=("seed", "degradations"))
+    p.add_argument("--degradations", nargs="*", choices=DEGRADATION_KINDS, help="replace the config's degradation list")
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("batch", help="run many pipeline configs")

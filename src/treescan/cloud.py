@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCloudError, MalformedHeaderError, TruncatedPayloadError
+from .errors import EmptyCloudError, MalformedHeaderError, NonFiniteCoordinateError, TruncatedPayloadError
 
 _PLY_DTYPES = {
     "float": np.dtype("<f4"),
@@ -57,7 +57,7 @@ def write_ply(cloud: PointCloud, path) -> None:
 
 
 def read_ply(path) -> PointCloud:
-    """Read a vertex-only PLY. Raises on malformed headers or short payloads."""
+    """Read a vertex-only PLY. Raises on malformed headers, short payloads and non-finite coordinates."""
     with open(path, "rb") as fh:
         blob = fh.read()
 
@@ -118,4 +118,7 @@ def read_ply(path) -> PointCloud:
     normals = None
     if all(axis in names for axis in ("nx", "ny", "nz")):
         normals = np.stack([rows["nx"], rows["ny"], rows["nz"]], axis=1).astype(np.float64)
+    finite = np.isfinite(points).all(axis=1) & (normals is None or np.isfinite(normals).all(axis=1))
+    if not finite.all():
+        raise NonFiniteCoordinateError(f"{path}: vertex {np.argmin(finite)} has a non-finite position or normal")
     return PointCloud(points, normals)

@@ -141,18 +141,19 @@ def default_region(cloud: PointCloud, seed: int) -> tuple[np.ndarray, np.ndarray
     """Seeded box spanning 30% of each axis of the cloud's bbox, centred on a cloud point."""
     lo, hi = cloud.bbox()
     center = cloud.points[uniform_int(seed, STREAM_REGION, 0, 0, len(cloud) - 1)]
-    half = 0.15 * (hi - lo)
+    half = np.where(hi > lo, 0.15 * (hi - lo), 1.0)  # an axis with no extent: any width holds every point
     return center - half, center + half
 
 
 def uneven_density(cloud: PointCloud, p: UnevenParams, diagnostics: dict | None = None) -> PointCloud:
     """Thicken a box region by inserting one PCA-jittered copy per point.
 
-    Each in-region point with at least 3 other points within radius r gets a
-    companion at q + lambda1*P_D + lambda2*S_D, where P_D/S_D are the two
-    leading principal directions of its neighborhood (self included) and
-    lambda1/lambda2 are drawn per point index. Points elsewhere, and points
-    with too few neighbors, pass through untouched.
+    The region is p.region, or `default_region(cloud, p.seed)` when that is
+    None. Each in-region point with at least 3 other points within radius r
+    gets a companion at q + lambda1*P_D + lambda2*S_D, where P_D/S_D are the
+    two leading principal directions of its neighborhood (self included)
+    and lambda1/lambda2 are drawn per point index. Points elsewhere, and
+    points with too few neighbors, pass through untouched.
 
     Principal directions get a geometric sign: positive dot with the offset
     of the point from its neighborhood centroid. That keeps the operation
@@ -164,10 +165,8 @@ def uneven_density(cloud: PointCloud, p: UnevenParams, diagnostics: dict | None 
     q + lambda1*P_D.
     """
     p.validate()
-    if p.region is None:
-        raise InvalidParameterError("uneven_density needs a region (see default_region)")
-    lo = np.asarray(p.region[0], dtype=np.float64)
-    hi = np.asarray(p.region[1], dtype=np.float64)
+    region = p.region if p.region is not None else default_region(cloud, p.seed)
+    lo, hi = (np.asarray(corner, dtype=np.float64) for corner in region)
     lam1_lo, lam1_hi = p.lambda1_range if p.lambda1_range is not None else (-p.r / 2, p.r / 2)
     lam2_lo, lam2_hi = p.lambda2_range if p.lambda2_range is not None else (-p.r / 2, p.r / 2)
 

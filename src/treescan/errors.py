@@ -65,6 +65,10 @@ class TruncatedPayloadError(TreescanError, ValueError):
     """PLY payload ends before the declared element count."""
 
 
+class NonFiniteCoordinateError(TreescanError, ValueError):
+    """A PLY vertex holds a NaN or infinite position or normal."""
+
+
 class SurfaceCacheError(TreescanError, ValueError):
     """Fitted-surface cache file is malformed."""
 

@@ -141,8 +141,9 @@ def _vertex_index(token: str, count: int) -> int:
 def load_obj(path) -> TriangleMesh:
     """Read v/f records; face entries may carry /vt/vn suffixes, which are dropped.
 
-    A record that does not parse, or a face index that names no vertex read
-    so far, raises ObjParseError with its line number.
+    A record that does not parse, a vertex with a non-finite coordinate, or a
+    face index that names no vertex read so far, raises ObjParseError with
+    its line number.
     """
     verts: list[list[float]] = []
     tris: list[list[int]] = []
@@ -154,6 +155,8 @@ def load_obj(path) -> TriangleMesh:
                     if len(tokens) < 4:
                         raise ValueError("expected: v <x> <y> <z>")
                     verts.append([float(t) for t in tokens[1:4]])
+                    if not all(map(math.isfinite, verts[-1])):
+                        raise ValueError("vertex coordinates must be finite")
                 elif tokens[:1] == ["f"]:
                     idx = [_vertex_index(t, len(verts)) for t in tokens[1:]]
                     if len(idx) < 3:

@@ -32,7 +32,6 @@ from .degrade import (
     OcclusionParams,
     UnevenParams,
     add_noise,
-    default_region,
     density_variants,
     occlude,
     uneven_density,
@@ -125,8 +124,6 @@ def _occlusion(params: OcclusionParams, clean: PointCloud, ctx: StageContext):
 
 
 def _uneven(params: UnevenParams, clean: PointCloud, ctx: StageContext):
-    if params.region is None:
-        params = replace(params, region=default_region(clean, params.seed))
     uneven = uneven_density(clean, params)
     if len(uneven) == len(clean):
         ctx.warnings.append("uneven density inserted no points")
@@ -150,6 +147,14 @@ DEGRADATIONS = {
 DEGRADATION_KINDS = tuple(DEGRADATIONS)
 
 
+def _read_keys(name: str, types: dict, given: dict) -> dict:
+    """The keys `given` for section `name`, coerced by their {key: (type, nullable)} `types`; an unknown key raises."""
+    unknown = sorted(set(given) - set(types))
+    if unknown:
+        raise InvalidParameterError(f"unknown {name} key(s): {', '.join(unknown)}")
+    return {k: _coerced(f"{name}.{k}", types[k], v) for k, v in given.items()}
+
+
 def degradation_params(entry: dict, seed: int | None = None):
     """The validated params of one degradation entry, e.g. {"kind": "noise", "s": 0.01}.
 
@@ -167,12 +172,9 @@ def degradation_params(entry: dict, seed: int | None = None):
         if "lam" in given:
             raise InvalidParameterError(f"{kind}: give lam or its alias lambda, not both")
         given["lam"] = given.pop("lambda")
-    unknown = sorted(set(given) - set(types))
-    if unknown:
-        raise InvalidParameterError(f"unknown {kind} key(s): {', '.join(unknown)}")
+    values = _read_keys(kind, types, given)
     if klass is None:
         return None
-    values = {k: _coerced(f"{kind} {k}", types[k], v) for k, v in given.items()}
     params = klass(**values) if seed is None else klass(**values, seed=seed)
     params.validate()
     return params
@@ -251,11 +253,7 @@ class PipelineConfig:
                     raise InvalidParameterError(f"{name}.{key} is retired: only {kept} is taken, not {old!r}")
             if name == "tree" and "size_class" in section:
                 base = TreeParams.preset(_coerced("tree.size_class", (str, False), section["size_class"]))
-            types = field_types(type(base))
-            unknown = sorted(set(section) - set(types))
-            if unknown:
-                raise InvalidParameterError(f"unknown {name} key(s): {', '.join(unknown)}")
-            values[name] = replace(base, **{k: _coerced(f"{name}.{k}", types[k], v) for k, v in section.items()})
+            values[name] = replace(base, **_read_keys(name, field_types(type(base)), section))
         return cls(**values)
 
 
@@ -340,7 +338,8 @@ def run_pipeline(config: PipelineConfig) -> DatasetManifest:
     out.mkdir(parents=True, exist_ok=True)
     _clear_earlier_run(out)
 
-    labels = ("skeleton", "noise", "occlusion", "uneven")
+    # the skeleton's and each seeded degradation's; the density rescans draw nothing
+    labels = ("skeleton", *(kind for kind, (klass, _) in DEGRADATIONS.items() if klass))
     seeds = {label: derive_seed(config.master_seed, label) for label in labels}
 
     files: list[dict] = []

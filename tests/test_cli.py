@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import treescan
-from treescan.cli import _flags, _pipeline_config, build_parser, main
+from treescan.cli import _params_from_flags, _pipeline_config, build_parser, main
 from treescan.cloud import PointCloud, read_ply, write_ply
 from treescan.degrade import (
     NoiseParams,
@@ -27,7 +27,14 @@ from treescan.degrade import (
 )
 from treescan.implicit import FitConfig, load_surface, save_surface, surface_key
 from treescan.mesh import load_obj
-from treescan.pipeline import PipelineConfig, field_types, run_pipeline, save_config
+from treescan.pipeline import (
+    DEGRADATIONS,
+    PipelineConfig,
+    degradation_params,
+    field_types,
+    run_pipeline,
+    save_config,
+)
 from treescan.rng import derive_seed
 from treescan.scanner import ScanConfig
 from treescan.skeleton import TreeParams, generate_skeleton, load_skeleton, save_skeleton
@@ -336,40 +343,46 @@ def test_unknown_degradation_choice_rejected(tmp_path):
 
 _SCAN = "--resolution --views --standoff --normal-mode"
 _TREE = (
-    "--size-class --trunk-length --trunk-radius --branch-levels --radius-decay --length-decay"
-    " --gravity --bend --nodes-per-curve"
+    "--size-class --trunk-length --trunk-radius --branch-levels --branches-per-node-range --branch-angle-range"
+    " --radius-decay --length-decay --gravity --bend --nodes-per-curve"
 )
 _FIT = "--epsilon --max-depth --max-triangles-per-cell --sphere-radius-scale"
 CLI_SURFACE = {
-    "skeleton": f"{_TREE} --seed --branch-angle-range --branches-per-node-range --out",
+    "skeleton": f"{_TREE} --seed --out",
     "mesh": "--skeleton --sides --out",
     "fit": f"--mesh {_FIT} --out --dump-debug-obj",
     "scan": f"--surface {_SCAN} --skeleton --min-feature --out",
     "degrade": "",
     "degrade noise": "--in --s --d --seed --out",
     "degrade occlude": "--in --n --lambda --seed --out --balls-out",
-    "degrade uneven": "--in --r --region --lambda1-range --lambda2-range --seed --out",
+    "degrade uneven": "--in --region --r --lambda1-range --lambda2-range --seed --out",
     "degrade density": "--surface --views --standoff --normal-mode --skeleton --min-feature --out-prefix",
     "eval": "--ground-truth --extracted --spacing --out",
     "pipeline": (
-        f"--config {_TREE} {_FIT} {_SCAN} --output-dir --name --master-seed --sides"
+        f"--config {_TREE} {_FIT} {_SCAN} --output-dir --master-seed --name --sides"
         " --cache-surface --dump-debug-obj --degradations"
     ),
     "batch": "--configs --workers --index",
 }
 
 
-def option_strings(parser, command=""):
-    """{subcommand path: its option strings in declaration order, --help left out}."""
-    found = {}
-    if command:
-        opts = [o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help")]
-        found[command] = " ".join(opts)
+def subcommand_parsers(parser, command="") -> dict:
+    """{subcommand path: its parser}, the top-level parser at ""."""
+    found = {command: parser}
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
-                found.update(option_strings(sub, f"{command} {name}".strip()))
+                found.update(subcommand_parsers(sub, f"{command} {name}".strip()))
     return found
+
+
+def option_strings(parser):
+    """{subcommand path: its option strings in declaration order, --help left out}."""
+    return {
+        command: " ".join(o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help"))
+        for command, sub in subcommand_parsers(parser).items()
+        if command
+    }
 
 
 def test_cli_surface_is_unchanged():
@@ -553,12 +566,17 @@ def pipeline_flags():
 # a value other than the default for each flag that is not a number
 FLAG_SAMPLES = {
     "size_class": "medium",
+    "branches_per_node_range": [2, 3],
+    "branch_angle_range": [0.2, 0.5],
     "normal_mode": "pca-mst",
     "output_dir": "elsewhere",
     "name": "other",
     "cache_surface": True,
     "debug_obj": True,
     "degradations": ["noise", "uneven"],
+    "region": [[0, 0, 0], [1, 1, 1]],
+    "lambda1_range": [0.01, 0.02],
+    "lambda2_range": [0.01, 0.02],
 }
 
 
@@ -573,7 +591,7 @@ def test_each_pipeline_flag_reads_as_its_config_file_key(tmp_path):
     flags = pipeline_flags()
     # the skeleton seed derives from the master seed: no flag sets tree.seed
     assert set(flags) == set(field_types(PipelineConfig)) - {"tree", "fit", "scan"} | {
-        name for cls in (TreeParams, FitConfig, ScanConfig) for name in _flags(cls)
+        name for cls in (TreeParams, FitConfig, ScanConfig) for name in field_types(cls)
     } - {"seed"}
     for dest, (action, section) in flags.items():
         value = FLAG_SAMPLES.get(dest, 3 if action.type is int else 0.25)
@@ -588,6 +606,64 @@ def test_each_pipeline_flag_reads_as_its_config_file_key(tmp_path):
         for file_value, file_argv in ((key, []), (was, argv)):
             data = {section: {dest: file_value}} if section else {dest: file_value}
             assert config_with_file(tmp_path, data, file_argv) == by_flag, dest
+
+
+def config_keys(cls, *skip) -> dict:
+    return {name: typ for name, (typ, _) in field_types(cls).items() if name not in skip}
+
+
+# subcommand: {section, None for the top level: {key its flags set: type}};
+# a degrade subcommand's section is its degradation kind
+TOP_LEVEL = {name: typ for name, typ in config_keys(PipelineConfig).items() if typ in (int, float, str, bool)}
+CONFIG_READS = {
+    "skeleton": {"tree": config_keys(TreeParams)},
+    "mesh": {None: {"sides": int}},
+    "fit": {"fit": config_keys(FitConfig)},
+    "scan": {"scan": config_keys(ScanConfig)},
+    "degrade noise": {"noise": config_keys(NoiseParams)},
+    "degrade occlude": {"occlusion": config_keys(OcclusionParams)},
+    "degrade uneven": {"uneven": config_keys(UnevenParams)},
+    "degrade density": {"scan": config_keys(ScanConfig, "resolution")},
+    "pipeline": {
+        "tree": config_keys(TreeParams, "seed"),
+        "fit": config_keys(FitConfig),
+        "scan": config_keys(ScanConfig),
+        None: TOP_LEVEL,
+    },
+}
+
+
+def flattened(value) -> list:
+    return [x for item in value for x in flattened(item)] if isinstance(value, list) else [value]
+
+
+def test_the_config_tables_drive_the_cli():
+    # every key has one flag on each subcommand that reads it, and the flag
+    # reads as that config key
+    assert set(TOP_LEVEL) == {"output_dir", "master_seed", "name", "sides", "cache_surface", "debug_obj"}
+    assert {kind for kind, (klass, _) in DEGRADATIONS.items() if klass} == {"noise", "occlusion", "uneven"}
+    parsers = subcommand_parsers(build_parser())
+    for command, sections in CONFIG_READS.items():
+        actions = [a for a in parsers[command]._actions if a.option_strings]
+        required = [arg for a in actions if a.required for arg in (a.option_strings[0], "x")]
+        for section, keys in sections.items():
+            for key, typ in keys.items():
+                flags = [a for a in actions if a.dest == key]
+                assert len(flags) == 1, (command, key)
+                value = True if typ is bool else FLAG_SAMPLES.get(key, 3 if typ is int else 0.25)
+                argv = [flags[0].option_strings[0], *([] if typ is bool else map(str, flattened(value)))]
+                args = parsers[""].parse_args([*command.split(), *required, *argv])
+                if section in DEGRADATIONS:
+                    by_flag = _params_from_flags(section, args)
+                    if key == "seed":
+                        by_key = degradation_params({"kind": section}, value)
+                    else:
+                        by_key = degradation_params({"kind": section, key: value})
+                    assert by_flag == by_key != degradation_params({"kind": section}), (command, key)
+                else:
+                    by_flag = _pipeline_config(args)
+                    data = {section: {key: value}} if section else {key: value}
+                    assert by_flag == PipelineConfig.from_dict(data) != PipelineConfig(), (command, key)
 
 
 def test_config_file_switches_stay_on_without_their_flags(tmp_path):

@@ -1,5 +1,7 @@
 """PointCloud container and PLY serialization."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from treescan import (
     EmptyCloudError,
     MalformedHeaderError,
+    NonFiniteCoordinateError,
     PointCloud,
     TruncatedPayloadError,
     read_ply,
@@ -119,6 +122,24 @@ def test_malformed_headers(tmp_path):
         path.write_text(text)
         with pytest.raises(MalformedHeaderError):
             read_ply(path)
+
+
+def test_non_finite_coordinates_are_refused(tmp_path):
+    # a NaN or infinite position or normal, binary or ASCII, names the file and the vertex row
+    path = tmp_path / "c.ply"
+    for array, row, value in [("points", 3, np.nan), ("points", 1, np.inf), ("normals", 4, -np.inf)]:
+        cloud = random_cloud(5, 2)
+        getattr(cloud, array)[row, 1] = value
+        write_ply(cloud, path)
+        with pytest.raises(NonFiniteCoordinateError, match=f"^{re.escape(str(path))}: vertex {row} has a non-finite"):
+            read_ply(path)
+    path.write_text(
+        "ply\nformat ascii 1.0\nelement vertex 2\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "end_header\n0 0 0\n1 nan 1\n"
+    )
+    with pytest.raises(NonFiniteCoordinateError, match="vertex 1 has a non-finite"):
+        read_ply(path)
 
 
 def test_double_precision_properties_accepted(tmp_path):

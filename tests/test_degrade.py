@@ -202,9 +202,13 @@ def test_occlusion_commutes_under_translation():
 # -- uneven density ----------------------------------------------------------------
 
 
-def test_uneven_requires_region():
-    with pytest.raises(InvalidParameterError):
-        uneven_density(unit_normal_cloud(10), UnevenParams(r=0.05))
+def test_uneven_without_a_region_uses_the_default_region():
+    cloud = unit_normal_cloud(2000)
+    p = UnevenParams(r=0.2, seed=9)
+    out = uneven_density(cloud, p)
+    want = uneven_density(cloud, replace(p, region=default_region(cloud, p.seed)))
+    assert len(out) > len(cloud)
+    assert np.array_equal(out.points, want.points) and np.array_equal(out.normals, want.normals)
 
 
 def test_uneven_disjoint_region_is_identity():
@@ -407,6 +411,23 @@ def test_default_region_is_a_30_percent_box():
     assert not (np.array_equal(lo, lo3) and np.array_equal(hi, hi3))
     with pytest.raises(EmptyCloudError):
         default_region(PointCloud(np.zeros((0, 3))), seed=0)
+
+
+def test_default_region_is_valid_on_an_axis_with_no_extent():
+    # every point shares the coordinate of such an axis, so the box holds
+    # them all there, and it keeps its 30 % on the other axes
+    solid = unit_normal_cloud(200, seed=4)
+    planar = PointCloud(solid.points * [1.0, 1.0, 0.0], solid.normals)
+    lo, hi = default_region(planar, seed=123)
+    solid_lo, solid_hi = default_region(solid, seed=123)
+    assert np.array_equal(lo[:2], solid_lo[:2]) and np.array_equal(hi[:2], solid_hi[:2])
+    assert lo[2] < 0.0 < hi[2]
+    UnevenParams(region=(lo, hi)).validate()
+    assert len(uneven_density(planar, UnevenParams(r=0.2, seed=123))) > len(planar)
+    point = PointCloud(np.array([[0.5, -1.0, 2.0]]))
+    lo, hi = default_region(point, seed=0)
+    assert np.all(lo < point.points[0]) and np.all(point.points[0] < hi)
+    assert len(uneven_density(point, UnevenParams())) == 1
 
 
 # -- density variants -----------------------------------------------------------------

@@ -156,6 +156,8 @@ def test_obj_reader_handles_slashes_and_polygons(tmp_path):
         ("f 1 2 3\nf 1 2 3 4\n", 5),
         ("v 0 0 x\n", 4),
         ("v 0 0\n", 4),
+        ("v 0 nan 0\n", 4),
+        ("v inf 0 0\n", 4),
     ]:
         path.write_text(triangle + bad)
         with pytest.raises(ObjParseError, match=f"^line {line}: ") as err:
