@@ -21,7 +21,10 @@ status is 1 if there is any.
     PYTHONPATH=src python scripts/digests.py --case fit:small:1:sphere_radius_scale=0.6 --out fit.json
     PYTHONPATH=src python scripts/digests.py --case degrade:small:1 --out degrade.json
 
-A pipeline case is SIZE:MASTER_SEED:VIEWS:RESOLUTION:NORMAL_MODE. A cloud
+A pipeline case is SIZE:MASTER_SEED:VIEWS:RESOLUTION:NORMAL_MODE[:STANDOFF],
+with the default `ScanConfig` standoff when STANDOFF is left out; a close
+standoff such as 1.1 puts the support spheres near the camera, where each
+covers a large part of a view's image. A cloud
 case, cloud:SEED:POINTS, runs no pipeline: it samples POINTS points by
 area on the 24-sided tube mesh of the medium tree grown from SEED, and
 hashes the normals of `estimate_normals` and `orient_normals` (k = 16) and
@@ -44,7 +47,7 @@ range flags, sides; default fit), and `treescan scan` and the four
 files (`scan` and `density` with `--surface` and `--skeleton`, `occlude`
 with `--balls-out`). It hashes every file they write: the
 command line's own path through every stage. Without --case the default
-list below runs (about ten minutes on a 2-core host).
+list below runs (about three minutes on a 2-core host).
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ DEFAULT_CASES = [
     "small:1:2:100:pca-mst",
     "small:2:3:150:analytic",
     "medium:1:4:60:analytic",
+    "small:1:2:100:analytic:1.1",
     "cloud:1:100000",
     "fit:small:1:sphere_radius_scale=0.6",
     "degrade:small:1",
@@ -87,11 +91,13 @@ CLOUD_UNEVEN_NEIGHBOURS = 24  # expected points within the uneven radius
 
 def case_config(case: str, out: Path) -> PipelineConfig:
     try:
-        size, seed, views, resolution, normal_mode = case.split(":")
+        size, seed, views, resolution, normal_mode, *standoff = case.split(":")
         scan = ScanConfig(resolution=int(resolution), views=int(views), normal_mode=normal_mode)
+        if standoff:
+            (scan.standoff,) = map(float, standoff)  # ValueError for a seventh field
         master_seed = int(seed)
     except ValueError:
-        raise SystemExit(f"bad case {case!r}, expected SIZE:SEED:VIEWS:RESOLUTION:NORMAL_MODE")
+        raise SystemExit(f"bad case {case!r}, expected SIZE:SEED:VIEWS:RESOLUTION:NORMAL_MODE[:STANDOFF]")
     return PipelineConfig(
         tree=TreeParams.preset(size),
         scan=scan,
@@ -234,7 +240,7 @@ def main() -> int:
         "--case",
         action="append",
         help=(
-            "SIZE:SEED:VIEWS:RESOLUTION:NORMAL_MODE, cloud:SEED:POINTS, fit:SIZE:SEED:KEY=VALUE[,...]"
+            "SIZE:SEED:VIEWS:RESOLUTION:NORMAL_MODE[:STANDOFF], cloud:SEED:POINTS, fit:SIZE:SEED:KEY=VALUE[,...]"
             " or degrade:SIZE:SEED (repeatable)"
         ),
     )

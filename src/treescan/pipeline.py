@@ -147,11 +147,16 @@ DEGRADATIONS = {
 DEGRADATION_KINDS = tuple(DEGRADATIONS)
 
 
-def _read_keys(name: str, types: dict, given: dict) -> dict:
-    """The keys `given` for section `name`, coerced by their {key: (type, nullable)} `types`; an unknown key raises."""
-    unknown = sorted(set(given) - set(types))
+def _refuse_unknown(name: str, known, given: dict) -> None:
+    """Raise, naming section `name`, if `given` holds a key not in `known`."""
+    unknown = sorted(set(given) - set(known))
     if unknown:
         raise InvalidParameterError(f"unknown {name} key(s): {', '.join(unknown)}")
+
+
+def _read_keys(name: str, types: dict, given: dict) -> dict:
+    """The keys `given` for section `name`, coerced by their {key: (type, nullable)} `types`; an unknown key raises."""
+    _refuse_unknown(name, types, given)
     return {k: _coerced(f"{name}.{k}", types[k], v) for k, v in given.items()}
 
 
@@ -231,10 +236,12 @@ class PipelineConfig:
         A tree section starts from the preset of its size_class, and its
         other keys apply over that preset.  A retired key (`_RETIRED_KEYS`)
         is dropped when it holds the value it is retired at, and refused
-        with any other.
+        with any other; an unknown key, at the top or in a section, is
+        refused.
         """
         default = cls()
         values = {}
+        _refuse_unknown("config", field_types(cls), data)
         for name, declared in field_types(cls).items():
             if data.get(name) is None:
                 continue  # absent or null: the default

@@ -527,6 +527,17 @@ def test_config_tree_section_starts_from_its_size_class_preset():
         TreeParams(size_class="huge").validate()
 
 
+def test_config_load_refuses_unknown_top_level_keys(tmp_path):
+    # misspelt keys would otherwise run as master seed 0 with no degradation
+    data = {"master-seed": 5, "degradation": [{"kind": "noise"}]}
+    with pytest.raises(InvalidParameterError, match=r"unknown config key\(s\): degradation, master-seed"):
+        PipelineConfig.from_dict(data)
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({**tiny_config(tmp_path / "x").to_dict(), "sied": 1}))
+    with pytest.raises(InvalidParameterError, match=r"typo\.json: unknown config key\(s\): sied"):
+        load_config(path)
+
+
 def test_config_load_takes_integral_floats():
     cfg = PipelineConfig.from_dict({"sides": 23.0, "tree": {"branch_levels": 2.0}, "cache_surface": False})
     assert (cfg.sides, cfg.tree.branch_levels, cfg.cache_surface) == (23, 2, False)

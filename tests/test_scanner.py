@@ -15,6 +15,7 @@ from treescan.errors import (
     TooFewPointsError,
 )
 from treescan.geometry import principal_axes
+from treescan.implicit import ImplicitSurface
 from treescan.scanner import (
     ScanConfig,
     estimate_normals,
@@ -74,9 +75,17 @@ def test_viewpoints_reject_zero_views():
 # -- single rays -----------------------------------------------------------------
 
 
+def whole_rays(surface, origins, directions):
+    """The rays' spans of the march domain: with these as their windows,
+    `_march_batch` is the plain march of every stride."""
+    return scanner._ray_sphere_spans(origins, directions, *scanner._domain_sphere(surface))
+
+
 def march_one(surface, origin, direction, min_feature):
-    """The hit point of one ray through `_march_batch`, or None."""
-    hit, points = scanner._march_batch(surface, np.array([origin]), np.array([direction]), min_feature)
+    """The hit point of one whole ray through `_march_batch`, or None."""
+    origins, directions = np.array([origin]), np.array([direction])
+    spans = whole_rays(surface, origins, directions)
+    hit, points = scanner._march_batch(surface, origins, directions, min_feature, spans, spans)
     return points[0] if hit[0] else None
 
 
@@ -193,9 +202,9 @@ def test_march_follows_the_documented_rule(case, sphere_surface_320, cylinder_su
     origins, targets = rays(np.random.default_rng(23), 300)
     directions = targets - origins
     directions /= np.linalg.norm(directions, axis=1)[:, None]
-    hit, points = scanner._march_batch(surface, origins, directions, feature)
+    t_lo, t_hi = spans = whole_rays(surface, origins, directions)
+    hit, points = scanner._march_batch(surface, origins, directions, feature, spans, spans)
 
-    t_lo, t_hi = scanner._ray_sphere_spans(origins, directions, *scanner._domain_sphere(surface))
     expected = [
         reference_march(surface, o, d, a, b, feature) if a < b else None
         for o, d, a, b in zip(origins, directions, t_lo, t_hi)
@@ -203,6 +212,169 @@ def test_march_follows_the_documented_rule(case, sphere_surface_320, cylinder_su
     assert np.array_equal(hit, [p is not None for p in expected])
     assert np.any(hit)
     assert np.array_equal(points[hit], np.array([p for p in expected if p is not None]))
+
+
+# -- the live-chord cull ---------------------------------------------------------
+
+
+def plain_windows(surface, pose, tan_half, res, directions, spans):
+    """`_live_windows` for the plain march: every ray's window is its span."""
+    return spans
+
+
+def recorded(monkeypatch, name):
+    """Replace scanner.<name> by a wrapper that records (args, result) of each call."""
+    calls = []
+    real = getattr(scanner, name)
+
+    def wrapper(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(scanner, name, wrapper)
+    return calls
+
+
+def counted_evals(monkeypatch):
+    """Count the points every ImplicitSurface.eval_many call evaluates."""
+    count = [0]
+    real = ImplicitSurface.eval_many
+
+    def eval_many(self, points):
+        count[0] += len(points)
+        return real(self, points)
+
+    monkeypatch.setattr(ImplicitSurface, "eval_many", eval_many)
+    return count
+
+
+def culled_and_plain_scans(monkeypatch, surface, cfg, feature):
+    """(views, merged scan, march results) of `scan_view` per pose and of
+    `scan_surface`, once with the cull and once with the plain march."""
+    poses = viewpoints((surface.bbox_lo, surface.bbox_hi), cfg.views, cfg.standoff)
+    runs = []
+    for windows in (scanner._live_windows, plain_windows):
+        with monkeypatch.context() as m:
+            m.setattr(scanner, "_live_windows", windows)
+            marches = recorded(m, "_march_batch")
+            views = [scan_view(surface, pose, cfg, feature) for pose in poses]
+            runs.append((views, scan_surface(surface, cfg, feature), marches))
+    return runs
+
+
+def assert_same_scans(culled, plain):
+    views, merged, marches = culled
+    plain_views, plain_merged, plain_marches = plain
+    assert len(marches) == len(plain_marches)
+    for (_, (hit, points)), (_, (plain_hit, plain_points)) in zip(marches, plain_marches):
+        assert np.array_equal(hit, plain_hit)
+        assert np.array_equal(points[hit], plain_points[plain_hit])
+    for a, b in [*zip(views, plain_views), (merged, plain_merged)]:
+        assert np.array_equal(a.points, b.points)
+        assert a.has_normals() == b.has_normals()
+        if a.has_normals():
+            assert np.array_equal(a.normals, b.normals)
+
+
+@pytest.mark.parametrize("normal_mode", ["analytic", "pca-mst"])
+def test_culled_scans_match_the_plain_march(cylinder_surface, normal_mode, monkeypatch):
+    cfg = ScanConfig(resolution=40, views=3, normal_mode=normal_mode)
+    culled, plain = culled_and_plain_scans(monkeypatch, cylinder_surface, cfg, 0.1)
+    assert_same_scans(culled, plain)
+    assert len(culled[1]) >= scanner.PCA_K
+    # the cull is not vacuous: most rays of the thin tube's views have no
+    # live chord, and a hit ray's window is shorter than its span
+    for args, (hit, _) in culled[2]:
+        (t_lo, t_hi), (w_lo, w_hi) = args[4], args[5]
+        assert np.mean(w_lo > w_hi) > 0.5
+        assert np.all(w_hi[hit] - w_lo[hit] < t_hi[hit] - t_lo[hit])
+
+
+def test_the_splat_holds_every_ray_that_meets_a_sphere():
+    # spheres in front of a camera at the origin looking down +z, some
+    # partly off the image: every pixel whose ray meets one lies in its box
+    res, tan_half = 30, 0.7
+    ndc = (np.arange(res) + 0.5) / res * 2.0 - 1.0
+    v, u = np.meshgrid(ndc, ndc, indexing="ij")
+    dirs = np.column_stack([u.ravel() * tan_half, v.ravel() * tan_half, np.ones(res * res)])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    rng = np.random.default_rng(4)
+    z = rng.uniform(0.5, 3.0, 400)
+    r = rng.uniform(0.01, 0.45, 400) * z
+    x, y = rng.uniform(-1.0, 1.0, (2, 400)) * z
+    row0, row1 = scanner._pixel_range(y, z, r, tan_half, res)
+    col0, col1 = scanner._pixel_range(x, z, r, tan_half, res)
+    met = 0
+    for i in range(400):
+        b = dirs @ np.array([x[i], y[i], z[i]])
+        rows, cols = np.divmod(np.flatnonzero(b * b - (x[i] ** 2 + y[i] ** 2 + z[i] ** 2 - r[i] ** 2) > 0.0), res)
+        met += len(rows)
+        assert np.all((rows >= row0[i]) & (rows <= row1[i]) & (cols >= col0[i]) & (cols <= col1[i]))
+    assert met > 1000
+
+
+def brute_force_windows(surface, origin, directions, spans):
+    """`_live_windows` by its definition, over every (ray, cell) pair and
+    with no slack: the least entry and greatest exit of the ray's chords
+    whose s is nonpositive at an end, clipped to the ray's span."""
+    oc = origin - surface.centers
+    s_origin = surface.normals @ origin - surface.offsets
+    windows = []
+    for rows in np.array_split(np.arange(len(directions)), max(1, len(directions) // 64)):
+        d = directions[rows]
+        b = d @ oc.T
+        disc = b * b - (np.einsum("ij,ij->i", oc, oc) - surface.radii**2)
+        root = np.sqrt(np.maximum(disc, 0.0))
+        enter = np.maximum(-b - root, spans[0][rows, None])
+        leave = np.minimum(-b + root, spans[1][rows, None])
+        nd = d @ surface.normals.T
+        s_min = np.minimum(s_origin + enter * nd, s_origin + leave * nd)
+        live = (disc > 0.0) & (enter <= leave) & (s_min <= 0.0)
+        windows.append((np.where(live, enter, np.inf).min(axis=1), np.where(live, leave, -np.inf).max(axis=1)))
+    return tuple(np.concatenate(w) for w in zip(*windows))
+
+
+@pytest.mark.parametrize("standoff", [1.1, 1.5])
+def test_live_windows_match_a_brute_force_over_every_pair(cylinder_surface, standoff, monkeypatch):
+    windows = recorded(monkeypatch, "_live_windows")
+    cfg = ScanConfig(resolution=24, views=2, standoff=standoff)
+    scan_surface(cylinder_surface, cfg, 0.1)
+    for (_, pose, _, _, directions, spans), (w_lo, w_hi) in windows:
+        lo, hi = brute_force_windows(cylinder_surface, pose.position, directions, spans)
+        live = lo <= hi
+        assert np.array_equal(w_lo <= w_hi, live) and np.any(live)
+        assert np.allclose(w_lo[live], lo[live], rtol=0.0, atol=1e-6)
+        assert np.allclose(w_hi[live], hi[live], rtol=0.0, atol=1e-6)
+
+
+def test_a_ray_with_no_live_chord_costs_no_field_evaluation(cylinder_surface, monkeypatch):
+    pose = viewpoints((cylinder_surface.bbox_lo, cylinder_surface.bbox_hi), 1)[0]
+    windows = recorded(monkeypatch, "_live_windows")
+    scan_view(cylinder_surface, pose, ScanConfig(resolution=40), 0.1)
+    (_, _, _, _, directions, (t_lo, t_hi)), (w_lo, w_hi) = windows[0]
+    dead = (t_lo < t_hi) & (w_lo > w_hi)  # in the domain, with no live chord
+    assert np.count_nonzero(dead) > 100
+    origins = np.broadcast_to(pose.position, directions[dead].shape)
+    spans = (t_lo[dead], t_hi[dead])
+    evals = counted_evals(monkeypatch)
+    hit, _ = scanner._march_batch(cylinder_surface, origins, directions[dead], 0.1, spans, (w_lo[dead], w_hi[dead]))
+    assert evals[0] == 0 and not np.any(hit)
+    # the plain march evaluates these rays, and finds no hit on them either
+    hit, _ = scanner._march_batch(cylinder_surface, origins, directions[dead], 0.1, spans, spans)
+    assert evals[0] > 0 and not np.any(hit)
+
+
+@pytest.mark.parametrize("standoff", [1.1, 1.5])
+def test_a_cell_around_the_camera_takes_the_whole_image(plane_surface, standoff, monkeypatch):
+    # the quad's one support sphere holds the camera above it: its splat is
+    # the whole image, and the scan still matches the plain march
+    cfg = ScanConfig(resolution=60, views=1, standoff=standoff)
+    for pose in viewpoints((plane_surface.bbox_lo, plane_surface.bbox_hi), cfg.views, cfg.standoff):
+        assert np.any(np.linalg.norm(plane_surface.centers - pose.position, axis=1) < plane_surface.radii)
+    culled, plain = culled_and_plain_scans(monkeypatch, plane_surface, cfg, 0.2)
+    assert_same_scans(culled, plain)
+    assert len(culled[1]) > 10
 
 
 # -- whole views -----------------------------------------------------------------
