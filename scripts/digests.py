@@ -27,9 +27,9 @@ standoff such as 1.1 puts the support spheres near the camera, where each
 covers a large part of a view's image. A cloud
 case, cloud:SEED:POINTS, runs no pipeline: it samples POINTS points by
 area on the 24-sided tube mesh of the medium tree grown from SEED, and
-hashes the normals of `estimate_normals` and `orient_normals` (k = 16) and
-the points and normals of `uneven_density` over a cube holding 15 % of the
-points. Scanned clouds are a few hundred points in ray order, where the
+hashes the normals of `estimate_normals` and `orient_normals` (k = 16),
+and the points, normals and diagnostics of `uneven_density` over a cube
+holding 15 % of the points. Scanned clouds are a few hundred points in ray order, where the
 order and thread split of neighbour queries hardly act; a large sampled
 cloud exercises them. A fit case, fit:SIZE:SEED:KEY=VALUE[,KEY=VALUE...],
 runs `build_surface` alone on the mesh the pipeline makes for that size and
@@ -136,13 +136,17 @@ def cloud_digests(case: str) -> dict[str, str]:
 
     est = estimate_normals(PointCloud(points), CLOUD_K)
     oriented = orient_normals(est, CLOUD_K)
+    diagnostics = {}
     uneven = uneven_density(
-        PointCloud(points, normals[tri]), UnevenParams(region=(center - half, center + half), r=r, seed=seed)
+        PointCloud(points, normals[tri]),
+        UnevenParams(region=(center - half, center + half), r=r, seed=seed),
+        diagnostics,
     )
     return {
         "estimate_normals": array_digest(est.normals),
         "orient_normals": array_digest(oriented.normals),
         "uneven_density": array_digest(uneven.points, uneven.normals),
+        "uneven_density diagnostics": json.dumps(diagnostics, sort_keys=True),
     }
 
 

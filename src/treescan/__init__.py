@@ -29,6 +29,7 @@ from .errors import (
     InsufficientTrianglesError,
     InvalidParameterError,
     MalformedHeaderError,
+    MalformedPayloadError,
     MissingNormalsError,
     NonFiniteCoordinateError,
     ObjParseError,
@@ -106,6 +107,7 @@ __all__ = [
     "InsufficientTrianglesError",
     "InvalidParameterError",
     "MalformedHeaderError",
+    "MalformedPayloadError",
     "MissingNormalsError",
     "NonFiniteCoordinateError",
     "ObjParseError",

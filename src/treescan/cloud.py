@@ -10,7 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCloudError, MalformedHeaderError, NonFiniteCoordinateError, TruncatedPayloadError
+from .errors import (
+    EmptyCloudError,
+    MalformedHeaderError,
+    MalformedPayloadError,
+    NonFiniteCoordinateError,
+    TruncatedPayloadError,
+)
 
 _PLY_DTYPES = {
     "float": np.dtype("<f4"),
@@ -57,7 +63,8 @@ def write_ply(cloud: PointCloud, path) -> None:
 
 
 def read_ply(path) -> PointCloud:
-    """Read a vertex-only PLY. Raises on malformed headers, short payloads and non-finite coordinates."""
+    """Read a vertex-only PLY. Raises on malformed headers, short payloads,
+    ASCII payloads that do not parse and non-finite coordinates."""
     with open(path, "rb") as fh:
         blob = fh.read()
 
@@ -105,11 +112,18 @@ def read_ply(path) -> PointCloud:
             )
         rows = np.frombuffer(payload[: count * dtype.itemsize], dtype=dtype)
     else:
-        text_rows = payload.decode("ascii").split()
+        try:
+            text_rows = payload.decode("ascii").split()
+        except UnicodeDecodeError as exc:
+            byte, offset = payload[exc.start], end + len(b"end_header\n") + exc.start
+            raise MalformedPayloadError(f"{path}: byte {byte:#04x} at offset {offset} is not ASCII") from None
         needed = count * len(props)
         if len(text_rows) < needed:
             raise TruncatedPayloadError(f"payload holds {len(text_rows)} values, need {needed}")
-        flat = np.array(text_rows[:needed], dtype=np.float64).reshape(count, len(props))
+        try:
+            flat = np.array(text_rows[:needed], dtype=np.float64).reshape(count, len(props))
+        except ValueError as exc:  # numpy's message quotes the value
+            raise MalformedPayloadError(f"{path}: {exc}") from None
         rows = np.rec.fromarrays(
             [flat[:, i].astype(dt) for i, (_, dt) in enumerate(props)], dtype=dtype
         )

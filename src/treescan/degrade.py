@@ -171,15 +171,21 @@ def uneven_density(cloud: PointCloud, p: UnevenParams, diagnostics: dict | None 
     lam2_lo, lam2_hi = p.lambda2_range if p.lambda2_range is not None else (-p.r / 2, p.r / 2)
 
     points = cloud.points
-    # donors come in k-d tree order; inserts are put back in index order
-    rows, balls = tree_order_neighbours(points, r=p.r, where=np.all((points >= lo) & (points <= hi), axis=1))
-    sizes = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
-    enough = sizes >= 4  # self plus at least 3 others
-    donors = rows[enough]
-    flat = np.fromiter(chain.from_iterable(balls), dtype=np.intp, count=int(sizes.sum()))
-    neighbours = flat[np.repeat(enough, sizes)]
-    starts = np.cumsum(sizes[enough]) - sizes[enough]
-    centroids, eigvals, eigvecs = principal_axes(points, neighbours, starts)
+    # donors come in k-d tree order, chunk by chunk; each chunk's balls
+    # become arrays before the next is queried, and inserts are put back in
+    # index order
+    inside = np.all((points >= lo) & (points <= hi), axis=1)
+    parts = [(np.empty(0, dtype=np.intp), np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3, 3)))]
+    skipped = 0
+    for rows, balls in tree_order_neighbours(points, r=p.r, where=inside):
+        sizes = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
+        flat = np.fromiter(chain.from_iterable(balls), dtype=np.intp, count=int(sizes.sum()))
+        del balls
+        enough = sizes >= 4  # self plus at least 3 others
+        skipped += int(np.count_nonzero(~enough))
+        starts = np.cumsum(sizes[enough]) - sizes[enough]
+        parts.append((rows[enough], *principal_axes(points, flat[np.repeat(enough, sizes)], starts)))
+    donors, centroids, eigvals, eigvecs = (np.concatenate(part) for part in zip(*parts))
 
     # columns: leading (P_D) then second (S_D) principal direction
     axes = eigvecs[:, :, [2, 1]]
@@ -203,7 +209,7 @@ def uneven_density(cloud: PointCloud, p: UnevenParams, diagnostics: dict | None 
 
     if diagnostics is not None:
         diagnostics["degenerate"] = int(np.count_nonzero(degenerate.any(axis=1)))
-        diagnostics["skipped"] = int(np.count_nonzero(~enough))
+        diagnostics["skipped"] = skipped
         diagnostics["inserted"] = len(donors)
 
     normals = None

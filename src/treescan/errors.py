@@ -65,6 +65,10 @@ class TruncatedPayloadError(TreescanError, ValueError):
     """PLY payload ends before the declared element count."""
 
 
+class MalformedPayloadError(TreescanError, ValueError):
+    """An ASCII PLY payload holds a byte or a value that does not parse."""
+
+
 class NonFiniteCoordinateError(TreescanError, ValueError):
     """A PLY vertex holds a NaN or infinite position or normal."""
 

@@ -74,29 +74,40 @@ def query_threads() -> int:
     return _query_threads or usable_cores()
 
 
+# rows per chunk of tree_order_neighbours: a k-NN chunk holds rows x k
+# entries, a ball chunk as many lists
+_QUERY_ROWS = 16384
+
+
 def tree_order_neighbours(
     points: np.ndarray, k: int | None = None, r: float | None = None, where: np.ndarray | None = None
 ):
     """Neighbours of points, queried in k-d tree leaf order on query_threads().
 
-    With k, the result is cKDTree.query's (distances, indices), k columns
-    per row; with r, query_ball_point's index lists (unsorted, in tree
-    traversal order). where, a boolean mask, limits the queried points.
-    Returns (rows, result): row j holds the neighbours of points[rows[j]].
+    Yields (rows, result) for consecutive runs of at most _QUERY_ROWS rows
+    of the leaf order, so a caller can use up one chunk before the next is
+    queried. With k, result is cKDTree.query's (distances, indices), k
+    columns per row; with r, query_ball_point's index lists (unsorted, in
+    tree traversal order). where, a boolean mask, limits the queried
+    points. Row j of a chunk holds the neighbours of points[rows[j]].
     Consecutive leaf-order queries keep the same tree nodes in cache. Each
     row is what a lone query of its point gives, bit for bit, whatever the
-    thread split; only the order of the rows follows the tree.
+    chunk and thread split; only the order of the rows follows the tree.
     """
     tree = cKDTree(points)
-    rows = tree.indices if where is None else tree.indices[where[tree.indices]]
-    if r is None:
-        return rows, tree.query(points[rows], k=k, workers=query_threads())
-    return rows, tree.query_ball_point(points[rows], r, return_sorted=False, workers=query_threads())
+    order = tree.indices if where is None else tree.indices[where[tree.indices]]
+    for lo in range(0, len(order), _QUERY_ROWS):
+        rows = order[lo : lo + _QUERY_ROWS]
+        if r is None:
+            yield rows, tree.query(points[rows], k=k, workers=query_threads())
+        else:
+            yield rows, tree.query_ball_point(points[rows], r, return_sorted=False, workers=query_threads())
 
 
-# neighbourhoods per batch; it bounds the (6, entries) temporaries and, each
-# neighbourhood being summed on its own, does not change the result
-_PCA_CHUNK = 4096
+# neighbour entries per principal_axes batch (a larger neighbourhood takes a
+# batch of its own); each neighbourhood being summed on its own, the batches
+# do not change the result
+_PCA_ENTRIES = 1 << 16
 
 
 def principal_axes(points: np.ndarray, neighbours: np.ndarray, starts: np.ndarray):
@@ -104,27 +115,30 @@ def principal_axes(points: np.ndarray, neighbours: np.ndarray, starts: np.ndarra
 
     Neighbourhood j is points[neighbours[starts[j]:starts[j + 1]]] (the last
     runs to the end), never empty; its covariance divides by its size.
+    Batches end between neighbourhoods, where their entries would pass
+    _PCA_ENTRIES, and each of the six second moments is summed on its own,
+    so the temporaries stay within a few arrays of a batch's entries.
     Returns centroids (m, 3), ascending eigenvalues (m, 3) and eigenvectors
     as columns (m, 3, 3), as np.linalg.eigh gives them.
     """
     m = len(starts)
     bounds = np.append(starts, len(neighbours))
-    row, col = np.triu_indices(3)
     centroids = np.empty((m, 3))
     cov = np.empty((m, 3, 3))
-    for lo in range(0, m, _PCA_CHUNK):
-        hi = min(lo + _PCA_CHUNK, m)
+    lo = 0
+    while lo < m:
+        hi = max(lo + 1, int(np.searchsorted(bounds, bounds[lo] + _PCA_ENTRIES, side="right")) - 1)
         local = bounds[lo:hi] - bounds[lo]
         counts = np.diff(bounds[lo : hi + 1])
-        # coordinates as rows, so each sum runs over contiguous memory
-        neigh = np.take(points.T, neighbours[bounds[lo] : bounds[hi]], axis=1)
-        mean = np.add.reduceat(neigh, local, axis=1) / counts
-        centered = neigh - np.repeat(mean, counts, axis=1)
-        products = centered[row] * centered[col]
-        moments = (np.add.reduceat(products, local, axis=1) / counts).T
+        # coordinates as rows, so each sum runs over contiguous memory;
+        # centred in place once the means are taken
+        centered = np.take(points.T, neighbours[bounds[lo] : bounds[hi]], axis=1)
+        mean = np.add.reduceat(centered, local, axis=1) / counts
+        centered -= np.repeat(mean, counts, axis=1)
         centroids[lo:hi] = mean.T
-        cov[lo:hi, row, col] = moments
-        cov[lo:hi, col, row] = moments
+        for i, j in zip(*np.triu_indices(3)):
+            cov[lo:hi, i, j] = cov[lo:hi, j, i] = np.add.reduceat(centered[i] * centered[j], local) / counts
+        lo = hi
     eigvals, eigvecs = np.linalg.eigh(cov)
     return centroids, eigvals, eigvecs
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 
 from .cloud import PointCloud
@@ -394,19 +394,22 @@ def estimate_normals(cloud: PointCloud, k: int) -> PointCloud:
     n = len(cloud)
     if n < k:
         raise TooFewPointsError(f"need at least k={k} points, got {n}")
-    rows, (_, nbr) = tree_order_neighbours(cloud.points, k=k)  # includes the point itself
-    _, _, eigvecs = principal_axes(cloud.points, nbr.ravel(), np.arange(0, n * k, k))
     normals = np.empty((n, 3))
-    normals[rows] = normalize(eigvecs[:, :, 0])  # smallest eigenvalue first
+    for rows, (_, nbr) in tree_order_neighbours(cloud.points, k=k):  # each includes the point itself
+        _, _, eigvecs = principal_axes(cloud.points, nbr.ravel(), np.arange(0, nbr.size, k))
+        normals[rows] = normalize(eigvecs[:, :, 0])  # smallest eigenvalue first
     return PointCloud(cloud.points.copy(), normals)
 
 
 def orient_normals(cloud: PointCloud, k: int = PCA_K) -> PointCloud:
     """Resolve normal signs by flip propagation over the Euclidean MST.
 
-    The seed is the highest point (ties: lowest index); its normal points
-    away from the centroid. Each connected component of the k-NN graph is
-    seeded the same way.
+    The graph joins each point to its k nearest others (Hoppe et al., 1992),
+    weighted by distance. Its rows are queried in bounded chunks and written
+    straight into a CSR matrix, which the MST may overwrite. The seed is the
+    highest point (ties: lowest index); its normal points away from the
+    centroid. Each connected component of the k-NN graph is seeded the same
+    way.
     """
     if not cloud.has_normals():
         raise MissingNormalsError("orient_normals needs normals")
@@ -419,13 +422,20 @@ def orient_normals(cloud: PointCloud, k: int = PCA_K) -> PointCloud:
     points = cloud.points
     normals = cloud.normals.copy()
     kk = min(k, n - 1)
-    rows, (dist, nbr) = tree_order_neighbours(points, k=kk + 1)
-    weights = np.maximum(dist[:, 1:].ravel(), 1e-300)
-    # rows come in tree order; CSR conversion keeps each row's entries in
-    # their order, so the graph, and the MST, are those of input-order rows
-    graph = coo_matrix((weights, (np.repeat(rows, kk), nbr[:, 1:].ravel())), shape=(n, n))
-    del dist, nbr  # the MST's peak memory need not hold them too
-    mst = minimum_spanning_tree(graph).tocoo()
+    # the graph's rows in input order: each point's kk + 1 nearest points
+    # but the first (itself, or with duplicates maybe a copy of it), a zero
+    # distance floored so that the graph keeps it as an edge
+    weights = np.empty((n, kk))
+    ids = np.empty((n, kk), dtype=np.int32)
+    for rows, (dist, nbr) in tree_order_neighbours(points, k=kk + 1):
+        weights[rows] = np.maximum(dist[:, 1:], 1e-300)
+        ids[rows] = nbr[:, 1:]
+    # a k-NN row holds distinct columns, so sorting them in place gives the
+    # layout coo_matrix(...).tocsr() would, without its copies
+    graph = csr_matrix((weights.ravel(), ids.ravel(), np.arange(0, n * kk + 1, kk)), shape=(n, n))
+    graph.sort_indices()
+    mst = minimum_spanning_tree(graph, overwrite=True).tocoo()
+    del graph, weights, ids  # the traversal's peak memory need not hold them too
 
     # every component hangs off a virtual root n by its seed, so one
     # traversal gives each point its parent on the path from its seed

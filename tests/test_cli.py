@@ -457,6 +457,21 @@ def test_degrade_an_empty_cloud(tmp_path, kind, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [(b"abc", "could not convert string to float: 'abc'"), (b"\xff", "byte 0xff at offset 108 is not ASCII")],
+)
+def test_a_malformed_ascii_cloud_is_one_error_line(tmp_path, value, message):
+    env = {**os.environ, "PYTHONPATH": str(Path(treescan.__file__).resolve().parents[1])}
+    header = b"ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\nproperty float y\nproperty float z\n"
+    (tmp_path / "bad.ply").write_bytes(header + b"end_header\n0 0 0\n1 " + value + b" 1\n")
+    command = [sys.executable, "-m", "treescan.cli", "degrade", "noise", "--in", "bad.ply", "--out", "out.ply"]
+    proc = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"error: bad.ply: {message}"]
+    assert not (tmp_path / "out.ply").exists()
+
+
 def test_refusals_print_one_error_line(tmp_path):
     # the command line's own entry point: one `error:` line, no traceback
     env = {**os.environ, "PYTHONPATH": str(Path(treescan.__file__).resolve().parents[1])}

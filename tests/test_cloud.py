@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from treescan import (
     EmptyCloudError,
     MalformedHeaderError,
+    MalformedPayloadError,
     NonFiniteCoordinateError,
     PointCloud,
     TruncatedPayloadError,
@@ -91,6 +92,21 @@ def test_truncated_ascii_payload(tmp_path):
         "end_header\n0 0 0\n1 1 1\n"
     )
     with pytest.raises(TruncatedPayloadError):
+        read_ply(path)
+
+
+def test_malformed_ascii_payload_is_refused(tmp_path):
+    # a value that is not a number, or a byte that is not ASCII, names the file and what it holds
+    header = b"ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\nproperty float y\nproperty float z\n"
+    header += b"end_header\n"
+    path = tmp_path / "bad.ply"
+    named = re.escape(str(path))
+    path.write_bytes(header + b"0 0 0\n1 abc 1\n")
+    with pytest.raises(MalformedPayloadError, match=f"^{named}: could not convert string to float: 'abc'$"):
+        read_ply(path)
+    path.write_bytes(header + b"0 0 0\n1 \xff 1\n")
+    offset = len(header) + len(b"0 0 0\n1 ")
+    with pytest.raises(MalformedPayloadError, match=f"^{named}: byte 0xff at offset {offset} is not ASCII$"):
         read_ply(path)
 
 

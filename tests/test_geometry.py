@@ -10,6 +10,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
 from treescan import geometry
+from treescan.cloud import PointCloud
+from treescan.degrade import UnevenParams, uneven_density
 from treescan.geometry import (
     dist_points_to_triangles,
     least_aligned_axis,
@@ -253,11 +255,12 @@ def test_principal_axes_match_per_neighbourhood_eigh():
     assert np.allclose(np.linalg.norm(eigvecs, axis=1), 1.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("chunk", [1, 7])
-def test_principal_axes_chunking_is_bit_identical(monkeypatch, chunk):
+@pytest.mark.parametrize("budget", [1, 7])
+def test_principal_axes_chunking_is_bit_identical(monkeypatch, budget):
+    # budgets below most neighbourhoods' sizes: one neighbourhood a batch
     points, neighbours, starts = ragged_neighbourhoods(seed=4, m=30)
     whole = principal_axes(points, neighbours, starts)
-    monkeypatch.setattr(geometry, "_PCA_CHUNK", chunk)
+    monkeypatch.setattr(geometry, "_PCA_ENTRIES", budget)
     for a, b in zip(whole, principal_axes(points, neighbours, starts)):
         assert np.array_equal(a, b)
 
@@ -267,14 +270,36 @@ def test_usable_cores_counts_the_affinity_mask(monkeypatch):
     assert geometry.usable_cores() == 2
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_tree_order_balls_are_the_lone_queries(monkeypatch, threads):
-    monkeypatch.setattr(geometry, "_query_threads", threads)
+QUERY_SPLITS = [
+    pytest.param(1, None, id="1"),
+    pytest.param(2, None, id="2"),
+    pytest.param(None, 1, id="1-row"),
+    pytest.param(None, 7, id="7-rows"),
+]
+
+
+@pytest.mark.parametrize("threads, budget", QUERY_SPLITS)
+def test_tree_order_balls_are_the_lone_queries(monkeypatch, threads, budget):
     points = np.random.default_rng(6).random((3000, 3))
     where = points[:, 0] < 0.4
-    rows, balls = tree_order_neighbours(points, r=0.08, where=where)
+    cloud = PointCloud(points, normalize(points - 0.5))
+    params = UnevenParams(region=((0.0, 0.0, 0.0), (0.4, 1.0, 1.0)), r=0.08, seed=2)
+    want_diagnostics = {}
+    want = uneven_density(cloud, params, want_diagnostics)
+    if threads is not None:
+        monkeypatch.setattr(geometry, "_query_threads", threads)
+    if budget is not None:
+        monkeypatch.setattr(geometry, "_QUERY_ROWS", budget)
+    chunks = list(tree_order_neighbours(points, r=0.08, where=where))
+    assert all(len(rows) == len(balls) <= geometry._QUERY_ROWS for rows, balls in chunks)
+    rows = np.concatenate([rows for rows, _ in chunks])
     assert np.array_equal(np.sort(rows), np.flatnonzero(where))
     tree = cKDTree(points)
-    for i, ball in zip(rows, balls):
+    for i, ball in zip(rows, (ball for _, balls in chunks for ball in balls)):
         # member order feeds the PCA sums, so it must be the lone query's
         assert list(ball) == tree.query_ball_point(points[i], 0.08, return_sorted=False)
+    diagnostics = {}
+    got = uneven_density(cloud, params, diagnostics)
+    assert np.array_equal(got.points, want.points)
+    assert np.array_equal(got.normals, want.normals)
+    assert diagnostics == want_diagnostics

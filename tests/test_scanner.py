@@ -649,17 +649,54 @@ def shuffled_noisy_cylinder():
     return pts[rng.permutation(n)]
 
 
-@pytest.mark.parametrize("threads", [None, 1, 2])
-def test_tree_order_queries_give_the_input_order_results(shuffled_noisy_cylinder, monkeypatch, threads):
-    pts = shuffled_noisy_cylinder
+QUERY_SPLITS = [
+    pytest.param(None, None, id="None"),
+    pytest.param(1, None, id="1"),
+    pytest.param(2, None, id="2"),
+    pytest.param(None, 1, id="1-row"),
+    pytest.param(None, 7, id="7-rows"),
+]
+
+
+def split_queries(monkeypatch, threads, budget):
     if threads is not None:
         monkeypatch.setattr(geometry, "_query_threads", threads)
+    if budget is not None:
+        monkeypatch.setattr(geometry, "_QUERY_ROWS", budget)
+
+
+@pytest.mark.parametrize("threads, budget", QUERY_SPLITS)
+def test_tree_order_queries_give_the_input_order_results(shuffled_noisy_cylinder, monkeypatch, threads, budget):
+    pts = shuffled_noisy_cylinder
     want = parent_estimate_normals(pts, 16)
+    # random normals: each flip is the parity along the MST path from the
+    # seed, so any other spanning tree shows
+    scattered = np.random.default_rng(3).normal(size=(len(pts), 3))
+    split_queries(monkeypatch, threads, budget)
     est = estimate_normals(PointCloud(pts), 16)
     assert np.array_equal(est.normals, want)
-    signs = np.where(np.random.default_rng(3).random(len(pts)) < 0.5, -1.0, 1.0)[:, None]
-    oriented = orient_normals(PointCloud(pts, want * signs), 16)
-    assert np.array_equal(oriented.normals, parent_orient_normals(pts, want * signs, 16))
+    oriented = orient_normals(PointCloud(pts, scattered), 16)
+    assert np.array_equal(oriented.normals, parent_orient_normals(pts, scattered, 16))
+
+
+@pytest.mark.parametrize("threads, budget", QUERY_SPLITS)
+def test_orientation_with_duplicated_points_matches_the_coo_graph(monkeypatch, threads, budget):
+    # copies of a point sit at distance 0, so a row's first neighbour can be
+    # another copy and the point itself a later column: the graph then holds
+    # a self-loop and zero weights floored at 1e-300
+    rng = np.random.default_rng(29)
+    theta, z = rng.uniform(0.0, 2.0 * np.pi, 600), rng.uniform(0.0, 2.0, 600)
+    base = np.column_stack([np.cos(theta), np.sin(theta), z])
+    pts = np.concatenate([base, base[:200], base[:50]])[rng.permutation(850)]
+    _, nbr = cKDTree(pts).query(pts, k=17)
+    assert np.any(nbr[:, 0] != np.arange(len(pts)))
+    assert np.any(nbr[:, 1:] == np.arange(len(pts))[:, None])
+    want = parent_estimate_normals(pts, 16)
+    scattered = rng.normal(size=(len(pts), 3))
+    split_queries(monkeypatch, threads, budget)
+    assert np.array_equal(estimate_normals(PointCloud(pts), 16).normals, want)
+    oriented = orient_normals(PointCloud(pts, scattered), 16)
+    assert np.array_equal(oriented.normals, parent_orient_normals(pts, scattered, 16))
 
 
 def test_orientation_single_point_noop():
