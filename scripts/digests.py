@@ -18,6 +18,7 @@ status is 1 if there is any.
     PYTHONPATH=src python scripts/digests.py --out after.json --against before.json
     PYTHONPATH=src python scripts/digests.py --case small:1:2:100:analytic --out one.json
     PYTHONPATH=src python scripts/digests.py --case cloud:1:100000 --out cloud.json
+    PYTHONPATH=src python scripts/digests.py --case cloud:2:20000:0.3 --out copies.json
     PYTHONPATH=src python scripts/digests.py --case fit:small:1:sphere_radius_scale=0.6 --out fit.json
     PYTHONPATH=src python scripts/digests.py --case degrade:small:1 --out degrade.json
 
@@ -25,13 +26,15 @@ A pipeline case is SIZE:MASTER_SEED:VIEWS:RESOLUTION:NORMAL_MODE[:STANDOFF],
 with the default `ScanConfig` standoff when STANDOFF is left out; a close
 standoff such as 1.1 puts the support spheres near the camera, where each
 covers a large part of a view's image. A cloud
-case, cloud:SEED:POINTS, runs no pipeline: it samples POINTS points by
-area on the 24-sided tube mesh of the medium tree grown from SEED, and
-hashes the normals of `estimate_normals` and `orient_normals` (k = 16),
-and the points, normals and diagnostics of `uneven_density` over a cube
-holding 15 % of the points. Scanned clouds are a few hundred points in ray order, where the
-order and thread split of neighbour queries hardly act; a large sampled
-cloud exercises them. A fit case, fit:SIZE:SEED:KEY=VALUE[,KEY=VALUE...],
+case, cloud:SEED:POINTS[:DUP], runs no pipeline: it samples POINTS points
+by area on the 24-sided tube mesh of the medium tree grown from SEED, of
+which a DUP share (0 when left out) are exact copies of the others,
+shuffled in among them. It hashes the normals of `estimate_normals` and
+`orient_normals` (k = 16), and the points, normals and diagnostics of
+`uneven_density` over a cube holding 15 % of the points. Scanned clouds
+are a few hundred points in ray order, where the order and thread split of
+neighbour queries hardly act; a large sampled cloud exercises them, and its
+copies put zero distances and ties in the orientation graph. A fit case, fit:SIZE:SEED:KEY=VALUE[,KEY=VALUE...],
 runs `build_surface` alone on the mesh the pipeline makes for that size and
 master seed, with the named `FitConfig` fields set (each VALUE a JSON
 number, or null), and hashes the cell arrays, epsilon and bbox; its
@@ -81,6 +84,7 @@ DEFAULT_CASES = [
     "medium:1:4:60:analytic",
     "small:1:2:100:analytic:1.1",
     "cloud:1:100000",
+    "cloud:2:20000:0.3",
     "fit:small:1:sphere_radius_scale=0.6",
     "degrade:small:1",
 ]
@@ -117,19 +121,29 @@ def array_digest(*arrays) -> str:
 
 def cloud_digests(case: str) -> dict[str, str]:
     try:
-        _, seed, count = case.split(":")
+        _, seed, count, *share = case.split(":")
         seed, count = int(seed), int(count)
+        (dup,) = map(float, share) if share else (0.0,)  # ValueError for a fifth field
+        copies = int(dup * count)
+        if not 0 <= copies < count:
+            raise ValueError
     except ValueError:
-        raise SystemExit(f"bad case {case!r}, expected cloud:SEED:POINTS")
+        raise SystemExit(f"bad case {case!r}, expected cloud:SEED:POINTS[:DUP] with 0 <= DUP < 1")
     rng = np.random.default_rng(seed)
     mesh = sweep_mesh(generate_skeleton(TreeParams.preset("medium", seed=seed)), sides=24)
     v0, v1, v2 = mesh.corners()
     areas, normals = mesh.areas_normals()
-    tri = rng.choice(len(areas), size=count, p=areas / areas.sum())
-    u, v = rng.random(count), rng.random(count)
+    sampled = count - copies
+    tri = rng.choice(len(areas), size=sampled, p=areas / areas.sum())
+    u, v = rng.random(sampled), rng.random(sampled)
     fold = u + v > 1.0
     u[fold], v[fold] = 1.0 - u[fold], 1.0 - v[fold]
     points = v0[tri] + u[:, None] * (v1[tri] - v0[tri]) + v[:, None] * (v2[tri] - v0[tri])
+    if copies:
+        # exact copies of sampled points, shuffled in among them
+        picks, order = rng.integers(sampled, size=copies), rng.permutation(count)
+        tri = np.concatenate([tri, tri[picks]])[order]
+        points = np.concatenate([points, points[picks]])[order]
     center = points[rng.integers(count)]
     half = np.sort(np.max(np.abs(points - center), axis=1))[int(CLOUD_REGION_SHARE * count) - 1]
     r = float(np.sqrt(CLOUD_UNEVEN_NEIGHBOURS * areas.sum() / (np.pi * count)))
@@ -244,7 +258,7 @@ def main() -> int:
         "--case",
         action="append",
         help=(
-            "SIZE:SEED:VIEWS:RESOLUTION:NORMAL_MODE[:STANDOFF], cloud:SEED:POINTS, fit:SIZE:SEED:KEY=VALUE[,...]"
+            "SIZE:SEED:VIEWS:RESOLUTION:NORMAL_MODE[:STANDOFF], cloud:SEED:POINTS[:DUP], fit:SIZE:SEED:KEY=VALUE[,...]"
             " or degrade:SIZE:SEED (repeatable)"
         ),
     )

@@ -21,7 +21,7 @@ from .cloud import PointCloud
 from .errors import EmptyCloudError, InvalidParameterError, MissingNormalsError
 from .geometry import principal_axes, tree_order_neighbours
 from .rng import normal, uniform, uniform_int
-from .scanner import ScanConfig, scan_surface
+from .scanner import ScanConfig, ViewScan, merge_views, scan_surface, scan_views
 
 # stream ids; fixed so seeds stay decoupled between degradation kinds
 STREAM_NOISE = 1
@@ -218,16 +218,36 @@ def uneven_density(cloud: PointCloud, p: UnevenParams, diagnostics: dict | None 
     return PointCloud(np.concatenate([points, inserts], axis=0), normals)
 
 
+def _coarse_view(view: ViewScan, resolution: int, step: int) -> ViewScan:
+    """The hits of `view`, scanned at `resolution`, that the same pose
+    scanned at resolution // step (step odd) gives: its pixel k is this
+    grid's pixel step * k + step // 2 on both axes, with the same ndc bits."""
+    row, col = np.divmod(view.rays, resolution)
+    keep = (row % step == step // 2) & (col % step == step // 2)
+    rays = (row[keep] // step) * (resolution // step) + col[keep] // step
+    return ViewScan(view.points[keep], None if view.normals is None else view.normals[keep], rays)
+
+
 def density_variants(surface, base_cfg: ScanConfig, min_feature: float, clean: PointCloud | None = None):
     """Scans at resolutions 50/100/150, otherwise as configured in base_cfg.
 
     clean, when given, is the `scan_surface(surface, base_cfg, min_feature)`
     result; it is returned as is for the resolution equal to
     base_cfg.resolution instead of scanning the same rays again.
+
+    Resolution 50's rays are every third ray of resolution 150's, with the
+    same bits, and a ray's hit depends on that ray alone (`scan_view`). So
+    unless clean is one of the two, each pose's 150 grid is marched once,
+    and 50 keeps the hits of its rays (3i + 1, 3j + 1); the bits are those
+    of a scan at 50.
     """
+    scans = {} if clean is None else {base_cfg.resolution: clean}
+    low, high = DENSITY_RESOLUTIONS[0], DENSITY_RESOLUTIONS[-1]
+    if low not in scans and high not in scans:
+        views = scan_views(surface, replace(base_cfg, resolution=high), min_feature)
+        scans[high] = merge_views(views, base_cfg.normal_mode)
+        scans[low] = merge_views([_coarse_view(view, high, high // low) for view in views], base_cfg.normal_mode)
     return tuple(
-        clean
-        if clean is not None and res == base_cfg.resolution
-        else scan_surface(surface, replace(base_cfg, resolution=res), min_feature)
+        scans[res] if res in scans else scan_surface(surface, replace(base_cfg, resolution=res), min_feature)
         for res in DENSITY_RESOLUTIONS
     )

@@ -285,6 +285,11 @@ class _CellIndex:
         return np.repeat(inside, lens), self.csr_cells[take]
 
 
+def _axes(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x, y and z columns of (n, 3) points, each a contiguous array."""
+    return tuple(np.ascontiguousarray(points[:, axis]) for axis in range(3))
+
+
 class ImplicitSurface:
     """Immutable fitted surface: cell arrays, spatial index, bbox, epsilon."""
 
@@ -300,25 +305,27 @@ class ImplicitSurface:
         if len(self.centers) == 0:
             raise InvalidParameterError("a surface needs at least one cell")
         self.index = _CellIndex(self.centers, self.radii)
-        # the field's pair kernel gathers one contiguous axis at a time
-        self._center_axes = tuple(np.ascontiguousarray(self.centers[:, axis]) for axis in range(3))
+        # the field's pair kernels gather one contiguous axis at a time
+        self._center_axes = _axes(self.centers)
+        self._normal_axes = _axes(self.normals)
 
     def bbox_diagonal(self) -> float:
         return float(np.linalg.norm(self.bbox_hi - self.bbox_lo))
 
     # -- field evaluation ---------------------------------------------------
 
-    def _pairs(self, points: np.ndarray):
+    def _pairs(self, points: np.ndarray, axes=None):
         """(row, cell, r) for every point strictly inside a sphere, r < R,
         with r the point's distance from the center; by row, then cell.
+        axes, when given, are the points' coordinates as `_axes(points)`.
 
         r is sqrt(dx*dx + dy*dy + dz*dz), summed in the order
         np.linalg.norm(axis=1) uses, so it has the same bits.
         """
         rows, cells = self.index.candidate_pairs(points)
         d2 = None
-        for axis, center_axis in enumerate(self._center_axes):
-            d = points[:, axis][rows]
+        for p, center_axis in zip(_axes(points) if axes is None else axes, self._center_axes):
+            d = p[rows]
             d -= center_axis[cells]
             d *= d
             d2 = d if d2 is None else np.add(d2, d, out=d2)
@@ -330,12 +337,21 @@ class ImplicitSurface:
         """Field values (n,), and gradients (n, 3) if wanted; NaN rows where
         no sphere holds the point."""
         n = len(points)
-        rows, cells, r = self._pairs(points)
+        axes = _axes(points)
+        rows, cells, r = self._pairs(points, axes)
         radii = self.radii[cells]
         u = r / radii
         inner = u <= (1.0 / 3.0)
         q = np.where(inner, 0.75 - 2.25 * u * u, 1.125 * (1.0 - u) ** 2)
-        s = np.einsum("ij,ij->i", points[rows], self.normals[cells]) - self.offsets[cells]
+        # s = <p, n> - offset.  numpy's einsum("ij,ij->i") sums the three
+        # products as (x + z) + y; written out in that order, s keeps the
+        # bits it had as an einsum (pinned by test_implicit.py's
+        # test_shape_values_sum_in_einsums_order)
+        px, py, pz = (a[rows] for a in axes)
+        nx, ny, nz = (a[cells] for a in self._normal_axes)
+        s = px * nx + pz * nz
+        s += py * ny
+        s -= self.offsets[cells]
 
         num = np.bincount(rows, weights=q * s, minlength=n)
         den = np.bincount(rows, weights=q, minlength=n)
@@ -346,7 +362,6 @@ class ImplicitSurface:
         if not want_gradient:
             return f
 
-        delta = points[rows] - self.centers[cells]
         # dq/du * grad u; the inner branch folds the 1/r singularity away
         safe_r = np.where(r == 0.0, 1.0, r)
         gq_scale = np.where(
@@ -354,14 +369,12 @@ class ImplicitSurface:
             -4.5 / (radii * radii),
             -2.25 * (1.0 - u) / (radii * safe_r),
         )
-        grad_q = gq_scale[:, None] * delta
         grad_num = np.zeros((n, 3))
         grad_den = np.zeros((n, 3))
-        for d in range(3):
-            grad_num[:, d] = np.bincount(
-                rows, weights=grad_q[:, d] * s + q * self.normals[cells, d], minlength=n
-            )
-            grad_den[:, d] = np.bincount(rows, weights=grad_q[:, d], minlength=n)
+        for d, (p, normal, center_axis) in enumerate(zip((px, py, pz), (nx, ny, nz), self._center_axes)):
+            grad_q = gq_scale * (p - center_axis[cells])
+            grad_num[:, d] = np.bincount(rows, weights=grad_q * s + q * normal, minlength=n)
+            grad_den[:, d] = np.bincount(rows, weights=grad_q, minlength=n)
         grad = (grad_num * den_safe[:, None] - num[:, None] * grad_den) / (den_safe**2)[:, None]
         grad[~covered] = np.nan
         return f, grad

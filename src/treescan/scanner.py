@@ -326,9 +326,23 @@ def _march_batch(surface, origins, directions, min_feature: float, spans, window
     return hit, points
 
 
-def scan_view(surface: ImplicitSurface, pose: Pose, cfg: ScanConfig, min_feature: float) -> PointCloud:
-    """One view's hits in row-major ray order; analytic normals if configured,
-    an empty (0, 3) array when no ray hits.
+@dataclass
+class ViewScan(PointCloud):
+    """One view's hits, and rays[i], the row-major index of hit i's ray in
+    the view's resolution x resolution grid."""
+
+    rays: np.ndarray | None = None
+
+
+def scan_view(surface: ImplicitSurface, pose: Pose, cfg: ScanConfig, min_feature: float) -> ViewScan:
+    """One view's hits in row-major ray order, with the index of each hit's
+    ray; analytic normals if configured, an empty (0, 3) array when no ray
+    hits.
+
+    Each ray is built and marched on its own, so its hit depends only on
+    the surface, the pose and its grid direction: pixel k of a view at
+    resolution r has the ndc bits of pixel 3k + 1 at resolution 3r, so a
+    view's hits at r are the hits of its rays (3i + 1, 3j + 1) at 3r.
 
     min_feature is the thinnest feature the fine march step must not step
     through (the skeleton's minimum radius in the pipeline); it must be
@@ -358,33 +372,44 @@ def scan_view(surface: ImplicitSurface, pose: Pose, cfg: ScanConfig, min_feature
     spans = _ray_sphere_spans(origins, dirs, center, radius)
     windows = _live_windows(surface, pose, tan_half, res, dirs, spans)
     hit, pts = _march_batch(surface, origins, dirs, min_feature, spans, windows)
-    points = pts[hit]
+    rays = np.flatnonzero(hit)
+    points = pts[rays]
 
     if cfg.normal_mode == "analytic":
         grads = surface.gradient_many(points)
         norms = np.linalg.norm(grads, axis=1)
         safe = norms > 1e-12
-        normals = np.where(safe[:, None], grads / np.where(safe, norms, 1.0)[:, None], -dirs[hit])
+        normals = np.where(safe[:, None], grads / np.where(safe, norms, 1.0)[:, None], -dirs[rays])
         # orient toward the sensor
-        flip = np.einsum("ij,ij->i", normals, -dirs[hit]) < 0.0
+        flip = np.einsum("ij,ij->i", normals, -dirs[rays]) < 0.0
         normals[flip] *= -1.0
-        return PointCloud(points, normals)
-    return PointCloud(points)
+        return ViewScan(points, normals, rays)
+    return ViewScan(points, rays=rays)
 
 
-def scan_surface(surface: ImplicitSurface, cfg: ScanConfig, min_feature: float) -> PointCloud:
-    """All views, concatenated in view order; PCA+MST normals attached here
-    when that mode is on. Every scan carries normals, (0, 3) when empty."""
+def scan_views(surface: ImplicitSurface, cfg: ScanConfig, min_feature: float) -> list[ViewScan]:
+    """`scan_view` of every pose of cfg, in view order."""
     cfg.validate()
     poses = viewpoints((surface.bbox_lo, surface.bbox_hi), cfg.views, cfg.standoff)
-    clouds = [scan_view(surface, pose, cfg, min_feature) for pose in poses]
-    points = np.concatenate([c.points for c in clouds], axis=0)
-    if cfg.normal_mode == "analytic":
-        return PointCloud(points, np.concatenate([c.normals for c in clouds], axis=0))
+    return [scan_view(surface, pose, cfg, min_feature) for pose in poses]
+
+
+def merge_views(views: list[PointCloud], normal_mode: str) -> PointCloud:
+    """The views' hits concatenated in view order; PCA+MST normals attached
+    here when normal_mode is "pca-mst". The result carries normals, (0, 3)
+    when empty."""
+    points = np.concatenate([view.points for view in views], axis=0)
+    if normal_mode == "analytic":
+        return PointCloud(points, np.concatenate([view.normals for view in views], axis=0))
     if len(points) == 0:
         return PointCloud(points, np.zeros((0, 3)))
     # 1 to PCA_K - 1 points are too few for a neighbourhood: TooFewPointsError
     return orient_normals(estimate_normals(PointCloud(points), PCA_K), PCA_K)
+
+
+def scan_surface(surface: ImplicitSurface, cfg: ScanConfig, min_feature: float) -> PointCloud:
+    """All views, concatenated in view order (`merge_views`)."""
+    return merge_views(scan_views(surface, cfg, min_feature), cfg.normal_mode)
 
 
 def estimate_normals(cloud: PointCloud, k: int) -> PointCloud:
@@ -406,7 +431,8 @@ def orient_normals(cloud: PointCloud, k: int = PCA_K) -> PointCloud:
 
     The graph joins each point to its k nearest others (Hoppe et al., 1992),
     weighted by distance. Its rows are queried in bounded chunks and written
-    straight into a CSR matrix, which the MST may overwrite. The seed is the
+    straight into a CSR matrix, which the MST may overwrite; a pair of
+    mutual neighbours is one entry, in the lower row. The seed is the
     highest point (ties: lowest index); its normal points away from the
     centroid. Each connected component of the k-NN graph is seeded the same
     way.
@@ -430,12 +456,26 @@ def orient_normals(cloud: PointCloud, k: int = PCA_K) -> PointCloud:
     for rows, (dist, nbr) in tree_order_neighbours(points, k=kk + 1):
         weights[rows] = np.maximum(dist[:, 1:], 1e-300)
         ids[rows] = nbr[:, 1:]
+    # a mutual pair (i, j), i < j, sits in both rows with equal weights;
+    # the MST's stable order by weight reaches row i's copy first, and always
+    # rejects the second, so row j's copy is left out.  Row j's entry has a
+    # twin when w < (row i's k-th distance): i's query then holds j, past its
+    # first column, which has distance 0.  A floored zero distance (the first
+    # column may be j) and a tie with the k-th distance are looked up exactly.
+    kth = weights[:, -1][ids]
+    earlier = ids < np.arange(n)[:, None]
+    keep = ~(earlier & (weights < kth))
+    rows, cols = np.nonzero(earlier & ((weights <= 1e-300) | (weights == kth)))
+    keep[rows, cols] = ~np.any(ids[ids[rows, cols]] == rows[:, None], axis=1)
+    del kth, earlier, rows, cols
     # a k-NN row holds distinct columns, so sorting them in place gives the
     # layout coo_matrix(...).tocsr() would, without its copies
-    graph = csr_matrix((weights.ravel(), ids.ravel(), np.arange(0, n * kk + 1, kk)), shape=(n, n))
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
+    graph = csr_matrix((weights[keep], ids[keep], indptr), shape=(n, n))
+    del weights, ids, keep  # the MST's and the traversal's peaks need not hold them too
     graph.sort_indices()
     mst = minimum_spanning_tree(graph, overwrite=True).tocoo()
-    del graph, weights, ids  # the traversal's peak memory need not hold them too
+    del graph
 
     # every component hangs off a virtual root n by its seed, so one
     # traversal gives each point its parent on the path from its seed

@@ -5,6 +5,7 @@ import pytest
 from dataclasses import replace
 from scipy.spatial import cKDTree
 
+from treescan import degrade
 from treescan.cloud import PointCloud
 from treescan.degrade import (
     DENSITY_RESOLUTIONS,
@@ -26,6 +27,7 @@ from treescan.errors import (
     EmptyCloudError,
     InvalidParameterError,
     MissingNormalsError,
+    TooFewPointsError,
 )
 from treescan.rng import uniform, uniform_int
 from treescan.scanner import ScanConfig, scan_surface
@@ -431,6 +433,56 @@ def test_default_region_is_valid_on_an_axis_with_no_extent():
 
 
 # -- density variants -----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def direct_scans(sphere_surface_320):
+    """scan_surface of sphere_surface_320 by (resolution, standoff, normal mode), two views."""
+    feature = diagonal_feature(sphere_surface_320)
+    return {
+        (res, standoff, mode): scan_surface(
+            sphere_surface_320, ScanConfig(resolution=res, views=2, standoff=standoff, normal_mode=mode), feature
+        )
+        for res in DENSITY_RESOLUTIONS
+        for standoff in (1.5, 1.1)
+        for mode in ("analytic", "pca-mst")
+    }
+
+
+@pytest.mark.parametrize("mode", ["analytic", "pca-mst"])
+@pytest.mark.parametrize("standoff", [1.5, 1.1])
+@pytest.mark.parametrize("clean_resolution", [None, 100, 150])
+def test_density_variants_are_the_direct_scans(sphere_surface_320, direct_scans, mode, standoff, clean_resolution):
+    # resolution 50 is picked out of the 150 march unless the clean scan is
+    # at 150; either way every variant has the bits of a scan at its
+    # resolution
+    feature = diagonal_feature(sphere_surface_320)
+    base = ScanConfig(resolution=clean_resolution or 100, views=2, standoff=standoff, normal_mode=mode)
+    clean = None if clean_resolution is None else direct_scans[clean_resolution, standoff, mode]
+    variants = density_variants(sphere_surface_320, base, feature, clean=clean)
+    assert len(variants[0]) >= 80
+    for res, cloud in zip(DENSITY_RESOLUTIONS, variants):
+        want = direct_scans[res, standoff, mode]
+        assert np.array_equal(cloud.points, want.points)
+        assert np.array_equal(cloud.normals, want.normals)
+
+
+def test_a_pca_mst_density_scan_too_small_for_its_normals_refuses(monkeypatch, sphere_surface_320):
+    # resolution 5 is picked out of the 15 march: its 25 hits take PCA
+    # normals, and the one hit at 5 is too few, as in a scan at 5
+    monkeypatch.setattr(degrade, "DENSITY_RESOLUTIONS", (5, 10, 15))
+    feature = diagonal_feature(sphere_surface_320)
+    cfg = ScanConfig(resolution=10, views=1, normal_mode="pca-mst")
+    with pytest.raises(TooFewPointsError):
+        scan_surface(sphere_surface_320, replace(cfg, resolution=5), feature)
+    with pytest.raises(TooFewPointsError):
+        density_variants(sphere_surface_320, cfg, feature)
+    analytic = replace(cfg, normal_mode="analytic")
+    variants = density_variants(sphere_surface_320, analytic, feature)
+    assert len(variants[0]) == 1 and len(variants[2]) >= 16
+    for res, cloud in zip((5, 10, 15), variants):
+        want = scan_surface(sphere_surface_320, replace(analytic, resolution=res), feature)
+        assert np.array_equal(cloud.points, want.points) and np.array_equal(cloud.normals, want.normals)
 
 
 def test_density_variants_counts_increase(sphere_surface_320):

@@ -688,6 +688,63 @@ def test_field_calls_are_batch_independent(sphere_surface_320):
             assert np.array_equal(parts, whole, equal_nan=True)
 
 
+def test_shape_values_sum_in_einsums_order():
+    # `ImplicitSurface._blend` writes <p, n> out as (x x' + z z') + y y', the
+    # order in which numpy's einsum("ij,ij->i") sums three products, so the
+    # field kept its einsum bits.  On a numpy that sums in another order
+    # this fails, instead of every scan digest moving unnoticed.
+    rng = np.random.default_rng(41)
+
+    def rows(m):
+        return rng.normal(size=(m, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (m, 1))
+
+    cases = [(rows(m), rows(m)) for m in range(1, 71)]
+    # gathered (row, cell) pairs, as the blend takes them
+    points, normals = rows(2000), rows(500)
+    cases.append((points[rng.integers(2000, size=300_000)], normals[rng.integers(500, size=300_000)]))
+    for a, b in cases:
+        (ax, ay, az), (bx, by, bz) = implicit._axes(a), implicit._axes(b)
+        s = ax * bx + az * bz
+        s += ay * by
+        assert np.array_equal(s, np.einsum("ij,ij->i", a, b))
+
+
+def einsum_blend(surf, points):
+    """Reference: the blend's values and gradients with <p, n> an einsum."""
+    n = len(points)
+    rows, cells, r = surf._pairs(points)
+    radii = surf.radii[cells]
+    u = r / radii
+    inner = u <= (1.0 / 3.0)
+    q = np.where(inner, 0.75 - 2.25 * u * u, 1.125 * (1.0 - u) ** 2)
+    s = np.einsum("ij,ij->i", points[rows], surf.normals[cells]) - surf.offsets[cells]
+    num = np.bincount(rows, weights=q * s, minlength=n)
+    den = np.bincount(rows, weights=q, minlength=n)
+    covered = den > 0.0
+    den_safe = np.where(covered, den, 1.0)
+    f = np.where(covered, num / den_safe, np.nan)
+    safe_r = np.where(r == 0.0, 1.0, r)
+    gq_scale = np.where(inner, -4.5 / (radii * radii), -2.25 * (1.0 - u) / (radii * safe_r))
+    grad_q = gq_scale[:, None] * (points[rows] - surf.centers[cells])
+    grad_num, grad_den = np.zeros((n, 3)), np.zeros((n, 3))
+    for d in range(3):
+        grad_num[:, d] = np.bincount(rows, weights=grad_q[:, d] * s + q * surf.normals[cells, d], minlength=n)
+        grad_den[:, d] = np.bincount(rows, weights=grad_q[:, d], minlength=n)
+    grad = (grad_num * den_safe[:, None] - num[:, None] * grad_den) / (den_safe**2)[:, None]
+    grad[~covered] = np.nan
+    return f, grad
+
+
+def test_field_has_the_bits_of_the_einsum_blend(sphere_surface_320):
+    rng = np.random.default_rng(43)
+    u = rng.normal(size=(20_000, 3))
+    pts = u / np.linalg.norm(u, axis=1)[:, None] * rng.uniform(0.0, 1.5, (20_000, 1))
+    f, grad = einsum_blend(sphere_surface_320, pts)
+    assert 0 < np.count_nonzero(np.isnan(f)) < len(pts) // 4
+    assert np.array_equal(sphere_surface_320.eval_many(pts), f, equal_nan=True)
+    assert np.array_equal(sphere_surface_320.gradient_many(pts), grad, equal_nan=True)
+
+
 # -- gradients ----------------------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from treescan import degrade, geometry, pipeline
+from treescan import degrade, geometry, pipeline, scanner
 from treescan.cloud import read_ply
 from treescan.errors import InsufficientTrianglesError, InvalidParameterError, PipelineStageError
 from treescan.implicit import FitConfig, load_surface
@@ -235,14 +235,16 @@ def test_surface_cache_refits_when_stale(tmp_path, monkeypatch):
     assert role_digests(third) == role_digests(second)
 
 
-@pytest.mark.parametrize("resolution, scans", [(100, 3), (60, 4)])
-def test_density_reuses_the_clean_scan(tmp_path, monkeypatch, resolution, scans):
-    calls = counting(monkeypatch, pipeline, "scan_surface")
-    density_calls = counting(monkeypatch, degrade, "scan_surface")
+@pytest.mark.parametrize("resolution, views", [(100, 4), (60, 6)])
+def test_density_reuses_the_clean_scan(tmp_path, monkeypatch, resolution, views):
+    # two views at each marched resolution: the clean scan, the march at 150
+    # that density 50 is picked out of, and at 60 the scan at 100
+    calls = counting(monkeypatch, scanner, "scan_view")
     out = tmp_path / "d"
     scan = ScanConfig(resolution=resolution, views=2)
     manifest = run_pipeline(tiny_config(out, name="model", degradations=ALL_DEGRADATIONS, scan=scan))
-    assert len(calls) + len(density_calls) == scans
+    assert len(calls) == views
+    assert sorted(c["cfg"].resolution for c in calls) == sorted(2 * [*{resolution, 100, 150}])
     clean = (out / "model_clean.ply").read_bytes()
     assert ((out / "model_density_100.ply").read_bytes() == clean) == (resolution == 100)
     counts = {f["role"]: f["count"] for f in manifest.files}

@@ -679,6 +679,26 @@ def test_tree_order_queries_give_the_input_order_results(shuffled_noisy_cylinder
     assert np.array_equal(oriented.normals, parent_orient_normals(pts, scattered, 16))
 
 
+@pytest.mark.parametrize("copies", [0, 150])
+@pytest.mark.parametrize("k", [4, 16])
+def test_orientation_on_a_lattice_plane_matches_the_coo_graph(k, copies):
+    # the graph keeps one entry of each mutual pair: on a lattice, many
+    # distances tie with a row's k-th, where the query's pick decides
+    # whether the pair is mutual, and copies add zero distances whose row
+    # may drop another point than itself as its first column
+    rng = np.random.default_rng(37)
+    ticks = np.arange(50.0)
+    x, y = (a.ravel() for a in np.meshgrid(ticks, ticks))
+    plane = np.column_stack([x, y, 0.5 * x - 0.25 * y])[rng.choice(2500, size=900, replace=False)]
+    pts = np.concatenate([plane, plane[rng.integers(900, size=copies)]])[rng.permutation(900 + copies)]
+    dist, nbr = cKDTree(pts).query(pts, k=k + 1)
+    earlier = nbr[:, 1:] < np.arange(len(pts))[:, None]
+    assert np.count_nonzero(earlier & (dist[:, 1:] == dist[:, -1][nbr[:, 1:]])) >= 100
+    scattered = rng.normal(size=(len(pts), 3))
+    oriented = orient_normals(PointCloud(pts, scattered), k)
+    assert np.array_equal(oriented.normals, parent_orient_normals(pts, scattered, k))
+
+
 @pytest.mark.parametrize("threads, budget", QUERY_SPLITS)
 def test_orientation_with_duplicated_points_matches_the_coo_graph(monkeypatch, threads, budget):
     # copies of a point sit at distance 0, so a row's first neighbour can be
