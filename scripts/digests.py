@@ -86,6 +86,10 @@ DEFAULT_CASES = [
     "cloud:1:100000",
     "cloud:2:20000:0.3",
     "fit:small:1:sphere_radius_scale=0.6",
+    # the least room between a child's radius and its parent's candidates
+    "fit:small:2:sphere_radius_scale=0.51",
+    # the deepest descent: 868,295 cells
+    "fit:small:4:max_triangles_per_cell=1",
     "degrade:small:1",
 ]
 CLOUD_K = 16

@@ -62,6 +62,57 @@ def write_ply(cloud: PointCloud, path) -> None:
         fh.write(data.astype("<f4").tobytes())
 
 
+# payload bytes decoded and split at a time by `_read_ascii`: a chunk's
+# values then take a few MB as Python strings
+_ASCII_CHUNK = 1 << 18
+
+# the ASCII bytes str.split() splits at
+_ASCII_SPACE = [bytes([c]) for c in b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"]
+
+
+def _read_ascii(path, blob: bytes, start: int, needed: int) -> np.ndarray:
+    """The first `needed` values of the ASCII payload blob[start:], float64.
+
+    The payload is decoded, split and parsed a chunk of about _ASCII_CHUNK
+    bytes at a time, each chunk ending at whitespace, so it holds whole
+    values and gives the values and errors of one split of the whole
+    payload: the first byte that is not ASCII anywhere in it, then too few
+    values, then the first of the needed values that does not parse.
+    """
+    flat = np.empty(needed)
+    found = 0  # values split so far, counted until `needed`
+    error = None
+    pos = start
+    while pos < len(blob):
+        stop = len(blob)
+        if pos + _ASCII_CHUNK < len(blob):
+            # after the window's last whitespace, or else the first one past it
+            cut = max(blob.rfind(c, pos, pos + _ASCII_CHUNK) for c in _ASCII_SPACE)
+            if cut < 0:
+                cut = min((i for c in _ASCII_SPACE if (i := blob.find(c, pos + _ASCII_CHUNK)) >= 0), default=stop - 1)
+            stop = cut + 1
+        try:
+            text = blob[pos:stop].decode("ascii")
+        except UnicodeDecodeError as exc:
+            offset = pos + exc.start
+            raise MalformedPayloadError(f"{path}: byte {blob[offset]:#04x} at offset {offset} is not ASCII") from None
+        pos = stop
+        if found >= needed:
+            continue  # past the needed values, only the bytes are checked
+        values = text.split()[: needed - found]
+        if error is None:
+            try:
+                flat[found : found + len(values)] = np.array(values, dtype=np.float64)
+            except ValueError as exc:  # numpy's message quotes the value
+                error = exc
+        found += len(values)
+    if found < needed:
+        raise TruncatedPayloadError(f"payload holds {found} values, need {needed}")
+    if error is not None:
+        raise MalformedPayloadError(f"{path}: {error}")
+    return flat
+
+
 def read_ply(path) -> PointCloud:
     """Read a vertex-only PLY. Raises on malformed headers, short payloads,
     ASCII payloads that do not parse and non-finite coordinates."""
@@ -72,7 +123,7 @@ def read_ply(path) -> PointCloud:
     if not blob.startswith(b"ply") or end < 0:
         raise MalformedHeaderError(f"{path}: not a PLY file (missing ply/end_header)")
     header_lines = blob[:end].decode("ascii", errors="replace").splitlines()
-    payload = blob[end + len(b"end_header\n"):]
+    start = end + len(b"end_header\n")
 
     fmt = None
     count = None
@@ -106,24 +157,14 @@ def read_ply(path) -> PointCloud:
 
     dtype = np.dtype([(name, dt) for name, dt in props])
     if fmt == "binary_little_endian":
+        payload = blob[start:]
         if len(payload) < count * dtype.itemsize:
             raise TruncatedPayloadError(
                 f"payload holds {len(payload)} bytes, need {count * dtype.itemsize}"
             )
         rows = np.frombuffer(payload[: count * dtype.itemsize], dtype=dtype)
     else:
-        try:
-            text_rows = payload.decode("ascii").split()
-        except UnicodeDecodeError as exc:
-            byte, offset = payload[exc.start], end + len(b"end_header\n") + exc.start
-            raise MalformedPayloadError(f"{path}: byte {byte:#04x} at offset {offset} is not ASCII") from None
-        needed = count * len(props)
-        if len(text_rows) < needed:
-            raise TruncatedPayloadError(f"payload holds {len(text_rows)} values, need {needed}")
-        try:
-            flat = np.array(text_rows[:needed], dtype=np.float64).reshape(count, len(props))
-        except ValueError as exc:  # numpy's message quotes the value
-            raise MalformedPayloadError(f"{path}: {exc}") from None
+        flat = _read_ascii(path, blob, start, count * len(props)).reshape(count, len(props))
         rows = np.rec.fromarrays(
             [flat[:, i].astype(dt) for i, (_, dt) in enumerate(props)], dtype=dtype
         )

@@ -158,7 +158,9 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def dist_points_to_triangles(p: np.ndarray, v0: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+def dist_points_to_triangles(
+    p: np.ndarray, v0: np.ndarray, v1: np.ndarray, v2: np.ndarray, *, diff: np.ndarray | None = None
+) -> np.ndarray:
     """Exact Euclidean distance for paired points and triangles.
 
     All four arrays hold coordinates as rows, (3, n): column i pairs point
@@ -171,6 +173,10 @@ def dist_points_to_triangles(p: np.ndarray, v0: np.ndarray, v1: np.ndarray, v2: 
     rows, and every sum is written out as x + y + z, so a pair's distance
     has the same bits whatever other pairs share the call.  The distance is
     sqrt(dx*dx + dy*dy + dz*dz), summed in np.linalg.norm's order.
+
+    diff, when given, a (3, n) array, receives p minus the closest point,
+    (dx, dy, dz) as rows; the distance is its norm.  Only the distances are
+    returned.
     """
     ab = v1 - v0
     ac = v2 - v0
@@ -220,13 +226,15 @@ def dist_points_to_triangles(p: np.ndarray, v0: np.ndarray, v1: np.ndarray, v2: 
     sq = None
     for k in range(3):
         pk, ak, bk = p[k], v0[k], v1[k]
-        diff = ap[k]
-        diff[vert_b] = bp[k][vert_b]
-        diff[vert_c] = cp[k][vert_c]
-        diff[edge_ab] = pk[edge_ab] - (ak[edge_ab] + t_ab * ab[k][edge_ab])
-        diff[edge_ac] = pk[edge_ac] - (ak[edge_ac] + t_ac * ac[k][edge_ac])
-        diff[edge_bc] = pk[edge_bc] - (bk[edge_bc] + t_bc * (v2[k][edge_bc] - bk[edge_bc]))
-        diff[face] = pk[face] - (ak[face] + v * ab[k][face] + w * ac[k][face])
-        diff *= diff
-        sq = diff if sq is None else np.add(sq, diff, out=sq)
+        dk = ap[k]
+        dk[vert_b] = bp[k][vert_b]
+        dk[vert_c] = cp[k][vert_c]
+        dk[edge_ab] = pk[edge_ab] - (ak[edge_ab] + t_ab * ab[k][edge_ab])
+        dk[edge_ac] = pk[edge_ac] - (ak[edge_ac] + t_ac * ac[k][edge_ac])
+        dk[edge_bc] = pk[edge_bc] - (bk[edge_bc] + t_bc * (v2[k][edge_bc] - bk[edge_bc]))
+        dk[face] = pk[face] - (ak[face] + v * ab[k][face] + w * ac[k][face])
+        if diff is not None:
+            diff[k] = dk
+        dk *= dk
+        sq = dk if sq is None else np.add(sq, dk, out=sq)
     return np.sqrt(sq, out=sq)

@@ -51,6 +51,28 @@ The descent reads its exact point–triangle distances only in `<=` tests,
 against a node's radius (membership) and its child bound (the children's
 candidates).  A change to how a distance is rounded moves a cell only if
 it moves one of those comparisons.
+
+A split node hands each child only the candidates a half-space bound
+leaves within the child's radius.  For a unit vector u and a triangle T
+with vertices v_i, every point of T has <., u> <= max_i <v_i, u>, so
+
+    d(y, T) >= <y, u> - max_i <v_i, u>.
+
+The descent takes u = (x - q) / d, with x the node's center and q the
+kernel's closest point on T at distance d, and y = x + o a child's
+center; the eight <o, u> are +-w_x +- w_y +- w_z, w_a = size_a u_a / 4.
+A (child, triangle) pair is dropped when the bound exceeds the child's
+radius plus a slack (`_CULL_SLACK`) that covers its rounding.  The bound
+holds for any unit u, so it needs no promise that q is the nearest point
+of T, which the kernel does not give on exactly collinear triangles; the
+shorter d + <o, u>, which takes q to be the nearest point, would need it.
+The bits of the fit hold: the kernel never returns less than the true
+distance, since its closest point lies on T, so a dropped pair's distance
+at the child exceeds the child's radius.  That radius is at least the
+child's own child bound (`sphere_radius_scale` > 0.5), so the pair was
+neither a member of the child nor a candidate of its children.  Each kept
+pair's distance is computed on its own, in candidate order, so members,
+splits, leaf order and the moments' summation order are unchanged.
 """
 
 from __future__ import annotations
@@ -206,8 +228,9 @@ class _CellIndex:
         self.dims = dims
 
         # Each sphere's (voxel, sphere) entries, built for a chunk of
-        # spheres at a time and concatenated in sphere order; one stable
-        # sort by voxel then lists each voxel's cells in ascending order.
+        # spheres at a time and concatenated in sphere order, then sorted as
+        # unique keys voxel * n + sphere: each voxel lists its cells in
+        # ascending order, as a stable sort by voxel would.
         n = len(centers)
         i0 = self._vox_floor(centers - radii[:, None])
         i1 = self._vox_floor(centers + radii[:, None])
@@ -219,8 +242,15 @@ class _CellIndex:
         vox = np.concatenate([v for v, _ in parts])
         cells = np.concatenate([c for _, c in parts])
         del parts
-        self.csr_cells = cells[np.argsort(vox, kind="stable")]
         counts = np.bincount(vox, minlength=int(np.prod(dims)))
+        keys = vox.astype(np.int64)
+        del vox
+        keys *= n
+        keys += cells
+        del cells
+        keys.sort()
+        self.csr_cells = np.remainder(keys, n, out=keys).astype(np.int32)
+        del keys
         self.csr_start = np.concatenate([[0], np.cumsum(counts)])
 
     def _ball_entries(self, spheres, centers, reach, i0, i1):
@@ -414,26 +444,65 @@ _DIST_BLOCK = 1 << 14
 # depend on its own pairs alone, so the budget never changes a bit.
 _DESCENT_PAIRS = 1 << 16
 
+# Slack on the child radius when the half-space bound drops a (child,
+# triangle) pair, relative to the bbox diagonal plus the largest coordinate:
+# it absorbs the rounding of the bound, of the child centers and of the
+# kernel's distances, each a few ulp of the coordinates.
+_CULL_SLACK = 1e-9
+
 _CHILD_OFFSETS = np.array(
     [[dx, dy, dz] for dx in (-0.25, 0.25) for dy in (-0.25, 0.25) for dz in (-0.25, 0.25)]
 )
 
 
-def _pair_distances(points: np.ndarray, tri_ids: np.ndarray, corners) -> np.ndarray:
+def _pair_distances(points: np.ndarray, tri_ids: np.ndarray, corners, diff: np.ndarray | None = None) -> np.ndarray:
     """Distance from each point to its triangle, one kernel call per block.
 
     points (3, n) and the three corner arrays (3, triangles) hold
     coordinates as rows; points[:, i] is paired with triangle tri_ids[i].
     Each block gathers its corners one axis at a time, by triangle id, and
     `dist_points_to_triangles` computes every pair on its own, axis by axis
-    with sums written out as x + y + z.
+    with sums written out as x + y + z.  diff, when given, a (3, n) array,
+    receives each point minus its closest point on the triangle.
     """
     d = np.empty(len(tri_ids))
     for a in range(0, len(tri_ids), _DIST_BLOCK):
         b = min(a + _DIST_BLOCK, len(tri_ids))
         t = tri_ids[a:b]
-        d[a:b] = dist_points_to_triangles(points[:, a:b], *(np.take(v, t, axis=1) for v in corners))
+        d[a:b] = dist_points_to_triangles(
+            points[:, a:b], *(np.take(v, t, axis=1) for v in corners), diff=None if diff is None else diff[:, a:b]
+        )
     return d
+
+
+def _child_keep(centers, sizes, diff, d, tri_ids, corners, child_radii, slack):
+    """Which children of a split node may hold each of its candidates.
+
+    Row i pairs a node with triangle tri_ids[i]: the node's center and box
+    sizes, and diff, its center minus the kernel's closest point on the
+    triangle, are (3, n) with coordinates as rows; d[i] is diff[:, i]'s
+    norm.  Returns (n, 8) bool, children in `_CHILD_OFFSETS` order, False
+    where a half-space bound proves the triangle farther than the child
+    radius plus slack from that child's center (module docstring): for the
+    unit u = diff / d, every point of the triangle has <., u> at most
+    top = max_i <v_i, u>, so d(x + o, T) >= <x, u> - top + <o, u>.  A pair
+    with d within the slack keeps every child, its u being unreliable.
+    """
+    near = d <= slack
+    u = diff / np.where(near, 1.0, d)
+    top = None
+    for v in corners:
+        g = np.take(v, tri_ids, axis=1)
+        h = g[0] * u[0] + g[1] * u[1] + g[2] * u[2]
+        top = h if top is None else np.maximum(top, h, out=top)
+    room = (child_radii + slack) - ((centers[0] * u[0] + centers[1] * u[1] + centers[2] * u[2]) - top)
+    w = sizes * u
+    keep = np.empty((len(d), 8), dtype=bool)
+    for k, (ox, oy, oz) in enumerate(_CHILD_OFFSETS):
+        # <o, u> of child k's offset o, summed as x + y + z
+        np.less_equal(w[0] * ox + w[1] * oy + w[2] * oz, room, out=keep[:, k])
+    keep[near] = True
+    return keep
 
 
 def _batched_affines(centers, pair_cells, pair_tris, quad_pts, omega, areas, tri_normals, epsilon):
@@ -490,6 +559,13 @@ def _descend(lo, hi, corners, cfg: FitConfig):
     node, children in `_CHILD_OFFSETS` order).  Each leaf's members are its
     candidates within its radius, in candidate order.
 
+    A split node's candidates within the child bound go to each child
+    that `_child_keep`'s half-space bound does not rule out (module
+    docstring): a dropped pair would have been neither a member of the
+    child nor a candidate of its children, so the bound changes no bit,
+    only the number of kernel pairs (on small master seed 1, 1,423,280 ->
+    678,534).
+
     The walk is depth first over batches of nodes of one depth, each batch
     holding about `_DESCENT_PAIRS` (node, candidate) pairs and stepping all
     its nodes one level at once.  A batch's children are consecutive in path
@@ -500,6 +576,7 @@ def _descend(lo, hi, corners, cfg: FitConfig):
     """
     scale = cfg.sphere_radius_scale
     n_tris = corners[0].shape[1]
+    slack = _CULL_SLACK * float(np.linalg.norm(hi - lo) + np.abs(np.concatenate([lo, hi])).max())
     # (depth, path, centers, radii, pair leaf index within run, pair
     # triangles); an empty run at depth 0 keeps the concatenations defined
     # when no leaf settles
@@ -515,8 +592,11 @@ def _descend(lo, hi, corners, cfg: FitConfig):
         diag = np.linalg.norm(sizes, axis=1)
         radii = scale * diag
         node_of_pair = np.repeat(np.arange(n_nodes), counts)
-        # each pair's node center, coordinates as rows
-        d = _pair_distances(np.repeat(centers.T, counts, axis=1), cand, corners)
+        # each pair's node center, and the center minus its closest point
+        # on the triangle, coordinates as rows
+        pair_centers = np.repeat(centers.T, counts, axis=1)
+        diff = np.empty_like(pair_centers)
+        d = _pair_distances(pair_centers, cand, corners, diff)
 
         member_mask = d <= radii[node_of_pair]
         member_counts = np.bincount(node_of_pair[member_mask], minlength=n_nodes)
@@ -538,18 +618,23 @@ def _descend(lo, hi, corners, cfg: FitConfig):
         # which hold their own boxes (scale > 1/2): anything within scale x
         # child diagonal of a child center lies within this bound of the parent
         child_bound = (0.5 * scale + 0.25) * diag
-        cand_mask = split[node_of_pair] & (d <= child_bound[node_of_pair])
+        seg = np.flatnonzero(split[node_of_pair] & (d <= child_bound[node_of_pair]))
+        seg_node = node_of_pair[seg]
         split_ids = np.flatnonzero(split)
-        seg_counts = np.bincount(node_of_pair[cand_mask], minlength=n_nodes)[split_ids]
-        seg_flat = cand[cand_mask]
-        seg_starts = np.concatenate([[0], np.cumsum(seg_counts)[:-1]])
-
-        child_counts = np.repeat(seg_counts, 8)
-        total = int(child_counts.sum())
-        child_of_entry = np.repeat(np.arange(len(split_ids) * 8), child_counts)
+        # the (candidate, child) pairs the half-space bound keeps; a child's
+        # radius is half its parent's
+        keep = _child_keep(
+            pair_centers[:, seg], sizes[seg_node].T, diff[:, seg], d[seg], cand[seg], corners,
+            0.5 * radii[seg_node], slack,
+        )
+        rows, child_of_row = np.divmod(np.flatnonzero(keep), 8)
+        # children numbered in path order; a stable sort by child keeps
+        # each child's candidates in candidate order
+        entry_child = 8 * (np.cumsum(split) - 1)[seg_node[rows]] + child_of_row
+        child_cand = cand[seg[rows[np.argsort(entry_child, kind="stable")]]]
+        child_counts = np.bincount(entry_child, minlength=8 * len(split_ids))
         ends = np.cumsum(child_counts)
-        pos = np.arange(total) - np.repeat(ends - child_counts, child_counts)
-        child_cand = seg_flat[seg_starts[child_of_entry // 8] + pos]
+        del rows, child_of_row, entry_child
         child_paths = (paths[split_ids][:, None] * 8 + np.arange(8)).ravel()
         child_centers = (
             centers[split_ids][:, None, :] + _CHILD_OFFSETS[None, :, :] * sizes[split_ids][:, None, :]

@@ -1,6 +1,7 @@
 """PointCloud container and PLY serialization."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,58 @@ def test_malformed_ascii_payload_is_refused(tmp_path):
     offset = len(header) + len(b"0 0 0\n1 ")
     with pytest.raises(MalformedPayloadError, match=f"^{named}: byte 0xff at offset {offset} is not ASCII$"):
         read_ply(path)
+
+
+def ascii_outcome(path):
+    """read_ply's points, or its error type and message."""
+    try:
+        return read_ply(path).points.tolist()
+    except (MalformedPayloadError, TruncatedPayloadError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_ascii_payload_reads_the_same_in_any_chunk(tmp_path, monkeypatch, chunk):
+    # the payload is parsed in chunks that end at whitespace, so the values,
+    # and which error wins, are those of one split of the whole payload:
+    # a byte that is not ASCII, then too few values, then a bad value
+    header = b"ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\nproperty float z\n"
+    header += b"end_header\n"
+    path = tmp_path / "c.ply"
+    named = str(path)
+    bad_value = ("MalformedPayloadError", f"{named}: could not convert string to float: 'abc'")
+    not_ascii = ("MalformedPayloadError", f"{named}: byte 0xff at offset {len(header) + 20} is not ASCII")
+    cases = {
+        # every ASCII separator of str.split(), and a long value past the needed ones
+        b"0 0 0\n1.5\t-2 3\r\n0.25\x0b0.5\x0c0.75\x1c9 " + b"7" * 80: [[0, 0, 0], [1.5, -2, 3], [0.25, 0.5, 0.75]],
+        b"0 0 0\n1 abc 1\n2 2 2\n" + b"x" * 80: bad_value,
+        b"0 0 0\n1 abc 1\n": ("TruncatedPayloadError", "payload holds 6 values, need 9"),
+        b"0 0 0\n1 abc 1\n2 2 2 \xff": not_ascii,
+    }
+    monkeypatch.setattr("treescan.cloud._ASCII_CHUNK", chunk)
+    for payload, want in cases.items():
+        path.write_bytes(header + payload)
+        assert ascii_outcome(path) == want
+
+
+def test_ascii_read_memory_is_bounded(tmp_path):
+    # splitting the whole payload into one str per value peaked at 68.9 MB
+    # on this 7.3 MB file
+    data = random_cloud(100_000, 9)
+    path = tmp_path / "big.ply"
+    with open(path, "w") as fh:
+        fh.write("ply\nformat ascii 1.0\nelement vertex 100000\n")
+        fh.write("".join(f"property float {p}\n" for p in ("x", "y", "z", "nx", "ny", "nz")) + "end_header\n")
+        np.savetxt(fh, np.hstack([data.points, data.normals]).astype(np.float32), fmt="%.9g")
+    tracemalloc.start()
+    try:
+        back = read_ply(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.points, data.points.astype(np.float32).astype(np.float64))
+    assert np.array_equal(back.normals, data.normals.astype(np.float32).astype(np.float64))
+    assert peak <= 30e6
 
 
 def test_negative_vertex_count_is_refused(tmp_path):

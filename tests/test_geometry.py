@@ -108,7 +108,8 @@ def test_degenerate_triangle_distance_is_finite():
 
 
 def scalar_triangle_distance(p, a, b, c):
-    """Ericson's routine for one pair in plain Python floats: (region, distance).
+    """Ericson's routine for one pair in plain Python floats: (region,
+    distance, p minus the closest point).
 
     Regions in claim order: vertices A, B, C (0-2), edges AB, AC, BC (3-5),
     face (6).  Every sum is written out as x + y + z, as the kernel's are.
@@ -151,21 +152,25 @@ def scalar_triangle_distance(p, a, b, c):
         den = den if den != 0.0 else 1.0
         region, q = 6, along(along(a, vb / den, ab), vc / den, ac)
     dx, dy, dz = sub(p, q)
-    return region, math.sqrt(dx * dx + dy * dy + dz * dz)
+    return region, math.sqrt(dx * dx + dy * dy + dz * dz), [dx, dy, dz]
 
 
 def test_triangle_distance_is_the_scalar_routine_bit_for_bit():
     # pins the kernel's arithmetic order: each distance, region by region,
-    # equals the scalar routine's exactly
+    # and each p minus the closest point equal the scalar routine's exactly
     rng = np.random.default_rng(5)
     pts = rng.uniform(-2.0, 2.0, (3000, 3)).tolist()
     corners = rng.uniform(-1.0, 1.0, (3, 3000, 3)).tolist()
     cases = [*zip(pts, *corners), *DEGENERATE_CASES]
     p, v0, v1, v2 = (np.array(c).T for c in zip(*cases))
-    got = dist_points_to_triangles(p, v0, v1, v2)
-    regions, want = zip(*(scalar_triangle_distance(*case) for case in cases))
+    diff = np.empty_like(p)
+    got = dist_points_to_triangles(p, v0, v1, v2, diff=diff)
+    regions, want, want_diff = zip(*(scalar_triangle_distance(*case) for case in cases))
     assert set(regions) == set(range(7))
     assert np.array_equal(got, np.array(want))
+    assert np.array_equal(diff, np.array(want_diff).T)
+    # the output leaves the distances as they are without it
+    assert np.array_equal(dist_points_to_triangles(p, v0, v1, v2), got)
 
 
 def test_normalize_units_and_zero_passthrough():

@@ -428,6 +428,107 @@ def test_fit_is_piece_size_independent(monkeypatch, fit):
     assert np.array_equal(pieces.index.csr_start, whole.index.csr_start)
 
 
+def random_triangles(rng, n):
+    """(3, n) corner arrays: generic triangles, and triangles collapsed to
+    a segment with a third vertex on its line, to a segment by a repeated
+    vertex, and to a point, a quarter of each."""
+    v0, v1, v2 = rng.uniform(-1.0, 1.0, (3, 3, n))
+    kind = np.arange(n) % 4
+    t = rng.uniform(-0.5, 1.5, n)
+    v2[:, kind == 1] = (v0 + t * (v1 - v0))[:, kind == 1]
+    v1[:, kind == 2] = v0[:, kind == 2]
+    v1[:, kind == 3] = v2[:, kind == 3] = v0[:, kind == 3]
+    return v0, v1, v2
+
+
+def test_child_cull_never_drops_a_child_the_kernel_reaches():
+    # the half-space bound from the parent's closest point never exceeds the
+    # kernel's distance at a child center, on exactly collinear, repeated-
+    # vertex and one-point triangles too, so a child drops a triangle only
+    # when the kernel puts it beyond the child's radius
+    rng = np.random.default_rng(11)
+    n = 20_000
+    corners = random_triangles(rng, n)
+    x = rng.uniform(-2.0, 2.0, (3, n))
+    sizes = rng.uniform(0.01, 2.0, (3, n))
+    diff = np.empty((3, n))
+    d = dist_points_to_triangles(x, *corners, diff=diff)
+    # the output vector is p minus a point of the triangle, of norm d
+    assert np.array_equal(np.sqrt(diff[0] * diff[0] + diff[1] * diff[1] + diff[2] * diff[2]), d)
+    child_d = np.stack(
+        [dist_points_to_triangles(x + (offset * sizes.T).T, *corners) for offset in implicit._CHILD_OFFSETS],
+        axis=1,
+    )
+    # radii at and about the children's distances put the bound's edge
+    # where it is tested
+    radii = child_d[np.arange(n), rng.integers(8, size=n)] * rng.choice([1.0, 1.0 - 1e-12, 0.9, 0.5], n)
+    keep = implicit._child_keep(x, sizes, diff, d, np.arange(n), corners, radii, 0.0)
+    dropped = ~keep
+    assert dropped.sum() > n  # the bound has work to do here
+    assert np.all(child_d[dropped] > np.repeat(radii[:, None], 8, axis=1)[dropped] - 1e-12)
+
+
+def small_mesh_with_collinear_triangles(count=400, seed=7):
+    """The small preset's mesh plus `count` zero-area triangles, each laid
+    along one of its edges with the third vertex on that edge, so every
+    cell that reaches one also reaches a triangle with area."""
+    mesh = small_preset_mesh()
+    rng = np.random.default_rng(seed)
+    tris = mesh.triangles[rng.integers(len(mesh.triangles), size=count)]
+    a, b = tris[:, 0], tris[:, 1]
+    t = rng.uniform(0.0, 1.0, count)
+    on_line = mesh.vertices[a] + t[:, None] * (mesh.vertices[b] - mesh.vertices[a])
+    third = len(mesh.vertices) + np.arange(count)
+    return TriangleMesh(
+        np.concatenate([mesh.vertices, on_line]),
+        np.concatenate([mesh.triangles, np.stack([a, b, third], axis=1)]),
+    )
+
+
+@pytest.mark.parametrize(
+    "mesh, fit",
+    [
+        ("small", {}),
+        ("small", {"sphere_radius_scale": 0.51}),
+        # the depth caps keep each of these fits to a second or two
+        ("small", {"sphere_radius_scale": 2.0, "max_depth": 7}),
+        ("small", {"max_triangles_per_cell": 1, "max_depth": 8}),
+        ("collinear", {}),
+    ],
+)
+def test_child_cull_keeps_the_fit_bits(monkeypatch, mesh, fit):
+    # the descent with the half-space bound gives the bits of the descent
+    # without it (an infinite slack keeps every pair)
+    mesh = small_preset_mesh() if mesh == "small" else small_mesh_with_collinear_triangles()
+    cfg = FitConfig(**fit)
+    culled = build_surface(mesh, cfg)
+    monkeypatch.setattr(implicit, "_CULL_SLACK", np.inf)
+    whole = build_surface(mesh, cfg)
+    for name in ("centers", "radii", "normals", "offsets"):
+        assert np.array_equal(getattr(culled, name), getattr(whole, name))
+
+
+def test_child_cull_halves_the_descents_pairs(monkeypatch):
+    # small master seed 1 took 1,423,280 kernel pairs without the bound
+    # and 678,534 with it
+    pairs = []
+    kernel = implicit.dist_points_to_triangles
+
+    def counted(*args, **kwargs):
+        d = kernel(*args, **kwargs)
+        pairs[-1] += len(d)
+        return d
+
+    monkeypatch.setattr(implicit, "dist_points_to_triangles", counted)
+    mesh = small_preset_mesh()
+    for slack in (np.inf, implicit._CULL_SLACK):
+        monkeypatch.setattr(implicit, "_CULL_SLACK", slack)
+        pairs.append(0)
+        build_surface(mesh)
+    whole, culled = pairs
+    assert culled <= 0.6 * whole
+
+
 # -- cell index ----------------------------------------------------------------------
 
 
