@@ -19,7 +19,7 @@ status is 1 if there is any.
     PYTHONPATH=src python scripts/digests.py --case small:1:2:100:analytic --out one.json
     PYTHONPATH=src python scripts/digests.py --case cloud:1:100000 --out cloud.json
     PYTHONPATH=src python scripts/digests.py --case cloud:2:20000:0.3 --out copies.json
-    PYTHONPATH=src python scripts/digests.py --case fit:small:1:sphere_radius_scale=0.6 --out fit.json
+    PYTHONPATH=src python scripts/digests.py --case fit:small:1:epsilon=0.002 --out fit.json
     PYTHONPATH=src python scripts/digests.py --case degrade:small:1 --out degrade.json
 
 A pipeline case is SIZE:MASTER_SEED:VIEWS:RESOLUTION:NORMAL_MODE[:STANDOFF],
@@ -39,7 +39,7 @@ runs `build_surface` alone on the mesh the pipeline makes for that size and
 master seed, with the named `FitConfig` fields set (each VALUE a JSON
 number, or null), and hashes the cell arrays, epsilon and bbox; its
 diagnostics are kept as text. It reaches fit settings the default
-config leaves out, such as a sphere radius scale near its 0.5 floor. A
+config leaves out, such as a narrower weight (`epsilon`). A
 degrade case, degrade:SIZE:MASTER_SEED, runs the pipeline once for the
 clean cloud, skeleton and surface of that model (default `ScanConfig`,
 no degradation).
@@ -85,11 +85,7 @@ DEFAULT_CASES = [
     "small:1:2:100:analytic:1.1",
     "cloud:1:100000",
     "cloud:2:20000:0.3",
-    "fit:small:1:sphere_radius_scale=0.6",
-    # the least room between a child's radius and its parent's candidates
-    "fit:small:2:sphere_radius_scale=0.51",
-    # the deepest descent: 868,295 cells
-    "fit:small:4:max_triangles_per_cell=1",
+    "fit:small:1:epsilon=0.002",
     "degrade:small:1",
 ]
 CLOUD_K = 16

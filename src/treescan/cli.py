@@ -19,12 +19,13 @@ from typing import get_args, get_origin
 
 from .cloud import read_ply, write_ply
 from .errors import InvalidParameterError, TreescanError
-from .implicit import FitConfig, build_surface, cell_markers, load_surface, save_surface, surface_key
+from .implicit import FitConfig, build_surface, load_surface, save_surface, surface_key
 from .mesh import load_obj, save_obj, sweep_mesh
 from .metrics import evaluate, report_json
 from .pipeline import (
     DEGRADATION_KINDS,
     DEGRADATIONS,
+    EMPTY_SCAN_WARNING,
     PipelineConfig,
     StageContext,
     batch,
@@ -39,7 +40,7 @@ from .skeleton import TreeParams, generate_skeleton, load_skeleton, save_skeleto
 
 
 # flags not named after their field
-_FLAG_NAMES = {"N": "--n", "lam": "--lambda", "debug_obj": "--dump-debug-obj"}
+_FLAG_NAMES = {"N": "--n", "lam": "--lambda"}
 
 # degradation kind -> (its degrade subcommand, help)
 _DEGRADE_COMMANDS = {
@@ -96,9 +97,9 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     if "degradations" in flags:  # the flag names kinds, a file holds entries
         flags["degradations"] = [{"kind": kind} for kind in flags["degradations"]]
     data = {**(config_data(args.config) if getattr(args, "config", None) else {}), **flags}
-    for name, cls in (("tree", TreeParams), ("fit", FitConfig), ("scan", ScanConfig)):
+    for name, (cls, _) in field_types(PipelineConfig).items():
         section = data.get(name)
-        if section is None or isinstance(section, dict):  # from_dict refuses any other section
+        if is_dataclass(cls) and (section is None or isinstance(section, dict)):  # from_dict refuses other sections
             data[name] = {**(section or {}), **_given(args, cls)}
     return PipelineConfig.from_dict(data)
 
@@ -124,9 +125,6 @@ def _cmd_fit(args) -> int:
     surface = build_surface(mesh, cfg)
     save_surface(surface, args.out, surface_key(Path(args.mesh).read_bytes(), cfg))
     print(f"wrote {args.out} ({len(surface.centers)} cells)")
-    if args.dump_debug_obj:
-        save_obj(cell_markers(surface), args.dump_debug_obj)
-        print(f"wrote {args.dump_debug_obj}")
     return 0
 
 
@@ -144,6 +142,8 @@ def _cmd_scan(args) -> int:
     cloud = scan_surface(load_surface(args.surface), _pipeline_config(args).scan, min_feature)
     write_ply(cloud, args.out)
     print(f"wrote {args.out} ({len(cloud)} points)")
+    if len(cloud) == 0:
+        print(f"warning: {EMPTY_SCAN_WARNING}", file=sys.stderr)
     return 0
 
 
@@ -231,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", required=True)
     _add_flags(p, FitConfig)
     p.add_argument("--out", required=True)
-    p.add_argument("--dump-debug-obj", default=None)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("scan", help="virtual-scan a fitted surface")

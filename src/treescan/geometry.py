@@ -158,8 +158,38 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
+# A triangle is flat when its area is at most this share of its longest
+# edge squared.  The face formula below loses every digit on an exactly
+# collinear triangle, and from an area share of about 1e-14 down; a swept
+# tube mesh holds none below 0.01.  Taken as its three edges, a flat
+# triangle's distance is off by at most its height, 2e-12 of its longest edge.
+_FLAT_AREA = 1e-12
+
+
+def flat_triangles(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """Which triangles are flat (`_FLAT_AREA`); corners (3, n) with coordinates as rows."""
+    ab = v1 - v0
+    ac = v2 - v0
+    bc = v2 - v1
+    cross = ab[[1, 2, 0]] * ac[[2, 0, 1]] - ab[[2, 0, 1]] * ac[[1, 2, 0]]
+    longest = np.maximum(np.maximum(_dot(ab, ab), _dot(ac, ac)), _dot(bc, bc))
+    # twice the area, squared, against twice the largest flat area, squared
+    return _dot(cross, cross) <= (2.0 * _FLAT_AREA * longest) ** 2
+
+
+def _nearest_edge_diff(p: np.ndarray, v0: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """p minus its nearest point on the edges AB, AC and BC, each a segment,
+    (3, n) arrays as rows; the first of the three edges wins a tie."""
+    diffs = []
+    for a, b in ((v0, v1), (v0, v2), (v1, v2)):
+        e, d = b - a, p - a
+        ee = _dot(e, e)
+        diffs.append(d - np.clip(_dot(d, e) / np.where(ee == 0.0, 1.0, ee), 0.0, 1.0) * e)
+    return np.choose(np.argmin([_dot(d, d) for d in diffs], axis=0), diffs)
+
+
 def dist_points_to_triangles(
-    p: np.ndarray, v0: np.ndarray, v1: np.ndarray, v2: np.ndarray, *, diff: np.ndarray | None = None
+    p: np.ndarray, v0: np.ndarray, v1: np.ndarray, v2: np.ndarray, *, diff: np.ndarray | None = None, flat=None
 ) -> np.ndarray:
     """Exact Euclidean distance for paired points and triangles.
 
@@ -173,6 +203,13 @@ def dist_points_to_triangles(
     rows, and every sum is written out as x + y + z, so a pair's distance
     has the same bits whatever other pairs share the call.  The distance is
     sqrt(dx*dx + dy*dy + dz*dz), summed in np.linalg.norm's order.
+
+    A flat triangle (`flat_triangles`) is taken as its three edges, each a
+    segment, since the face formula's rounding can put its closest point
+    anywhere on a collinear triangle; every other pair keeps the bits of
+    the region formulas.  flat, a bool per pair, says which pairs'
+    triangles are flat: a caller that pairs each triangle with many points
+    classifies them once; None classifies them here.
 
     diff, when given, a (3, n) array, receives p minus the closest point,
     (dx, dy, dz) as rows; the distance is its norm.  Only the distances are
@@ -221,6 +258,9 @@ def dist_points_to_triangles(
     den = np.where(den == 0.0, 1.0, den)
     v = vb[face] / den
     w = vc[face] / den
+    flat = np.flatnonzero(flat_triangles(v0, v1, v2) if flat is None else flat)
+    if len(flat):
+        flat_diff = _nearest_edge_diff(p[:, flat], v0[:, flat], v1[:, flat], v2[:, flat])
 
     # p minus the closest point, one axis at a time, written over ap
     sq = None
@@ -233,6 +273,8 @@ def dist_points_to_triangles(
         dk[edge_ac] = pk[edge_ac] - (ak[edge_ac] + t_ac * ac[k][edge_ac])
         dk[edge_bc] = pk[edge_bc] - (bk[edge_bc] + t_bc * (v2[k][edge_bc] - bk[edge_bc]))
         dk[face] = pk[face] - (ak[face] + v * ab[k][face] + w * ac[k][face])
+        if len(flat):
+            dk[flat] = flat_diff[k]
         if diff is not None:
             diff[k] = dk
         dk *= dk

@@ -1,15 +1,15 @@
 """Smooth implicit surfaces from triangle meshes.
 
 The mesh's bounding box is subdivided into an octree; a cell splits while
-more than `max_triangles_per_cell` triangles lie within its support sphere
-(radius = `sphere_radius_scale` x cell diagonal, centered at the cell center)
-and the depth cap allows. Leaves whose sphere reaches no triangle at all are
-dropped: they have nothing to fit. Every other leaf is a cell: the fit
-integrates over whole triangles, so one member triangle already fixes a
-plane, and no sphere grows to gather more.
+more than `MAX_TRIANGLES_PER_CELL` triangles lie within its support sphere
+(radius = `SPHERE_RADIUS_SCALE` x cell diagonal, centered at the cell
+center) and its depth is below `MAX_DEPTH`. Leaves whose sphere reaches no
+triangle at all are dropped: they have nothing to fit. Every other leaf is
+a cell: the fit integrates over whole triangles, so one member triangle
+already fixes a plane, and no sphere grows to gather more.
 
 The field is defined on every point of the mesh, because
-`sphere_radius_scale` exceeds 0.5. Each box of the descent that holds a
+`SPHERE_RADIUS_SCALE` exceeds 0.5. Each box of the descent that holds a
 point of a triangle holds it within half the box's diagonal of its center,
 so the triangle stays a candidate and a member of each such box, down to a
 kept leaf, and the point lies strictly inside that leaf's sphere.
@@ -64,12 +64,12 @@ center; the eight <o, u> are +-w_x +- w_y +- w_z, w_a = size_a u_a / 4.
 A (child, triangle) pair is dropped when the bound exceeds the child's
 radius plus a slack (`_CULL_SLACK`) that covers its rounding.  The bound
 holds for any unit u, so it needs no promise that q is the nearest point
-of T, which the kernel does not give on exactly collinear triangles; the
-shorter d + <o, u>, which takes q to be the nearest point, would need it.
+of T; the shorter d + <o, u>, which takes q to be the nearest point,
+would need one.
 The bits of the fit hold: the kernel never returns less than the true
 distance, since its closest point lies on T, so a dropped pair's distance
 at the child exceeds the child's radius.  That radius is at least the
-child's own child bound (`sphere_radius_scale` > 0.5), so the pair was
+child's own child bound (`SPHERE_RADIUS_SCALE` > 0.5), so the pair was
 neither a member of the child nor a candidate of its children.  Each kept
 pair's distance is computed on its own, in candidate order, so members,
 splits, leaf order and the moments' summation order are unchanged.
@@ -90,7 +90,7 @@ from .errors import (
     InvalidParameterError,
     SurfaceCacheError,
 )
-from .geometry import dist_points_to_triangles, triangle_areas_normals
+from .geometry import dist_points_to_triangles, flat_triangles, triangle_areas_normals
 from .mesh import TriangleMesh
 
 DEFAULT_EPSILON_SCALE = 0.005  # of the bbox diagonal, when epsilon is not given
@@ -122,31 +122,34 @@ _QUADRATURE = (
 )
 
 
+# The octree's fixed settings (module docstring)
+MAX_DEPTH = 10  # at most 21: a node's path, 3 bits a level, fits an int64
+MAX_TRIANGLES_PER_CELL = 32
+SPHERE_RADIUS_SCALE = 1.0  # above 0.5, so the descent alone covers the mesh
+
+
+def octree_settings() -> dict:
+    """The octree's constants under the names they had as `FitConfig` fields."""
+    names = ("max_depth", "max_triangles_per_cell", "sphere_radius_scale")
+    return dict(zip(names, (MAX_DEPTH, MAX_TRIANGLES_PER_CELL, SPHERE_RADIUS_SCALE)))
+
+
 @dataclass
 class FitConfig:
     """Fitting controls.
 
     epsilon: smoothing width of the weight function, in model units; None
-    picks 0.005 x bbox diagonal at build time.  sphere_radius_scale must
-    exceed 0.5, so each leaf's sphere holds its box and the descent alone
-    covers the mesh.  The quadrature rule and the one-triangle floor of a
-    cell are fixed (module docstring).
+    picks 0.005 x bbox diagonal at build time.  The octree's settings are
+    the constants `MAX_DEPTH`, `MAX_TRIANGLES_PER_CELL` and
+    `SPHERE_RADIUS_SCALE`, and the quadrature rule and the one-triangle
+    floor of a cell are fixed too (module docstring).
     """
 
     epsilon: float | None = None
-    max_depth: int = 10
-    max_triangles_per_cell: int = 32
-    sphere_radius_scale: float = 1.0
 
     def validate(self) -> None:
         if self.epsilon is not None and not self.epsilon > 0.0:
             raise InvalidParameterError("epsilon must be positive (or None for automatic)")
-        if not 1 <= self.max_depth <= 21:
-            raise InvalidParameterError("max_depth must lie in [1, 21]")
-        if self.max_triangles_per_cell < 1:
-            raise InvalidParameterError("max_triangles_per_cell must be >= 1")
-        if not self.sphere_radius_scale > 0.5:
-            raise InvalidParameterError("sphere_radius_scale must exceed 0.5")
 
 
 def weight(x, t, epsilon: float):
@@ -455,11 +458,14 @@ _CHILD_OFFSETS = np.array(
 )
 
 
-def _pair_distances(points: np.ndarray, tri_ids: np.ndarray, corners, diff: np.ndarray | None = None) -> np.ndarray:
+def _pair_distances(
+    points: np.ndarray, tri_ids: np.ndarray, corners, flat: np.ndarray, diff: np.ndarray | None = None
+) -> np.ndarray:
     """Distance from each point to its triangle, one kernel call per block.
 
     points (3, n) and the three corner arrays (3, triangles) hold
     coordinates as rows; points[:, i] is paired with triangle tri_ids[i].
+    flat, a bool per triangle, is `flat_triangles(*corners)`.
     Each block gathers its corners one axis at a time, by triangle id, and
     `dist_points_to_triangles` computes every pair on its own, axis by axis
     with sums written out as x + y + z.  diff, when given, a (3, n) array,
@@ -470,7 +476,10 @@ def _pair_distances(points: np.ndarray, tri_ids: np.ndarray, corners, diff: np.n
         b = min(a + _DIST_BLOCK, len(tri_ids))
         t = tri_ids[a:b]
         d[a:b] = dist_points_to_triangles(
-            points[:, a:b], *(np.take(v, t, axis=1) for v in corners), diff=None if diff is None else diff[:, a:b]
+            points[:, a:b],
+            *(np.take(v, t, axis=1) for v in corners),
+            diff=None if diff is None else diff[:, a:b],
+            flat=flat[t],
         )
     return d
 
@@ -548,7 +557,7 @@ def _batched_affines(centers, pair_cells, pair_tris, quad_pts, omega, areas, tri
     return avg_normal, offsets
 
 
-def _descend(lo, hi, corners, cfg: FitConfig):
+def _descend(lo, hi, corners):
     """The octree descent: kept leaves and their members.
 
     corners are the triangles' v0, v1 and v2, each (3, triangles) with
@@ -574,8 +583,9 @@ def _descend(lo, hi, corners, cfg: FitConfig):
     first node, and sorting the runs by their tags gives the order of a
     walk that steps a whole level at once.
     """
-    scale = cfg.sphere_radius_scale
+    scale = SPHERE_RADIUS_SCALE
     n_tris = corners[0].shape[1]
+    flat = flat_triangles(*corners)
     slack = _CULL_SLACK * float(np.linalg.norm(hi - lo) + np.abs(np.concatenate([lo, hi])).max())
     # (depth, path, centers, radii, pair leaf index within run, pair
     # triangles); an empty run at depth 0 keeps the concatenations defined
@@ -583,7 +593,7 @@ def _descend(lo, hi, corners, cfg: FitConfig):
     leaf_runs = [(0, 0, np.empty((0, 3)), np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))]
     # a batch: depth, node paths, centers, box sizes, flat candidates,
     # candidates per node.  A path holds one base-8 digit per level below
-    # the root, 60 bits at the deepest `max_depth` (21), so it fits an int64
+    # the root, so it fits an int64 (`MAX_DEPTH`)
     root = ((lo + hi) / 2.0)[None, :]
     batches = [(1, np.zeros(1, dtype=np.int64), root, (hi - lo)[None, :], np.arange(n_tris), np.array([n_tris]))]
     while batches:
@@ -596,11 +606,11 @@ def _descend(lo, hi, corners, cfg: FitConfig):
         # on the triangle, coordinates as rows
         pair_centers = np.repeat(centers.T, counts, axis=1)
         diff = np.empty_like(pair_centers)
-        d = _pair_distances(pair_centers, cand, corners, diff)
+        d = _pair_distances(pair_centers, cand, corners, flat, diff)
 
         member_mask = d <= radii[node_of_pair]
         member_counts = np.bincount(node_of_pair[member_mask], minlength=n_nodes)
-        split = (member_counts > cfg.max_triangles_per_cell) & (depth < cfg.max_depth)
+        split = (member_counts > MAX_TRIANGLES_PER_CELL) & (depth < MAX_DEPTH)
         # empty leaves are dropped; a leaf with any member is a cell
         settle = ~split & (member_counts > 0)
 
@@ -692,7 +702,7 @@ def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitS
     # the octree descent: subtrees walked depth first in batches under a
     # fixed pair budget, their leaves put back in level order
     corners = tuple(np.ascontiguousarray(v.T) for v in (v0, v1, v2))
-    centers, radii, pair_cells, pair_tris = _descend(lo, hi, corners, cfg)
+    centers, radii, pair_cells, pair_tris = _descend(lo, hi, corners)
 
     quad_pts, omega = _quadrature_points(v0, v1, v2)
     normals_out, offsets_out = _batched_affines(
@@ -711,22 +721,6 @@ def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitS
     return ImplicitSurface(centers, radii, normals_out, offsets_out, lo, hi, epsilon, diagnostics)
 
 
-def cell_markers(surface: ImplicitSurface) -> TriangleMesh:
-    """Debug geometry: one octahedron per cell, sized by its support radius."""
-    n = len(surface.centers)
-    offsets = np.array(
-        [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
-        dtype=np.float64,
-    )
-    verts = (surface.centers[:, None, :] + surface.radii[:, None, None] * offsets).reshape(-1, 3)
-    faces = np.array(
-        [[0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4], [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5]],
-        dtype=np.int64,
-    )
-    tris = (faces[None, :, :] + 6 * np.arange(n)[:, None, None]).reshape(-1, 3)
-    return TriangleMesh(verts, tris)
-
-
 # -- binary cache ------------------------------------------------------------
 
 _MAGIC = b"MPUF"
@@ -736,9 +730,9 @@ _HEADER = 4 + 4 + 32 + 8 + 48 + 8
 
 def surface_key(mesh_obj: bytes, cfg: FitConfig) -> bytes:
     """Cache key of a fit: SHA-256 over the mesh's .obj bytes and the
-    sorted-key JSON of the fit config."""
+    sorted-key JSON of the fit config and `octree_settings()`."""
     h = hashlib.sha256(mesh_obj)
-    h.update(json.dumps(asdict(cfg), sort_keys=True).encode("utf-8"))
+    h.update(json.dumps({**asdict(cfg), **octree_settings()}, sort_keys=True).encode("utf-8"))
     return h.digest()
 
 

@@ -42,8 +42,8 @@ from .implicit import (
     FitConfig,
     ImplicitSurface,
     build_surface,
-    cell_markers,
     load_surface,
+    octree_settings,
     save_surface,
     surface_key,
 )
@@ -185,13 +185,26 @@ def degradation_params(entry: dict, seed: int | None = None):
     return params
 
 
-# Keys that older configs hold and this program no longer reads: section ->
-# key -> the one value still taken, the value the program always uses, or
-# None where any value is dropped because the key never had an effect.
+# Keys that older configs hold and this program no longer reads: section
+# ("config" for the top level) -> key -> the one value still taken, the
+# value the program always uses, or None where any value is dropped because
+# the key never had an effect.
 _RETIRED_KEYS = {
-    "fit": {"quadrature_order": 7, "min_triangles_for_fit": 1},
+    "config": {"debug_obj": False},
+    "fit": {"quadrature_order": 7, "min_triangles_for_fit": 1, **octree_settings()},
     "scan": {"seed": None, "march_step": 0.5, "hit_tolerance": 1e-6, "pca_k": 16},
 }
+
+
+def _without_retired(name: str, given: dict) -> dict:
+    """`given` without the retired keys of section `name`; one at any value but its retired one raises."""
+    retired = _RETIRED_KEYS.get(name, {})
+    prefix = "" if name == "config" else f"{name}."
+    for key, kept in retired.items():
+        old = given.get(key, kept)
+        if kept is not None and _coerced(prefix + key, (type(kept), False), old) != kept:
+            raise InvalidParameterError(f"{prefix}{key} is retired: only {json.dumps(kept)} is taken, not {old!r}")
+    return {k: v for k, v in given.items() if k not in retired}
 
 
 @dataclass
@@ -205,7 +218,6 @@ class PipelineConfig:
     name: str = "model"
     sides: int = 24
     cache_surface: bool = False
-    debug_obj: bool = False
 
     def validate(self) -> None:
         self.tree.validate()
@@ -241,6 +253,7 @@ class PipelineConfig:
         """
         default = cls()
         values = {}
+        data = _without_retired("config", data)
         _refuse_unknown("config", field_types(cls), data)
         for name, declared in field_types(cls).items():
             if data.get(name) is None:
@@ -251,13 +264,7 @@ class PipelineConfig:
                 continue
             if not isinstance(value, dict):
                 raise InvalidParameterError(f"{name}: {value!r} is not a JSON object")
-            section = dict(value)
-            for key, kept in _RETIRED_KEYS.get(name, {}).items():
-                if key not in section:
-                    continue
-                old = section.pop(key)
-                if kept is not None and _coerced(f"{name}.{key}", (type(kept), False), old) != kept:
-                    raise InvalidParameterError(f"{name}.{key} is retired: only {kept} is taken, not {old!r}")
+            section = _without_retired(name, value)
             if name == "tree" and "size_class" in section:
                 base = TreeParams.preset(_coerced("tree.size_class", (str, False), section["size_class"]))
             values[name] = replace(base, **_read_keys(name, field_types(type(base)), section))
@@ -313,6 +320,9 @@ def save_config(config: PipelineConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+EMPTY_SCAN_WARNING = "clean scan produced no points; check standoff/frustum"
 
 
 def _clear_earlier_run(out: Path) -> None:
@@ -397,16 +407,13 @@ def run_pipeline(config: PipelineConfig) -> DatasetManifest:
             reused = cache_path.name
         if config.cache_surface:
             emit("surface-cache", cache_path.name, len(surface.centers))
-        if config.debug_obj:
-            path = emit("debug-cells", f"{config.name}_cells.obj", len(surface.centers))
-            save_obj(cell_markers(surface), path)
         timings["fit"] = time.perf_counter() - t0
 
         stage = "scan"
         t0 = time.perf_counter()
         clean = scan_surface(surface, config.scan, skeleton.min_radius())
         if len(clean) == 0:
-            warnings.append("clean scan produced no points; check standoff/frustum")
+            warnings.append(EMPTY_SCAN_WARNING)
         path = emit("clean", f"{config.name}_clean.ply", len(clean))
         write_ply(clean, path)
         timings["scan"] = time.perf_counter() - t0

@@ -33,7 +33,7 @@ hypothesis.settings.load_profile("ci")
 def failing_fit(monkeypatch):
     """A valid fit config whose fit stage fails at run time: the pipeline's
     `build_surface` raises InsufficientTrianglesError for it alone."""
-    fit = FitConfig(max_depth=9)
+    fit = FitConfig(epsilon=0.0037)
     real = pipeline.build_surface
 
     def build_surface(mesh, cfg=None):

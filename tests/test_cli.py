@@ -25,10 +25,11 @@ from treescan.degrade import (
     occlude,
     uneven_density,
 )
-from treescan.implicit import FitConfig, load_surface, save_surface, surface_key
-from treescan.mesh import load_obj
+from treescan.implicit import FitConfig, build_surface, load_surface, save_surface, surface_key
+from treescan.mesh import load_obj, sweep_mesh
 from treescan.pipeline import (
     DEGRADATIONS,
+    EMPTY_SCAN_WARNING,
     PipelineConfig,
     degradation_params,
     field_types,
@@ -38,6 +39,8 @@ from treescan.pipeline import (
 from treescan.rng import derive_seed
 from treescan.scanner import ScanConfig
 from treescan.skeleton import TreeParams, generate_skeleton, load_skeleton, save_skeleton
+
+from .conftest import make_cylinder_skeleton
 
 
 def tiny_pipeline_config(out, name, **overrides) -> PipelineConfig:
@@ -346,11 +349,10 @@ _TREE = (
     "--size-class --trunk-length --trunk-radius --branch-levels --branches-per-node-range --branch-angle-range"
     " --radius-decay --length-decay --gravity --bend --nodes-per-curve"
 )
-_FIT = "--epsilon --max-depth --max-triangles-per-cell --sphere-radius-scale"
 CLI_SURFACE = {
     "skeleton": f"{_TREE} --seed --out",
     "mesh": "--skeleton --sides --out",
-    "fit": f"--mesh {_FIT} --out --dump-debug-obj",
+    "fit": "--mesh --epsilon --out",
     "scan": f"--surface {_SCAN} --skeleton --min-feature --out",
     "degrade": "",
     "degrade noise": "--in --s --d --seed --out",
@@ -359,8 +361,8 @@ CLI_SURFACE = {
     "degrade density": "--surface --views --standoff --normal-mode --skeleton --min-feature --out-prefix",
     "eval": "--ground-truth --extracted --spacing --out",
     "pipeline": (
-        f"--config {_TREE} {_FIT} {_SCAN} --output-dir --master-seed --name --sides"
-        " --cache-surface --dump-debug-obj --degradations"
+        f"--config {_TREE} --epsilon {_SCAN} --output-dir --master-seed --name --sides"
+        " --cache-surface --degradations"
     ),
     "batch": "--configs --workers --index",
 }
@@ -420,6 +422,17 @@ def test_degrade_prints_runner_warnings(tmp_path, capsys):
     assert main(["degrade", "uneven", "--in", str(src), "--region", *region, "--out", str(out)]) == 0
     assert "warning: uneven density inserted no points" in capsys.readouterr().err
     assert out.read_bytes() == ref.read_bytes()
+
+
+def test_scan_that_hits_nothing_warns_as_the_pipeline_does(tmp_path, capsys):
+    # a thin tube seen end-on through a 2 x 2 ray grid: every ray passes by it
+    surface = build_surface(sweep_mesh(make_cylinder_skeleton(0.1, 1.0), sides=24), FitConfig())
+    save_surface(surface, tmp_path / "tube.mpuf")
+    out = tmp_path / "scan.ply"
+    argv = ["scan", "--surface", str(tmp_path / "tube.mpuf"), "--min-feature", "0.1", "--resolution", "2"]
+    assert main([*argv, "--views", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == f"warning: {EMPTY_SCAN_WARNING}\n"
+    assert len(read_ply(out)) == 0
 
 
 MISSING_FEATURE = "give --skeleton or --min-feature: they size the march step"
@@ -503,7 +516,7 @@ def test_refusals_print_one_error_line(tmp_path):
         (["pipeline", "--master-seed", "-1", "--output-dir", "out"], "master_seed must fit in 64 unsigned bits"),
         (["batch", "--configs", "ok.json", "seed.json"], "seed.json: master_seed must fit in 64 unsigned bits"),
         (["batch", "--configs", "sides.json", "ok.json"], "sides.json: sides must be >= 3"),
-        (["pipeline", "--config", "scale.json"], "sphere_radius_scale must exceed 0.5"),
+        (["pipeline", "--config", "scale.json"], "fit.sphere_radius_scale is retired: only 1.0 is taken, not 0.5"),
         (["pipeline", "--config", "tree_seed.json"], TREE_SEED_UNREAD),
         (["batch", "--configs", "ok.json", "tree_seed.json"], f"tree_seed.json: {TREE_SEED_UNREAD}"),
     ]
@@ -538,7 +551,7 @@ def test_scan_with_skeleton_writes_the_pipeline_clean_cloud(tmp_path):
         cache_surface=True,
         master_seed=3,
         tree=TreeParams(branch_levels=0, nodes_per_curve=4, bend=0.3),
-        fit=FitConfig(max_triangles_per_cell=16),
+        fit=FitConfig(epsilon=0.004),
     )
     run_pipeline(config)
     pipe, out = tmp_path / "p", tmp_path / "cli"
@@ -550,7 +563,7 @@ def test_scan_with_skeleton_writes_the_pipeline_clean_cloud(tmp_path):
     commands = [
         ["skeleton", *tree, *ranges, "--out", f"{out}/m.skel"],
         ["mesh", "--skeleton", f"{out}/m.skel", "--sides", str(config.sides), "--out", f"{out}/m.obj"],
-        ["fit", "--mesh", f"{out}/m.obj", "--max-triangles-per-cell", "16", "--out", f"{out}/m.mpuf"],
+        ["fit", "--mesh", f"{out}/m.obj", "--epsilon", "0.004", "--out", f"{out}/m.mpuf"],
         ["scan", "--surface", f"{pipe}/m.mpuf", "--skeleton", f"{out}/m.skel", *scan, "--out", f"{out}/m_clean.ply"],
     ]
     for command in commands:
@@ -587,7 +600,6 @@ FLAG_SAMPLES = {
     "output_dir": "elsewhere",
     "name": "other",
     "cache_surface": True,
-    "debug_obj": True,
     "degradations": ["noise", "uneven"],
     "region": [[0, 0, 0], [1, 1, 1]],
     "lambda1_range": [0.01, 0.02],
@@ -655,7 +667,7 @@ def flattened(value) -> list:
 def test_the_config_tables_drive_the_cli():
     # every key has one flag on each subcommand that reads it, and the flag
     # reads as that config key
-    assert set(TOP_LEVEL) == {"output_dir", "master_seed", "name", "sides", "cache_surface", "debug_obj"}
+    assert set(TOP_LEVEL) == {"output_dir", "master_seed", "name", "sides", "cache_surface"}
     assert {kind for kind, (klass, _) in DEGRADATIONS.items() if klass} == {"noise", "occlusion", "uneven"}
     parsers = subcommand_parsers(build_parser())
     for command, sections in CONFIG_READS.items():
@@ -682,13 +694,13 @@ def test_the_config_tables_drive_the_cli():
 
 
 def test_config_file_switches_stay_on_without_their_flags(tmp_path):
-    config = config_with_file(tmp_path, {"cache_surface": True, "debug_obj": True}, [])
-    assert config.cache_surface and config.debug_obj
+    config = config_with_file(tmp_path, {"cache_surface": True}, [])
+    assert config.cache_surface
 
 
 # options that only name a file to read or write
 FILE_OPTIONS = {
-    "--out", "--in", "--mesh", "--surface", "--skeleton", "--out-prefix", "--balls-out", "--dump-debug-obj",
+    "--out", "--in", "--mesh", "--surface", "--skeleton", "--out-prefix", "--balls-out",
     "--ground-truth", "--extracted",
 }
 # a value other than the one each run below starts from, for every other
@@ -709,7 +721,7 @@ STAGE_SAMPLES = {
         "--branches-per-node-range": "2 3",
     },
     "mesh": {"--sides": "12"},
-    "fit": {"--epsilon": "0.01", "--max-depth": "5", "--max-triangles-per-cell": "8", "--sphere-radius-scale": "0.8"},
+    "fit": {"--epsilon": "0.01"},
     "scan": {
         "--resolution": "30",
         "--views": "3",

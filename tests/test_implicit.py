@@ -1,5 +1,7 @@
 """Weighted affine fits, octree construction, blending, and the binary cache."""
 
+import hashlib
+import json
 import struct
 import tracemalloc
 
@@ -15,7 +17,7 @@ from treescan.errors import (
     InvalidParameterError,
     SurfaceCacheError,
 )
-from treescan.geometry import dist_points_to_triangles, triangle_areas_normals
+from treescan.geometry import dist_points_to_triangles, flat_triangles, triangle_areas_normals
 from treescan.implicit import (
     DEFAULT_EPSILON_SCALE,
     FitConfig,
@@ -25,7 +27,6 @@ from treescan.implicit import (
     _pair_moments,
     _quadrature_points,
     build_surface,
-    cell_markers,
     load_surface,
     save_surface,
     surface_key,
@@ -204,6 +205,13 @@ def triangle_soup(*tris):
     return TriangleMesh(tris.reshape(-1, 3), np.arange(3 * len(tris)).reshape(-1, 3))
 
 
+def set_octree(monkeypatch, **settings):
+    """Set the octree's constants by the names they had as fit config
+    fields: max_depth sets `MAX_DEPTH`, and so on."""
+    for name, value in settings.items():
+        monkeypatch.setattr(implicit, name.upper(), value)
+
+
 def one_cell_surface(*tris, **fit):
     """The surface of a few triangles that the root cell holds alone."""
     surf = build_surface(triangle_soup(*tris), FitConfig(**fit))
@@ -257,23 +265,26 @@ def test_fit_cell_opposing_normals_fall_back_to_nearest():
         assert np.allclose(surf.normals[0], normal)
 
 
-def test_fit_cell_all_degenerate_rejected():
+def test_fit_cell_all_degenerate_rejected(monkeypatch):
     # the degenerate triangle, far from the other, gets a cell of its own
+    set_octree(monkeypatch, max_triangles_per_cell=1)
     line = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [2.0, 0.0, 1.0]]) + np.array([10.0, 0.0, 0.0])
     with pytest.raises(InsufficientTrianglesError, match="degenerate"):
-        build_surface(triangle_soup(SKEW_TRI, line), FitConfig(epsilon=0.05, max_triangles_per_cell=1))
+        build_surface(triangle_soup(SKEW_TRI, line), FitConfig(epsilon=0.05))
 
 
-def test_fit_cell_radius_carried():
-    # the root cell's sphere: sphere_radius_scale x its box diagonal
-    surf = one_cell_surface(SKEW_TRI, epsilon=0.05, sphere_radius_scale=0.7)
+def test_fit_cell_radius_carried(monkeypatch):
+    # the root cell's sphere: SPHERE_RADIUS_SCALE x its box diagonal
+    set_octree(monkeypatch, sphere_radius_scale=0.7)
+    surf = one_cell_surface(SKEW_TRI, epsilon=0.05)
     assert surf.radii[0] == pytest.approx(0.7 * surf.bbox_diagonal(), rel=1e-15)
 
 
-def test_fit_cell_is_the_build_kernel(sphere_mesh_320, sphere_surface_320):
+def test_fit_cell_is_the_build_kernel(monkeypatch, sphere_mesh_320, sphere_surface_320):
     # every cell is fitted on the triangles within its radius, in ascending
     # id order
-    narrow = build_surface(sphere_mesh_320, FitConfig(sphere_radius_scale=0.6))
+    set_octree(monkeypatch, sphere_radius_scale=0.6)
+    narrow = build_surface(sphere_mesh_320, FitConfig())
     v0, v1, v2 = sphere_mesh_320.corners()
     for surf in (sphere_surface_320, narrow):
         for center, radius, normal, offset in zip(surf.centers, surf.radii, surf.normals, surf.offsets):
@@ -300,16 +311,20 @@ def test_fit_cell_is_the_build_kernel(sphere_mesh_320, sphere_surface_320):
     ],
 )
 def test_fit_config_validation(kwargs):
+    # a bad epsilon fails validation; the octree's depth cap, triangle cap
+    # and sphere radius scale are constants, and a fit section asking for
+    # any other value of them is refused as a retired key
     with pytest.raises(InvalidParameterError):
-        FitConfig(**kwargs).validate()
+        PipelineConfig.from_dict({"fit": kwargs}).validate()
 
 
 # -- octree construction ----------------------------------------------------------
 
 
-def test_build_single_triangle_single_cell():
+def test_build_single_triangle_single_cell(monkeypatch):
+    set_octree(monkeypatch, max_depth=1)
     mesh = TriangleMesh(SKEW_TRI, np.array([[0, 1, 2]]))
-    surf = build_surface(mesh, FitConfig(max_depth=1))
+    surf = build_surface(mesh, FitConfig())
     assert surf.diagnostics["cells"] == 1
     # the lone cell must actually reach its triangle
     assert sampled_tri_distance(surf.centers[0], SKEW_TRI) <= surf.radii[0]
@@ -334,11 +349,12 @@ def test_build_rejects_empty_and_degenerate_meshes():
 
 @pytest.mark.parametrize("scale", [0.51, 1.0])
 @pytest.mark.parametrize("shape", ["sphere", "small preset"])
-def test_field_is_defined_on_every_mesh_point(sphere_mesh_320, shape, scale):
-    # with sphere_radius_scale > 0.5 the descent alone covers the mesh: each
+def test_field_is_defined_on_every_mesh_point(monkeypatch, sphere_mesh_320, shape, scale):
+    # with SPHERE_RADIUS_SCALE > 0.5 the descent alone covers the mesh: each
     # point of a triangle lies strictly inside its own leaf's sphere
+    set_octree(monkeypatch, sphere_radius_scale=scale)
     mesh = sphere_mesh_320 if shape == "sphere" else small_preset_mesh()
-    surf = build_surface(mesh, FitConfig(sphere_radius_scale=scale))
+    surf = build_surface(mesh, FitConfig())
     quad_pts, _ = _quadrature_points(*mesh.corners())
     assert np.all(np.isfinite(surf.eval_many(mesh.vertices)))
     assert np.all(np.isfinite(surf.eval_many(quad_pts.reshape(-1, 3))))
@@ -375,7 +391,7 @@ def test_pair_distances_are_block_independent(monkeypatch, sphere_mesh_320, bloc
     tri_ids = rng.integers(corners[0].shape[1], size=pairs)
     whole = dist_points_to_triangles(points, *(v[:, tri_ids] for v in corners))
     monkeypatch.setattr(implicit, "_DIST_BLOCK", block)
-    assert np.array_equal(_pair_distances(points, tri_ids, corners), whole)
+    assert np.array_equal(_pair_distances(points, tri_ids, corners, flat_triangles(*corners)), whole)
 
 
 def small_preset_mesh(master_seed=1):
@@ -413,7 +429,8 @@ def test_fit_is_piece_size_independent(monkeypatch, fit):
     # the default sizes: each piece's results depend on its own pairs alone,
     # and the descent puts its leaves back in level order
     mesh = sweep_mesh(generate_skeleton(TreeParams(branch_levels=1, nodes_per_curve=4, seed=3)), sides=8)
-    cfg = FitConfig(**fit)
+    set_octree(monkeypatch, **fit)
+    cfg = FitConfig()
     whole = build_surface(mesh, cfg)
     monkeypatch.setattr(implicit, "_MOMENT_BLOCK", 3)
     monkeypatch.setattr(implicit, "_INDEX_CHUNK", 7)
@@ -421,7 +438,7 @@ def test_fit_is_piece_size_independent(monkeypatch, fit):
     pieces = build_surface(mesh, cfg)
 
     # the tree splits to depth 5 or more, so many batches ran
-    assert whole.radii.min() <= cfg.sphere_radius_scale * whole.bbox_diagonal() / 16
+    assert whole.radii.min() <= implicit.SPHERE_RADIUS_SCALE * whole.bbox_diagonal() / 16
     for name in ("centers", "radii", "normals", "offsets"):
         assert np.array_equal(getattr(pieces, name), getattr(whole, name))
     assert np.array_equal(pieces.index.csr_cells, whole.index.csr_cells)
@@ -500,7 +517,8 @@ def test_child_cull_keeps_the_fit_bits(monkeypatch, mesh, fit):
     # the descent with the half-space bound gives the bits of the descent
     # without it (an infinite slack keeps every pair)
     mesh = small_preset_mesh() if mesh == "small" else small_mesh_with_collinear_triangles()
-    cfg = FitConfig(**fit)
+    set_octree(monkeypatch, **fit)
+    cfg = FitConfig()
     culled = build_surface(mesh, cfg)
     monkeypatch.setattr(implicit, "_CULL_SLACK", np.inf)
     whole = build_surface(mesh, cfg)
@@ -890,15 +908,7 @@ def test_gradient_matches_central_differences(sphere_surface):
     assert np.max(rel) <= 1e-4
 
 
-# -- markers and cache ----------------------------------------------------------------
-
-
-def test_cell_markers_counts(sphere_surface_320):
-    n = len(sphere_surface_320.centers)
-    markers = cell_markers(sphere_surface_320)
-    assert len(markers.vertices) == 6 * n
-    assert len(markers.triangles) == 8 * n
-    assert np.all(np.isfinite(markers.vertices))
+# -- cache ----------------------------------------------------------------------------
 
 
 def test_surface_cache_round_trip(tmp_path, sphere_surface_320):
@@ -951,7 +961,6 @@ def test_surface_cache_key(tmp_path, sphere_mesh_320, sphere_surface_320):
     assert len(key) == 32
     assert surface_key(obj, FitConfig()) == key
     assert surface_key(obj + b"\n", FitConfig()) != key
-    assert surface_key(obj, FitConfig(max_depth=9)) != key
     assert surface_key(obj, FitConfig(epsilon=0.01)) != key
 
     path = tmp_path / "keyed.mpuf"
@@ -959,10 +968,23 @@ def test_surface_cache_key(tmp_path, sphere_mesh_320, sphere_surface_320):
     assert np.array_equal(load_surface(path, key).centers, sphere_surface_320.centers)
     assert np.array_equal(load_surface(path).centers, sphere_surface_320.centers)
     with pytest.raises(SurfaceCacheError, match="key"):
-        load_surface(path, surface_key(obj, FitConfig(max_depth=9)))
+        load_surface(path, surface_key(obj, FitConfig(epsilon=0.01)))
     unkeyed = tmp_path / "unkeyed.mpuf"
     save_surface(sphere_surface_320, unkeyed)
     with pytest.raises(SurfaceCacheError, match="key"):
         load_surface(unkeyed, key)
     # the key sits in the header; the cell arrays are written as before
     assert path.read_bytes()[40:] == unkeyed.read_bytes()[40:]
+
+
+def test_surface_key_hashes_the_octree_constants_as_config_fields(monkeypatch):
+    # the key of a default fit is the one the four-field config gave, so
+    # every cache keeps its bytes; a change to a constant changes the key
+    obj = b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
+    old = {"epsilon": None, "max_depth": 10, "max_triangles_per_cell": 32, "sphere_radius_scale": 1.0}
+    key = surface_key(obj, FitConfig())
+    assert key == hashlib.sha256(obj + json.dumps(old, sort_keys=True).encode("utf-8")).digest()
+    for name, value in (("max_depth", 9), ("max_triangles_per_cell", 16), ("sphere_radius_scale", 0.8)):
+        with monkeypatch.context() as patch:
+            set_octree(patch, **{name: value})
+            assert surface_key(obj, FitConfig()) != key, name

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import inspect
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -145,24 +146,21 @@ def test_master_seed_changes_the_outputs(tmp_path):
     assert da["clean"] != db["clean"]
 
 
-def test_cache_and_debug_artifacts(tmp_path):
+def test_cache_artifacts(tmp_path):
     out = tmp_path / "dbg"
-    cfg = tiny_config(out, name="dbg", cache_surface=True, debug_obj=True)
+    cfg = tiny_config(out, name="dbg", cache_surface=True)
     manifest = run_pipeline(cfg)
     names = sorted(p.name for p in out.iterdir())
     assert names == [
         "dbg.mpuf",
         "dbg.obj",
         "dbg.skel",
-        "dbg_cells.obj",
         "dbg_clean.ply",
         "manifest.json",
     ]
     by_role = {f["role"]: f for f in manifest.files}
     surface = load_surface(out / "dbg.mpuf")
     assert by_role["surface-cache"]["count"] == len(surface.centers)
-    markers = load_obj(out / "dbg_cells.obj")
-    assert len(markers.vertices) == 6 * len(surface.centers)
 
 
 def counting(monkeypatch, module, name) -> list:
@@ -188,7 +186,7 @@ def test_each_stage_gets_its_whole_config_section(tmp_path, monkeypatch):
     cfg = tiny_config(
         tmp_path / "m",
         tree=TreeParams(branch_levels=0, nodes_per_curve=5, bend=0.3, gravity=0.5),
-        fit=FitConfig(epsilon=0.004, max_depth=9, max_triangles_per_cell=16, sphere_radius_scale=0.8),
+        fit=FitConfig(epsilon=0.004),
         scan=ScanConfig(resolution=30, views=3, standoff=2.0, normal_mode="pca-mst"),
         sides=8,
         master_seed=4,
@@ -221,7 +219,7 @@ def test_surface_cache_refits_when_stale(tmp_path, monkeypatch):
     assert not again.warnings
     assert role_digests(again) == role_digests(second)
     # a changed fit config, a truncated cache and an old version all refit
-    run_pipeline(tiny_config(out, name="model", cache_surface=True, master_seed=2, fit=FitConfig(max_depth=9)))
+    run_pipeline(tiny_config(out, name="model", cache_surface=True, master_seed=2, fit=FitConfig(epsilon=0.004)))
     assert len(fits) == 2
     cache = out / "model.mpuf"
     cache.write_bytes(cache.read_bytes()[:100])
@@ -402,7 +400,6 @@ def test_config_save_load_round_trip(tmp_path):
         master_seed=9,
         fit=FitConfig(epsilon=0.003),
         cache_surface=True,
-        debug_obj=True,
     )
     path = tmp_path / "config.json"
     save_config(cfg, path)
@@ -441,20 +438,24 @@ def test_degradation_params_coerce_alias_and_seed():
         ("scan", "hit_tolerance", 1e-6),
         ("scan", "pca_k", 16),
         ("scan", "pca_k", 16.0),
+        ("fit", "max_depth", 10),
+        ("fit", "max_triangles_per_cell", 32),
+        ("fit", "sphere_radius_scale", 1.0),
+        (None, "debug_obj", False),
     ],
 )
 def test_config_load_drops_retired_keys(tmp_path, section, key, value):
     # older configs and manifests hold keys the program no longer reads, at
     # the values it always uses (a scan seed never had an effect): they load
-    # unchanged
+    # unchanged.  section None is the top level
     cfg = tiny_config(tmp_path / "x")
     legacy = cfg.to_dict()
-    legacy[section][key] = value
+    (legacy[section] if section else legacy)[key] = value
     path = tmp_path / "legacy.json"
     path.write_text(json.dumps(legacy))
     back = load_config(path)
     assert back == cfg
-    assert key not in back.to_dict()[section]
+    assert key not in (back.to_dict()[section] if section else back.to_dict())
 
 
 @pytest.mark.parametrize(
@@ -467,15 +468,20 @@ def test_config_load_drops_retired_keys(tmp_path, section, key, value):
         ("scan", "march_step", 0.25),
         ("scan", "hit_tolerance", 1e-5),
         ("scan", "pca_k", 8),
+        ("fit", "max_depth", 9),
+        ("fit", "max_triangles_per_cell", 16),
+        ("fit", "sphere_radius_scale", 0.8),
+        (None, "debug_obj", True),
     ],
 )
 def test_config_load_refuses_retired_keys_at_other_values(tmp_path, section, key, value):
     # a config that asked for another value would silently change meaning
     legacy = tiny_config(tmp_path / "x").to_dict()
-    legacy[section][key] = value
+    (legacy[section] if section else legacy)[key] = value
     path = tmp_path / "legacy.json"
     path.write_text(json.dumps(legacy))
-    with pytest.raises(InvalidParameterError, match=rf"legacy\.json: {section}\.{key}"):
+    name = f"{section}.{key}" if section else key
+    with pytest.raises(InvalidParameterError, match=rf"legacy\.json: {re.escape(name)}"):
         load_config(path)
 
 
