@@ -11,7 +11,6 @@ subcommands read theirs over no file. `batch` runs config files as they stand.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import is_dataclass
 from pathlib import Path
@@ -34,6 +33,7 @@ from .pipeline import (
     field_types,
     load_config,
     run_pipeline,
+    write_json,
 )
 from .scanner import ScanConfig, scan_surface
 from .skeleton import TreeParams, generate_skeleton, load_skeleton, save_skeleton
@@ -123,7 +123,7 @@ def _cmd_fit(args) -> int:
     mesh = load_obj(args.mesh)
     cfg = _pipeline_config(args).fit
     surface = build_surface(mesh, cfg)
-    save_surface(surface, args.out, surface_key(Path(args.mesh).read_bytes(), cfg))
+    save_surface(surface, args.out, surface_key(mesh, cfg))
     print(f"wrote {args.out} ({len(surface.centers)} cells)")
     return 0
 
@@ -170,9 +170,7 @@ def _cmd_degrade(args) -> int:
         write_ply(cloud, path)
         print(f"wrote {path} ({len(cloud)} points)")
     if getattr(args, "balls_out", None):
-        with open(args.balls_out, "w", encoding="utf-8") as fh:
-            json.dump(ctx.occlusion_balls, fh, indent=2)
-            fh.write("\n")
+        write_json(ctx.occlusion_balls, args.balls_out)
         print(f"wrote {args.balls_out} ({len(ctx.occlusion_balls)} balls)")
     for warning in ctx.warnings:
         print(f"warning: {warning}", file=sys.stderr)

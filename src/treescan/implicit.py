@@ -90,7 +90,7 @@ from .errors import (
     InvalidParameterError,
     SurfaceCacheError,
 )
-from .geometry import dist_points_to_triangles, flat_triangles, triangle_areas_normals
+from .geometry import _dot, dist_points_to_triangles, flat_triangles, triangle_areas_normals
 from .mesh import TriangleMesh
 
 DEFAULT_EPSILON_SCALE = 0.005  # of the bbox diagonal, when epsilon is not given
@@ -129,7 +129,8 @@ SPHERE_RADIUS_SCALE = 1.0  # above 0.5, so the descent alone covers the mesh
 
 
 def octree_settings() -> dict:
-    """The octree's constants under the names they had as `FitConfig` fields."""
+    """The octree's constants under the names they had as `FitConfig` fields,
+    for `surface_key` to hash and for configs that still hold those fields."""
     names = ("max_depth", "max_triangles_per_cell", "sphere_radius_scale")
     return dict(zip(names, (MAX_DEPTH, MAX_TRIANGLES_PER_CELL, SPHERE_RADIUS_SCALE)))
 
@@ -501,10 +502,9 @@ def _child_keep(centers, sizes, diff, d, tri_ids, corners, child_radii, slack):
     u = diff / np.where(near, 1.0, d)
     top = None
     for v in corners:
-        g = np.take(v, tri_ids, axis=1)
-        h = g[0] * u[0] + g[1] * u[1] + g[2] * u[2]
+        h = _dot(np.take(v, tri_ids, axis=1), u)
         top = h if top is None else np.maximum(top, h, out=top)
-    room = (child_radii + slack) - ((centers[0] * u[0] + centers[1] * u[1] + centers[2] * u[2]) - top)
+    room = (child_radii + slack) - (_dot(centers, u) - top)
     w = sizes * u
     keep = np.empty((len(d), 8), dtype=bool)
     for k, (ox, oy, oz) in enumerate(_CHILD_OFFSETS):
@@ -725,42 +725,39 @@ def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitS
 
 _MAGIC = b"MPUF"
 _VERSION = 3
-_HEADER = 4 + 4 + 32 + 8 + 48 + 8
+# magic, version, key (`surface_key`, or zeros), epsilon, bbox lo and hi, cell count
+_HEADER = struct.Struct("<4sI32sd6dQ")
 
 
-def surface_key(mesh_obj: bytes, cfg: FitConfig) -> bytes:
-    """Cache key of a fit: SHA-256 over the mesh's .obj bytes and the
+def surface_key(mesh: TriangleMesh, cfg: FitConfig) -> bytes:
+    """Cache key of a fit: SHA-256 over the vertex count, the vertex and
+    triangle arrays that `build_surface` reads, bit for bit, and the
     sorted-key JSON of the fit config and `octree_settings()`."""
-    h = hashlib.sha256(mesh_obj)
+    h = hashlib.sha256(struct.pack("<Q", len(mesh.vertices)))
+    h.update(mesh.vertices.astype("<f8").tobytes() + mesh.triangles.astype("<i8").tobytes())
     h.update(json.dumps({**asdict(cfg), **octree_settings()}, sort_keys=True).encode("utf-8"))
     return h.digest()
 
 
 def save_surface(surface: ImplicitSurface, path, key: bytes | None = None) -> None:
-    """Binary cache: magic, version, key (`surface_key`, or zeros), epsilon,
-    bbox, then the cell arrays."""
-    n = len(surface.centers)
+    """Binary cache: `_HEADER`, then the cell arrays as little-endian float64."""
     key = bytes(32) if key is None else key
     if len(key) != 32:
         raise InvalidParameterError("a surface cache key is 32 bytes")
+    n = len(surface.centers)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(key)
-        fh.write(struct.pack("<d", surface.epsilon))
-        fh.write(struct.pack("<6d", *surface.bbox_lo, *surface.bbox_hi))
-        fh.write(struct.pack("<Q", n))
-        fh.write(surface.centers.astype("<f8").tobytes())
-        fh.write(surface.radii.astype("<f8").tobytes())
-        fh.write(surface.normals.astype("<f8").tobytes())
-        fh.write(surface.offsets.astype("<f8").tobytes())
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, key, surface.epsilon, *surface.bbox_lo, *surface.bbox_hi, n))
+        for values in (surface.centers, surface.radii, surface.normals, surface.offsets):
+            fh.write(values.astype("<f8").tobytes())
 
 
 def load_surface(path, key: bytes | None = None) -> ImplicitSurface:
     """Read a cache written by `save_surface`.
 
-    With a key, a cache saved under any other key (another mesh or fit
-    config) raises SurfaceCacheError, as do other versions and damage.
+    SurfaceCacheError refuses the file whole: another magic or version, a
+    key other than `key` when one is given (another mesh or fit config), a
+    length other than the one the header's cell count gives, no cell, a
+    value that is not finite, or a radius that is not positive.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -769,22 +766,21 @@ def load_surface(path, key: bytes | None = None) -> ImplicitSurface:
     version = struct.unpack_from("<I", blob, 4)[0]
     if version != _VERSION:
         raise SurfaceCacheError(f"{path}: unsupported cache version {version}")
-    if len(blob) < _HEADER:
-        raise SurfaceCacheError(f"{path}: truncated cache ({len(blob)} of {_HEADER} header bytes)")
-    if key is not None and blob[8:40] != key:
+    if len(blob) < _HEADER.size:
+        raise SurfaceCacheError(f"{path}: truncated cache ({len(blob)} of {_HEADER.size} header bytes)")
+    _, _, stored, epsilon, *box, n = _HEADER.unpack_from(blob)
+    if key is not None and stored != key:
         raise SurfaceCacheError(f"{path}: cache key differs from this mesh and fit config")
-    epsilon = struct.unpack_from("<d", blob, 40)[0]
-    box = struct.unpack_from("<6d", blob, 48)
-    n = struct.unpack_from("<Q", blob, 96)[0]
-    need = _HEADER + n * (3 + 1 + 3 + 1) * 8
-    if len(blob) < need:
-        raise SurfaceCacheError(f"{path}: truncated cache ({len(blob)} of {need} bytes)")
-    off = _HEADER
-    centers = np.frombuffer(blob, dtype="<f8", count=3 * n, offset=off).reshape(n, 3)
-    off += 24 * n
-    radii = np.frombuffer(blob, dtype="<f8", count=n, offset=off)
-    off += 8 * n
-    normals = np.frombuffer(blob, dtype="<f8", count=3 * n, offset=off).reshape(n, 3)
-    off += 24 * n
-    offsets = np.frombuffer(blob, dtype="<f8", count=n, offset=off)
+    need = _HEADER.size + n * (3 + 1 + 3 + 1) * 8
+    if len(blob) != need:
+        fault = "truncated cache" if len(blob) < need else "trailing bytes after the cells"
+        raise SurfaceCacheError(f"{path}: {fault} ({len(blob)} of {need} bytes)")
+    if n == 0:
+        raise SurfaceCacheError(f"{path}: the cache holds no cell")
+    values = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
+    if not (np.isfinite(values).all() and np.isfinite([epsilon, *box]).all()):
+        raise SurfaceCacheError(f"{path}: the cache holds a value that is not finite")
+    centers, radii, normals, offsets = np.split(values, [3 * n, 4 * n, 7 * n])
+    if not (radii > 0.0).all():
+        raise SurfaceCacheError(f"{path}: the cache holds a radius that is not positive")
     return ImplicitSurface(centers, radii, normals, offsets, box[:3], box[3:], epsilon)

@@ -316,13 +316,31 @@ def load_config(path) -> PipelineConfig:
     return config
 
 
-def save_config(config: PipelineConfig, path) -> None:
+def write_json(data, path) -> None:
+    """Write `data` to `path` as indented sorted-key JSON and a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def save_config(config: PipelineConfig, path) -> None:
+    write_json(config.to_dict(), path)
+
+
 EMPTY_SCAN_WARNING = "clean scan produced no points; check standoff/frustum"
+
+
+def _delete_listed(out: Path, files: list) -> None:
+    """Delete the plain file names in `out` that manifest entries `files` list,
+    but a surface cache: `load_surface` checks it whole.  A path with a
+    directory part and a malformed entry are skipped."""
+    for entry in files:
+        try:
+            name = entry["path"]
+            if entry["role"] != "surface-cache" and name not in ("", "..") and Path(name).name == name:
+                (out / name).unlink(missing_ok=True)
+        except (OSError, LookupError, TypeError):
+            pass
 
 
 def _clear_earlier_run(out: Path) -> None:
@@ -330,22 +348,15 @@ def _clear_earlier_run(out: Path) -> None:
 
     The manifest would vouch for files this run may replace or delete, and
     a run that fails part way must leave none of the earlier run's files
-    behind.  A surface cache stays: it is checked by its key on load.  Only
-    plain file names inside `out` are touched, no path with a directory
-    part; an unreadable manifest is only deleted.
+    behind (`_delete_listed`).  An unreadable manifest is only deleted.
     """
     manifest_path = out / "manifest.json"
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
-            names = [entry["path"] for entry in json.load(fh)["files"] if entry["role"] != "surface-cache"]
+            files = list(json.load(fh)["files"])
     except (OSError, ValueError, LookupError, TypeError):
-        names = []
-    for name in names:
-        if isinstance(name, str) and name not in ("", "..") and Path(name).name == name:
-            try:
-                (out / name).unlink(missing_ok=True)
-            except OSError:
-                pass
+        files = []
+    _delete_listed(out, files)
     manifest_path.unlink(missing_ok=True)
 
 
@@ -360,7 +371,6 @@ def run_pipeline(config: PipelineConfig) -> DatasetManifest:
     seeds = {label: derive_seed(config.master_seed, label) for label in labels}
 
     files: list[dict] = []
-    reused = None  # a surface cache this run only read: a failure keeps it
     warnings: list[str] = []
     timings: dict[str, float] = {}
 
@@ -384,8 +394,8 @@ def run_pipeline(config: PipelineConfig) -> DatasetManifest:
         stage = "mesh"
         t0 = time.perf_counter()
         mesh = sweep_mesh(skeleton, sides=config.sides)
-        mesh_path = emit("mesh", f"{config.name}.obj", len(mesh.vertices))
-        save_obj(mesh, mesh_path)
+        path = emit("mesh", f"{config.name}.obj", len(mesh.vertices))
+        save_obj(mesh, path)
         timings["mesh"] = time.perf_counter() - t0
 
         stage = "fit"
@@ -393,7 +403,7 @@ def run_pipeline(config: PipelineConfig) -> DatasetManifest:
         cache_path = out / f"{config.name}.mpuf"
         surface = None
         if config.cache_surface:
-            key = surface_key(mesh_path.read_bytes(), config.fit)
+            key = surface_key(mesh, config.fit)
             if cache_path.exists():
                 try:
                     surface = load_surface(cache_path, key)
@@ -403,8 +413,6 @@ def run_pipeline(config: PipelineConfig) -> DatasetManifest:
             surface = build_surface(mesh, config.fit)
             if config.cache_surface:
                 save_surface(surface, cache_path, key)
-        else:
-            reused = cache_path.name
         if config.cache_surface:
             emit("surface-cache", cache_path.name, len(surface.centers))
         timings["fit"] = time.perf_counter() - t0
@@ -442,18 +450,10 @@ def run_pipeline(config: PipelineConfig) -> DatasetManifest:
             timings=timings,
             warnings=warnings,
         )
-        manifest_path = out / "manifest.json"
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(manifest.to_dict(), out / "manifest.json")
         return manifest
     except Exception as exc:
-        for entry in files:
-            if entry["path"] != reused:
-                try:
-                    (out / entry["path"]).unlink()
-                except OSError:
-                    pass
+        _delete_listed(out, files)
         raise PipelineStageError(stage, exc) from exc
 
 
@@ -518,7 +518,5 @@ def batch(configs: list[PipelineConfig], workers: int | None = None, index_path=
         index_path = Path(configs[0].output_dir).parent / "index.json"
     if index_path is not None:
         Path(index_path).parent.mkdir(parents=True, exist_ok=True)
-        with open(index_path, "w", encoding="utf-8") as fh:
-            json.dump(index, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(index, index_path)
     return records, bool(failed)

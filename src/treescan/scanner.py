@@ -37,7 +37,7 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components, mini
 
 from .cloud import PointCloud
 from .errors import InvalidParameterError, MissingNormalsError, TooFewPointsError
-from .geometry import least_aligned_axis, normalize, principal_axes, tree_order_neighbours
+from .geometry import _dot, least_aligned_axis, normalize, principal_axes, tree_order_neighbours
 from .implicit import ImplicitSurface
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -212,8 +212,9 @@ def _live_windows(surface, pose: Pose, tan_half: float, res: int, directions, sp
         box = np.repeat(np.arange(start, stop), counts[start:stop])
         k = np.arange(firsts[start], ends[stop - 1]) - firsts[box]  # pixel within its box
         ray = (row0[box] + k // cols[box]) * res + col0[box] + k % cols[box]
-        b = sum(d[ray] * o[box] for d, o in zip(d_axes, oc_axes))
-        nd = sum(d[ray] * n[box] for d, n in zip(d_axes, n_axes))
+        d = [v[ray] for v in d_axes]  # one axis at a time: a 2-D gather is slower
+        b = _dot(d, [v[box] for v in oc_axes])
+        nd = _dot(d, [v[box] for v in n_axes])
         disc = b * b - c_oc[box]
         root = np.sqrt(np.maximum(disc, 0.0))
         enter = np.maximum(-b - root, t_lo[ray])

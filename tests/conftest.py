@@ -61,6 +61,36 @@ def sphere_surface():
     return build_surface(icosphere(subdivisions=3, radius=1.0), FitConfig())
 
 
+# damaged copies of a surface cache (`damaged_cache`) and the words of the
+# SurfaceCacheError that `load_surface` refuses each with
+CACHE_FAULTS = {
+    "nan radius": "not finite",
+    "inf centre": "not finite",
+    "negative radii": "radius that is not positive",
+    "no cell": "no cell",
+    "trailing bytes": "trailing bytes",
+}
+
+
+def damaged_cache(blob: bytes, fault: str) -> bytes:
+    """Surface cache `blob` with one fault of `CACHE_FAULTS`, its length and
+    key otherwise kept.  The header is 104 bytes and ends with the cell
+    count n; the centers (3n values) and the radii (n) come first."""
+    head, n = blob[:104], int.from_bytes(blob[96:104], "little")
+    cells = np.frombuffer(blob, dtype="<f8", offset=104).copy()
+    if fault == "nan radius":
+        cells[3 * n] = np.nan
+    elif fault == "inf centre":
+        cells[1] = np.inf
+    elif fault == "negative radii":
+        cells[3 * n : 4 * n] *= -1.0
+    elif fault == "no cell":
+        return head[:96] + bytes(8)
+    elif fault == "trailing bytes":
+        return blob + bytes(4)
+    return head + cells.tobytes()
+
+
 def diagonal_feature(surface):
     """A twentieth of the surface's bbox diagonal: the march feature size
     for scans of shapes that have no skeleton to give a minimum radius."""

@@ -40,7 +40,7 @@ from treescan.rng import derive_seed
 from treescan.scanner import ScanConfig
 from treescan.skeleton import TreeParams, generate_skeleton, load_skeleton, save_skeleton
 
-from .conftest import make_cylinder_skeleton
+from .conftest import CACHE_FAULTS, damaged_cache, make_cylinder_skeleton
 
 
 def tiny_pipeline_config(out, name, **overrides) -> PipelineConfig:
@@ -86,7 +86,7 @@ def test_stage_subcommands_chain(tmp_path, capsys):
     assert len(mesh.triangles) > 0
 
     assert main(["fit", "--mesh", str(obj), "--out", str(surf)]) == 0
-    surface = load_surface(surf, surface_key(obj.read_bytes(), FitConfig()))
+    surface = load_surface(surf, surface_key(mesh, FitConfig()))
     assert len(surface.centers) > 0
 
     # two spiral views would look straight down the trunk axis and see
@@ -571,12 +571,40 @@ def test_scan_with_skeleton_writes_the_pipeline_clean_cloud(tmp_path):
     assert (out / "m.skel").read_bytes() == (pipe / "m.skel").read_bytes()
     # the pipeline sweeps and fits in memory, not from its 9-digit .skel and
     # .obj text, so the chain's mesh matches it up to that rounding, and its
-    # fit is checked by the cache key, which holds the fit config
+    # fit is checked by the cache key, which holds the mesh and fit config
     mesh, want = load_obj(out / "m.obj"), load_obj(pipe / "m.obj")
     assert np.array_equal(mesh.triangles, want.triangles)
     assert np.abs(mesh.vertices - want.vertices).max() <= 1e-7
-    load_surface(out / "m.mpuf", surface_key((out / "m.obj").read_bytes(), config.fit))
+    load_surface(out / "m.mpuf", surface_key(mesh, config.fit))
     assert (out / "m_clean.ply").read_bytes() == (pipe / "m_clean.ply").read_bytes()
+
+
+def test_a_fit_of_the_pipeline_obj_is_refitted_by_a_cached_rerun(tmp_path):
+    # the .obj's 9-digit text reads back as another mesh than the one the
+    # pipeline fits (ROADMAP 6(c)), so the cache `fit` writes of it holds
+    # another key, and a rerun refits rather than scan that surface
+    config = tiny_pipeline_config(tmp_path / "p", "m", cache_surface=True, master_seed=1)
+    fresh = tiny_pipeline_config(tmp_path / "fresh", "m", master_seed=1)
+    run_pipeline(config)
+    run_pipeline(fresh)
+    pipe = tmp_path / "p"
+    assert main(["fit", "--mesh", str(pipe / "m.obj"), "--out", str(pipe / "m.mpuf")]) == 0
+    manifest = run_pipeline(config)
+    assert [w.split(":")[0] for w in manifest.warnings] == ["surface cache refitted"]
+    assert "key differs" in manifest.warnings[0]
+    assert (pipe / "m_clean.ply").read_bytes() == (tmp_path / "fresh" / "m_clean.ply").read_bytes()
+
+
+@pytest.mark.parametrize("fault", CACHE_FAULTS)
+def test_scan_refuses_a_bad_surface_cache_in_one_error_line(tmp_path, sphere_surface_320, fault, capsys):
+    path = tmp_path / "s.mpuf"
+    save_surface(sphere_surface_320, path)
+    path.write_bytes(damaged_cache(path.read_bytes(), fault))
+    out = tmp_path / "x.ply"
+    assert main(["scan", "--surface", str(path), "--min-feature", "0.05", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ") and CACHE_FAULTS[fault] in err[0]
+    assert not out.exists()
 
 
 def pipeline_flags():

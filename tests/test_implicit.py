@@ -36,6 +36,8 @@ from treescan.mesh import TriangleMesh
 from treescan.primitives import icosphere
 from treescan.rng import derive_seed
 
+from .conftest import CACHE_FAULTS, damaged_cache
+
 # a generic skewed triangle roughly unit distance from the origin
 SKEW_TRI = np.array(
     [[0.10, -0.20, 1.00], [0.50, 0.05, 1.05], [0.25, 0.30, 0.90]], dtype=np.float64
@@ -955,20 +957,33 @@ def test_surface_cache_rejects_corruption(tmp_path, sphere_surface_320):
             load_surface(bad_version)
 
 
-def test_surface_cache_key(tmp_path, sphere_mesh_320, sphere_surface_320):
-    obj = b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
-    key = surface_key(obj, FitConfig())
+@pytest.mark.parametrize("fault", CACHE_FAULTS)
+def test_surface_cache_refuses_a_bad_value_or_length(tmp_path, sphere_surface_320, fault):
+    # each is refused whole, as a SurfaceCacheError: the pipeline refits on it
+    path = tmp_path / "sphere.mpuf"
+    save_surface(sphere_surface_320, path, bytes(range(32)))
+    path.write_bytes(damaged_cache(path.read_bytes(), fault))
+    with pytest.raises(SurfaceCacheError, match=CACHE_FAULTS[fault]):
+        load_surface(path, bytes(range(32)))
+
+
+def test_surface_cache_key(tmp_path, sphere_surface_320):
+    mesh = triangle_soup([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    key = surface_key(mesh, FitConfig())
     assert len(key) == 32
-    assert surface_key(obj, FitConfig()) == key
-    assert surface_key(obj + b"\n", FitConfig()) != key
-    assert surface_key(obj, FitConfig(epsilon=0.01)) != key
+    assert surface_key(triangle_soup([[0, 0, 0], [1, 0, 0], [0, 1, 0]]), FitConfig()) == key
+    # the key reads the arrays the fit reads, bit for bit, not their text
+    nudged = triangle_soup([[0, 0, 0], [np.nextafter(1.0, 2.0), 0, 0], [0, 1, 0]])
+    assert surface_key(nudged, FitConfig()) != key
+    assert surface_key(TriangleMesh(mesh.vertices, [[0, 2, 1]]), FitConfig()) != key
+    assert surface_key(mesh, FitConfig(epsilon=0.01)) != key
 
     path = tmp_path / "keyed.mpuf"
     save_surface(sphere_surface_320, path, key)
     assert np.array_equal(load_surface(path, key).centers, sphere_surface_320.centers)
     assert np.array_equal(load_surface(path).centers, sphere_surface_320.centers)
     with pytest.raises(SurfaceCacheError, match="key"):
-        load_surface(path, surface_key(obj, FitConfig(epsilon=0.01)))
+        load_surface(path, surface_key(mesh, FitConfig(epsilon=0.01)))
     unkeyed = tmp_path / "unkeyed.mpuf"
     save_surface(sphere_surface_320, unkeyed)
     with pytest.raises(SurfaceCacheError, match="key"):
@@ -978,13 +993,15 @@ def test_surface_cache_key(tmp_path, sphere_mesh_320, sphere_surface_320):
 
 
 def test_surface_key_hashes_the_octree_constants_as_config_fields(monkeypatch):
-    # the key of a default fit is the one the four-field config gave, so
-    # every cache keeps its bytes; a change to a constant changes the key
-    obj = b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
+    # the key hashes the vertex count and the mesh arrays, then the fit
+    # config with the octree's constants under their old field names; a
+    # change to a constant changes the key, so every cache fitted under it refits
+    mesh = triangle_soup([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
     old = {"epsilon": None, "max_depth": 10, "max_triangles_per_cell": 32, "sphere_radius_scale": 1.0}
-    key = surface_key(obj, FitConfig())
-    assert key == hashlib.sha256(obj + json.dumps(old, sort_keys=True).encode("utf-8")).digest()
+    arrays = struct.pack("<Q", 3) + mesh.vertices.tobytes() + mesh.triangles.tobytes()
+    key = surface_key(mesh, FitConfig())
+    assert key == hashlib.sha256(arrays + json.dumps(old, sort_keys=True).encode("utf-8")).digest()
     for name, value in (("max_depth", 9), ("max_triangles_per_cell", 16), ("sphere_radius_scale", 0.8)):
         with monkeypatch.context() as patch:
             set_octree(patch, **{name: value})
-            assert surface_key(obj, FitConfig()) != key, name
+            assert surface_key(mesh, FitConfig()) != key, name

@@ -26,6 +26,8 @@ from treescan.rng import derive_seed
 from treescan.scanner import ScanConfig
 from treescan.skeleton import TreeParams, generate_skeleton, load_skeleton
 
+from .conftest import CACHE_FAULTS, damaged_cache
+
 ALL_DEGRADATIONS = [
     {"kind": "noise", "s": 0.01, "d": 10},
     {"kind": "occlusion", "N": 2, "lambda": 0.05},
@@ -354,6 +356,38 @@ def test_failed_scan_keeps_a_surface_cache_it_only_read(tmp_path, monkeypatch):
     assert fits == []
     assert sorted(p.name for p in out.iterdir()) == ["m.mpuf"]
     assert (out / "m.mpuf").read_bytes() == cache
+
+
+def test_failed_scan_keeps_the_surface_cache_it_wrote(tmp_path, monkeypatch):
+    out = tmp_path / "cached"
+
+    def failing_scan(*args, **kwargs):
+        raise InvalidParameterError("scan failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "scan_surface", failing_scan)
+        with pytest.raises(PipelineStageError) as err:
+            run_pipeline(tiny_config(out, name="m", cache_surface=True))
+    assert err.value.stage == "scan"
+    assert sorted(p.name for p in out.iterdir()) == ["m.mpuf"]
+    # the cache holds this run's fit: a rerun reads it and fits nothing
+    fits = counting(monkeypatch, pipeline, "build_surface")
+    assert not run_pipeline(tiny_config(out, name="m", cache_surface=True)).warnings
+    assert fits == []
+
+
+@pytest.mark.parametrize("fault", CACHE_FAULTS)
+def test_surface_cache_with_a_bad_value_or_length_is_refitted(tmp_path, monkeypatch, fault):
+    out = tmp_path / "cached"
+    first = run_pipeline(tiny_config(out, name="m", cache_surface=True))
+    cache = out / "m.mpuf"
+    cache.write_bytes(damaged_cache(cache.read_bytes(), fault))
+    fits = counting(monkeypatch, pipeline, "build_surface")
+    again = run_pipeline(tiny_config(out, name="m", cache_surface=True))
+    assert len(fits) == 1
+    assert len(again.warnings) == 1
+    assert again.warnings[0].startswith("surface cache refitted: ") and CACHE_FAULTS[fault] in again.warnings[0]
+    assert role_digests(again) == role_digests(first)
 
 
 def test_rerun_deletes_only_plain_names_of_the_earlier_manifest(tmp_path):
