@@ -118,13 +118,17 @@ def principal_axes(points: np.ndarray, neighbours: np.ndarray, starts: np.ndarra
     Batches end between neighbourhoods, where their entries would pass
     _PCA_ENTRIES, and each of the six second moments is summed on its own,
     so the temporaries stay within a few arrays of a batch's entries.
-    Returns centroids (m, 3), ascending eigenvalues (m, 3) and eigenvectors
-    as columns (m, 3, 3), as np.linalg.eigh gives them.
+    Each covariance is diagonalised by `_jacobi`: four (_JACOBI_SWEEPS)
+    cyclic Jacobi sweeps, each rotating the pairs (0, 1), (0, 2) and (1, 2)
+    in that order, starting from the identity. Returns centroids (m, 3),
+    ascending eigenvalues (m, 3) and eigenvectors as columns (m, 3, 3); a
+    zero covariance gives the identity. A column's sign is whatever those
+    rotations leave, so callers that need one choose it.
     """
     m = len(starts)
     bounds = np.append(starts, len(neighbours))
     centroids = np.empty((m, 3))
-    cov = np.empty((m, 3, 3))
+    moments = np.empty((6, m))  # the upper triangle, row by row
     lo = 0
     while lo < m:
         hi = max(lo + 1, int(np.searchsorted(bounds, bounds[lo] + _PCA_ENTRIES, side="right")) - 1)
@@ -136,11 +140,76 @@ def principal_axes(points: np.ndarray, neighbours: np.ndarray, starts: np.ndarra
         mean = np.add.reduceat(centered, local, axis=1) / counts
         centered -= np.repeat(mean, counts, axis=1)
         centroids[lo:hi] = mean.T
-        for i, j in zip(*np.triu_indices(3)):
-            cov[lo:hi, i, j] = cov[lo:hi, j, i] = np.add.reduceat(centered[i] * centered[j], local) / counts
+        for entry, (i, j) in enumerate(zip(*np.triu_indices(3))):
+            moments[entry, lo:hi] = np.add.reduceat(centered[i] * centered[j], local) / counts
         lo = hi
-    eigvals, eigvecs = np.linalg.eigh(cov)
+    eigvals, eigvecs = _jacobi(*moments)
     return centroids, eigvals, eigvecs
+
+
+# Cyclic Jacobi sweeps per 3x3 eigen-decomposition. On 100,000 seeded
+# random symmetric matrices, the off-diagonal part's Frobenius norm was at
+# most 2.5e-5 of |A|_F after 3 sweeps and 1.2e-20 after 4, far below
+# rounding: the convergence is quadratic.
+_JACOBI_SWEEPS = 4
+# a rotation whose |a_pq| is at most this share of |a_qq - a_pp| turns by
+# less than this many radians and moves A by less than this share of |A|:
+# the identity is applied instead, which also keeps theta**2 finite
+_NEGLIGIBLE = 1e-150
+
+
+def _jacobi(a00, a01, a02, a11, a12, a22):
+    """Eigenvalues (m, 3), ascending, and eigenvectors as columns (m, 3, 3)
+    of the symmetric matrices whose upper triangles are the (m,) arrays.
+
+    A fixed number of cyclic Jacobi sweeps (Golub & Van Loan, Matrix
+    Computations, 8.5) over whole arrays, one matrix entry per array. Only
+    + - * /, sqrt, abs, copysign and where are used: numpy rounds each
+    correctly on every SIMD path, so the bits do not depend on the host,
+    and no BLAS or LAPACK routine is called.
+    """
+    a = [[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]]
+    v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]  # arrays after one sweep
+    for _ in range(_JACOBI_SWEEPS):
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            _rotate(a, v, p, q)
+    d = [a[0][0], a[1][1], a[2][2]]
+    # a stable compare-swap network: equal eigenvalues keep their order
+    for i, j in ((0, 1), (1, 2), (0, 1)):
+        swap = d[i] > d[j]
+        d[i], d[j] = np.where(swap, d[j], d[i]), np.where(swap, d[i], d[j])
+        for row in v:
+            row[i], row[j] = np.where(swap, row[j], row[i]), np.where(swap, row[i], row[j])
+    eigvecs = np.empty((len(a00), 3, 3))
+    for r in range(3):
+        for c in range(3):
+            eigvecs[:, r, c] = v[r][c]
+    return np.stack(d, axis=1), eigvecs
+
+
+def _rotate(a, v, p, q) -> None:
+    """One Jacobi rotation, in place on the nested lists a (a[i][j] and
+    a[j][i] being one array) and v: the symmetric Schur rotation that zeroes
+    a_pq, with theta = (a_qq - a_pp) / 2 a_pq and
+    t = sign(theta) / (|theta| + sqrt(theta^2 + 1))."""
+    r = 3 - p - q
+    apq, diff = a[p][q], a[q][q] - a[p][p]
+    turn = np.abs(apq) > _NEGLIGIBLE * np.abs(diff)
+    theta = diff / np.where(turn, 2.0 * apq, 1.0)  # |theta| < 1e150 where turn
+    t = np.where(turn, np.copysign(1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0)), theta), 0.0)
+    c = 1.0 / np.sqrt(t * t + 1.0)
+    s = t * c
+    shift = t * apq
+    a[p][p] = a[p][p] - shift
+    a[q][q] = a[q][q] + shift
+    a[p][q] = a[q][p] = 0.0
+    arp, arq = a[r][p], a[r][q]
+    a[r][p] = a[p][r] = c * arp - s * arq
+    a[r][q] = a[q][r] = s * arp + c * arq
+    for row in v:
+        vp, vq = row[p], row[q]
+        row[p] = c * vp - s * vq
+        row[q] = s * vp + c * vq
 
 
 def triangle_areas_normals(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray):

@@ -1,6 +1,10 @@
 """Geometry kernels against closed forms and a sampling oracle."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,6 +305,110 @@ def test_principal_axes_chunking_is_bit_identical(monkeypatch, budget):
     monkeypatch.setattr(geometry, "_PCA_ENTRIES", budget)
     for a, b in zip(whole, principal_axes(points, neighbours, starts)):
         assert np.array_equal(a, b)
+
+
+def jacobi(mats):
+    """geometry._jacobi on (m, 3, 3) symmetric matrices."""
+    i, j = np.triu_indices(3)
+    return geometry._jacobi(*(mats[:, a, b] for a, b in zip(i, j)))
+
+
+def rotated(eigvals, seed):
+    """Q diag(eigvals) Q^T for a seeded random orthogonal Q, per row of eigvals."""
+    q = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(eigvals), 3, 3)))[0]
+    return np.einsum("nij,nj,nkj->nik", q, eigvals, q)
+
+
+def random_symmetric(m, seed):
+    a = np.random.default_rng(seed).normal(size=(m, 3, 3))
+    return a + a.transpose(0, 2, 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "mats",
+    [
+        np.zeros((2, 3, 3)),
+        np.array([np.diag([3.0, 1.0, 2.0]), np.diag([-1.0, 0.0, -5.0]), np.diag([7.0, 7.0, -7.0])]),
+        2.5 * np.eye(3)[None],
+        rotated(np.array([[1.0, 1.0, 4.0], [2.0, 5.0, 5.0], [-3.0, -3.0, -3.0]] * 50), seed=1),
+        rotated(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1e-9]] * 50), seed=2),  # rank 1: colinear points
+        rotated(np.array([[0.0, 1.0, 2.0], [0.0, 1e-9, 1.0]] * 50), seed=3),  # rank 2: planar points
+        1e-150 * random_symmetric(1000, seed=4),
+        1e150 * random_symmetric(1000, seed=5),
+        random_symmetric(100_000, seed=6),
+        # theta = (a_qq - a_pp) / 2 a_pq would overflow, or its square would
+        np.array([[[0.0, 1e-300, 5e-324], [1e-300, 1.0, 1e-160], [5e-324, 1e-160, 2.0]]]),
+        np.zeros((0, 3, 3)),
+    ],
+    ids=["zero", "diagonal", "scalar", "repeated", "rank-1", "rank-2", "1e-150", "1e150", "random", "tiny-pq", "empty"],
+)
+def test_jacobi_decomposes_symmetric_matrices(mats):
+    eigvals, eigvecs = jacobi(mats)
+    assert eigvals.shape == (len(mats), 3) and eigvecs.shape == (len(mats), 3, 3)
+    norm = np.sqrt(np.sum(mats * mats, axis=(1, 2)))
+    unit = np.where(norm > 0.0, norm, 1.0)[:, None]
+    assert np.all(np.abs(eigvals - np.linalg.eigvalsh(mats)) <= 1e-12 * norm[:, None])
+    assert np.all(eigvals[:, :2] <= eigvals[:, 1:])
+    assert np.all(np.abs(eigvecs.transpose(0, 2, 1) @ eigvecs - np.eye(3)) <= 1e-12)
+    # A V - V diag(eigvals), in units of |A|_F so that no square underflows
+    residual = (mats / unit[:, :, None]) @ eigvecs - eigvecs * (eigvals / unit)[:, None, :]
+    assert np.all(np.sqrt(np.sum(residual * residual, axis=(1, 2))) <= 1e-12)
+
+
+def test_jacobi_keeps_the_identity_where_nothing_rotates():
+    # a zero or scalar matrix rotates nothing, and the equal eigenvalues
+    # keep their columns in place
+    for mats in (np.zeros((1, 3, 3)), 4.0 * np.eye(3)[None]):
+        eigvals, eigvecs = jacobi(mats)
+        assert np.array_equal(eigvals, np.diag(mats[0])[None])
+        assert np.array_equal(eigvecs, np.eye(3)[None])
+    # a diagonal matrix only has its columns sorted
+    eigvals, eigvecs = jacobi(np.diag([3.0, 1.0, 2.0])[None])
+    assert np.array_equal(eigvals, [[1.0, 2.0, 3.0]])
+    assert np.array_equal(eigvecs, np.eye(3)[None][:, :, [1, 2, 0]])
+
+
+# PCA normals, their orientation and uneven inserts of a seeded noisy sphere;
+# prints one SHA-256 digest a line
+_KERNEL_PROBE = """
+import hashlib
+import numpy as np
+from treescan.cloud import PointCloud
+from treescan.degrade import UnevenParams, uneven_density
+from treescan.scanner import estimate_normals, orient_normals
+
+rng = np.random.default_rng(29)
+points = rng.normal(size=(20_000, 3))
+points *= ((1.0 + 0.01 * rng.normal(size=20_000)) / np.sqrt(np.sum(points * points, axis=1)))[:, None]
+normals = estimate_normals(PointCloud(points), 16)
+oriented = orient_normals(normals, 16)
+uneven = uneven_density(oriented, UnevenParams(region=((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0)), r=0.07, seed=1))
+for array in (normals.normals, oriented.normals, uneven.points, uneven.normals):
+    print(hashlib.sha256(array.tobytes()).hexdigest())
+"""
+
+
+def openblas_dynamic_arch() -> bool:
+    """numpy's BLAS is an OpenBLAS that picks its kernel when it loads."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in blas["name"] and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not openblas_dynamic_arch(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+def test_neighbour_stages_give_the_same_bits_on_every_openblas_kernel():
+    src = str(Path(geometry.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = src
+    digests = []
+    for run_env in (env, {**env, "OPENBLAS_CORETYPE": "Prescott"}):
+        proc = subprocess.run(
+            [sys.executable, "-c", _KERNEL_PROBE], env=run_env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 4
+    assert digests[0] == digests[1]
 
 
 def test_usable_cores_counts_the_affinity_mask(monkeypatch):
