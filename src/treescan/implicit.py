@@ -40,12 +40,15 @@ The ray marcher reads NaN as exterior.
 
 The fit works in bounded pieces without moving a bit of its output. The
 octree descent walks batches of subtrees depth first, stepping each batch
-one level at a time under a fixed budget of (node, triangle) pairs, and
-then puts its leaves back in level order (by depth, then child path):
-cell ids and the order in which each cell's moments are summed are those
-of one level-synchronous walk of the whole tree. The moments are computed
-in cache-sized blocks, and the cell index is built a chunk of spheres at
-a time.
+one level at a time under a fixed budget of (node, triangle) pairs, fits
+each run of leaves as it settles, and then puts the leaves back in level
+order (by depth, then child path): cell ids are those of one
+level-synchronous walk of the whole tree. Each cell's moments are the
+bincount of its own member pairs, in candidate order, and each pair's
+moments are computed alone, in cache-sized blocks, with the rule's sums
+written out rather than left to BLAS. So no block size, budget or BLAS
+kernel sets a bit of the fit, and no list of every member pair is held.
+The cell index is built a chunk of spheres at a time.
 
 The descent reads its exact point–triangle distances only in `<=` tests,
 against a node's radius (membership) and its child bound (the children's
@@ -187,9 +190,15 @@ def _pair_moments(centers, quad_pts, omega, areas, epsilon: float):
 
     centers (p, 3), quad_pts (p, q, 3) and areas (p,) are row-aligned.
     Returns (int_w (p,), int_xw (p, 3)); zero-area triangles integrate to 0.
+    int_w's sum over q is written out as multiply-adds in q order, and
+    int_xw's einsum sums in q order whatever p is, so a pair's moments
+    never depend on the other pairs of its block.
     """
     w = weight(quad_pts, centers[:, None, :], epsilon)
-    int_w = areas * (w @ omega)
+    sum_w = w[:, 0] * omega[0]
+    for q in range(1, len(omega)):
+        sum_w += w[:, q] * omega[q]
+    int_w = areas * sum_w
     int_xw = areas[:, None] * np.einsum("pq,q,pqd->pd", w, omega, quad_pts)
     return int_w, int_xw
 
@@ -348,17 +357,17 @@ class ImplicitSurface:
 
     # -- field evaluation ---------------------------------------------------
 
-    def _pairs(self, points: np.ndarray, axes=None):
+    def _pairs(self, points: np.ndarray, axes):
         """(row, cell, r) for every point strictly inside a sphere, r < R,
         with r the point's distance from the center; by row, then cell.
-        axes, when given, are the points' coordinates as `_axes(points)`.
+        axes are the points' coordinates as `_axes(points)`.
 
         r is sqrt(dx*dx + dy*dy + dz*dz), summed in the order
         np.linalg.norm(axis=1) uses, so it has the same bits.
         """
         rows, cells = self.index.candidate_pairs(points)
         d2 = None
-        for p, center_axis in zip(_axes(points) if axes is None else axes, self._center_axes):
+        for p, center_axis in zip(axes, self._center_axes):
             d = p[rows]
             d -= center_axis[cells]
             d *= d
@@ -422,17 +431,9 @@ class ImplicitSurface:
         return self._blend(np.asarray(points, dtype=np.float64).reshape(-1, 3), want_gradient=True)[1]
 
 
-# (cell, triangle) pairs per batch of `_batched_affines`.  Each batch adds
-# its bincount sums into the cells' moments, so this size sets the order in
-# which the moments are summed: moving it changes the bits of every fit and
-# of the `.mpuf` caches.  It does not set the fit's memory: a batch's pair
-# moments are computed in `_MOMENT_BLOCK` pieces.
-_PAIR_CHUNK = 1 << 18
-
 # (cell, triangle) pairs per `_pair_moments` call: its quadrature gathers
 # and weights then take a few hundred kB.  Each pair's moments are computed
-# alone, so the block size never changes a bit, as long as no block holds a
-# single pair of a larger batch (see `_batched_affines`); keep it >= 2.
+# alone, so the block size never changes a bit.
 _MOMENT_BLOCK = 1 << 12
 
 # (point, triangle) pairs per call of the distance kernel.  Its three dozen
@@ -515,35 +516,26 @@ def _child_keep(centers, sizes, diff, d, tri_ids, corners, child_radii, slack):
 
 
 def _batched_affines(centers, pair_cells, pair_tris, quad_pts, omega, areas, tri_normals, epsilon):
-    """Fit every cell's shape function from flat (cell, triangle) pairs.
+    """Fit one run of cells' shape functions from its (cell, triangle) pairs.
 
     n_avg and p_avg of the module docstring are the pair moments summed per
-    cell with bincount, in pair order.  Cells whose weighted normal cancels
-    take the nearest member triangle's normal.
+    cell by one bincount each, in pair order.  Cells whose weighted normal
+    cancels take the nearest member triangle's normal.
     """
-    n = len(centers)
-    num_n = np.zeros((n, 3))
-    num_p = np.zeros((n, 3))
-    den = np.zeros(n)
-    for a in range(0, len(pair_cells), _PAIR_CHUNK):
-        b = min(a + _PAIR_CHUNK, len(pair_cells))
-        cid, tid = pair_cells[a:b], pair_tris[a:b]
-        int_w, int_xw = np.empty(b - a), np.empty((b - a, 3))
-        # BLAS takes a lone pair's `w @ omega` as a dot product, whose bits
-        # differ from its matrix-vector kernel's, so a lone last pair joins
-        # the block before it
-        stops = [*range(_MOMENT_BLOCK, b - a - 1, _MOMENT_BLOCK), b - a]
-        for s, e in zip([0, *stops], stops):
-            c, t = cid[s:e], tid[s:e]
-            int_w[s:e], int_xw[s:e] = _pair_moments(centers[c], quad_pts[t], omega, areas[t], epsilon)
-        den += np.bincount(cid, weights=int_w, minlength=n)
-        for axis in range(3):
-            num_n[:, axis] += np.bincount(cid, weights=int_w * tri_normals[tid, axis], minlength=n)
-            num_p[:, axis] += np.bincount(cid, weights=int_xw[:, axis], minlength=n)
+    int_w, int_xw = np.empty(len(pair_cells)), np.empty((len(pair_cells), 3))
+    for a in range(0, len(pair_cells), _MOMENT_BLOCK):
+        block = slice(a, a + _MOMENT_BLOCK)
+        c, t = pair_cells[block], pair_tris[block]
+        int_w[block], int_xw[block] = _pair_moments(centers[c], quad_pts[t], omega, areas[t], epsilon)
+
+    def per_cell(weights):
+        return np.bincount(pair_cells, weights=weights, minlength=len(centers))
+
+    den = per_cell(int_w)
     if np.any(den <= 0.0):
         raise InsufficientTrianglesError("a cell has only degenerate member triangles")
-    avg_normal = num_n / den[:, None]
-    avg_point = num_p / den[:, None]
+    avg_normal = np.stack([per_cell(int_w * tri_normals[pair_tris, axis]) for axis in range(3)], axis=1) / den[:, None]
+    avg_point = np.stack([per_cell(int_xw[:, axis]) for axis in range(3)], axis=1) / den[:, None]
 
     cancelled = np.flatnonzero(np.linalg.norm(avg_normal, axis=1) < 1e-12)
     for i in cancelled:
@@ -557,16 +549,18 @@ def _batched_affines(centers, pair_cells, pair_tris, quad_pts, omega, areas, tri
     return avg_normal, offsets
 
 
-def _descend(lo, hi, corners):
-    """The octree descent: kept leaves and their members.
+def _descend(lo, hi, corners, fit):
+    """The octree descent: kept leaves, each fitted as its run settles.
 
     corners are the triangles' v0, v1 and v2, each (3, triangles) with
-    coordinates as rows.
+    coordinates as rows.  Each leaf's members are its candidates within its
+    radius, in candidate order.  fit(centers, pair_leaf, pair_tris) takes a
+    run of leaves and its member pairs, the leaf index local to the run, and
+    returns the run's (normals, offsets).
 
-    Returns (centers, radii, pair_cells, pair_tris).  Leaves are listed in
-    level order: by depth, and within a depth by base-8 child path (root to
-    node, children in `_CHILD_OFFSETS` order).  Each leaf's members are its
-    candidates within its radius, in candidate order.
+    Returns (centers, radii, normals, offsets).  Leaves are listed in level
+    order: by depth, and within a depth by base-8 child path (root to node,
+    children in `_CHILD_OFFSETS` order).
 
     A split node's candidates within the child bound go to each child
     that `_child_keep`'s half-space bound does not rule out (module
@@ -581,16 +575,16 @@ def _descend(lo, hi, corners):
     order, and so is each batch cut from them; so the leaves a step finds
     form one run of the level order, tagged with the depth and path of its
     first node, and sorting the runs by their tags gives the order of a
-    walk that steps a whole level at once.
+    walk that steps a whole level at once.  A cell's fit reads only its own
+    members, so fitting run by run gives the bits of one fit of all cells.
     """
     scale = SPHERE_RADIUS_SCALE
     n_tris = corners[0].shape[1]
     flat = flat_triangles(*corners)
     slack = _CULL_SLACK * float(np.linalg.norm(hi - lo) + np.abs(np.concatenate([lo, hi])).max())
-    # (depth, path, centers, radii, pair leaf index within run, pair
-    # triangles); an empty run at depth 0 keeps the concatenations defined
-    # when no leaf settles
-    leaf_runs = [(0, 0, np.empty((0, 3)), np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))]
+    # (depth, path, centers, radii, normals, offsets); an empty run at depth
+    # 0 keeps the concatenations defined when no leaf settles
+    leaf_runs = [(0, 0, np.empty((0, 3)), np.empty(0), np.empty((0, 3)), np.empty(0))]
     # a batch: depth, node paths, centers, box sizes, flat candidates,
     # candidates per node.  A path holds one base-8 digit per level below
     # the root, so it fits an int64 (`MAX_DEPTH`)
@@ -618,9 +612,8 @@ def _descend(lo, hi, corners):
             ids = np.flatnonzero(settle)
             keep_pair = settle[node_of_pair] & member_mask
             local = np.cumsum(settle) - 1
-            leaf_runs.append(
-                (depth, paths[ids[0]], centers[ids], radii[ids], local[node_of_pair[keep_pair]], cand[keep_pair])
-            )
+            fitted = fit(centers[ids], local[node_of_pair[keep_pair]], cand[keep_pair])
+            leaf_runs.append((depth, paths[ids[0]], centers[ids], radii[ids], *fitted))
         if not np.any(split):
             continue
 
@@ -671,13 +664,7 @@ def _descend(lo, hi, corners):
             )
 
     leaf_runs.sort(key=lambda run: (run[0], int(run[1])))
-    starts = np.cumsum([0, *(len(run[2]) for run in leaf_runs)])
-    return (
-        np.concatenate([run[2] for run in leaf_runs]),
-        np.concatenate([run[3] for run in leaf_runs]),
-        np.concatenate([run[4] + start for run, start in zip(leaf_runs, starts)]),
-        np.concatenate([run[5] for run in leaf_runs]),
-    )
+    return tuple(np.concatenate([run[k] for run in leaf_runs]) for k in range(2, 6))
 
 
 def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitSurface:
@@ -700,15 +687,15 @@ def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitS
     epsilon = cfg.epsilon if cfg.epsilon is not None else DEFAULT_EPSILON_SCALE * diag
 
     # the octree descent: subtrees walked depth first in batches under a
-    # fixed pair budget, their leaves put back in level order
+    # fixed pair budget, each run of leaves fitted as it settles, the leaves
+    # put back in level order
     corners = tuple(np.ascontiguousarray(v.T) for v in (v0, v1, v2))
-    centers, radii, pair_cells, pair_tris = _descend(lo, hi, corners)
-
     quad_pts, omega = _quadrature_points(v0, v1, v2)
-    normals_out, offsets_out = _batched_affines(
-        centers, pair_cells, pair_tris, quad_pts, omega, areas, tri_normals, epsilon
-    )
-    del pair_cells, pair_tris  # freed before the cell index is built
+
+    def fit(run_centers, pair_leaf, pair_tris):
+        return _batched_affines(run_centers, pair_leaf, pair_tris, quad_pts, omega, areas, tri_normals, epsilon)
+
+    centers, radii, normals_out, offsets_out = _descend(lo, hi, corners, fit)
 
     diagnostics = {
         "cells": len(centers),
@@ -724,7 +711,7 @@ def build_surface(mesh: TriangleMesh, cfg: FitConfig | None = None) -> ImplicitS
 # -- binary cache ------------------------------------------------------------
 
 _MAGIC = b"MPUF"
-_VERSION = 3
+_VERSION = 4
 # magic, version, key (`surface_key`, or zeros), epsilon, bbox lo and hi, cell count
 _HEADER = struct.Struct("<4sI32sd6dQ")
 

@@ -5,10 +5,16 @@ nothing may share them. Tests that need to time a cold build construct
 their own objects.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import hypothesis
 import numpy as np
 import pytest
 
+import treescan
 from treescan import (
     FitConfig,
     ScanConfig,
@@ -27,6 +33,28 @@ hypothesis.settings.register_profile(
     "ci", max_examples=50, deadline=None, derandomize=True
 )
 hypothesis.settings.load_profile("ci")
+
+
+def openblas_dynamic_arch() -> bool:
+    """numpy's BLAS is an OpenBLAS that picks its kernel when it loads."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in blas["name"] and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+def outputs_per_openblas_kernel(script: str, *args) -> list[list[str]]:
+    """The stdout words of `python -c script *args` on OpenBLAS's default
+    kernel and under OPENBLAS_CORETYPE=Prescott, with this treescan on the
+    path."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(treescan.__file__).resolve().parents[1])
+    outputs = []
+    for run_env in (env, {**env, "OPENBLAS_CORETYPE": "Prescott"}):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *map(str, args)], env=run_env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.split())
+    return outputs
 
 
 @pytest.fixture

@@ -1,10 +1,6 @@
 """Geometry kernels against closed forms and a sampling oracle."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +22,8 @@ from treescan.geometry import (
     tree_order_neighbours,
     triangle_areas_normals,
 )
+
+from .conftest import openblas_dynamic_arch, outputs_per_openblas_kernel
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 vec3 = arrays(np.float64, 3, elements=finite)
@@ -389,26 +387,11 @@ for array in (normals.normals, oriented.normals, uneven.points, uneven.normals):
 """
 
 
-def openblas_dynamic_arch() -> bool:
-    """numpy's BLAS is an OpenBLAS that picks its kernel when it loads."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return "openblas" in blas["name"] and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
-
-
 @pytest.mark.skipif(not openblas_dynamic_arch(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
 def test_neighbour_stages_give_the_same_bits_on_every_openblas_kernel():
-    src = str(Path(geometry.__file__).resolve().parents[1])
-    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
-    env["PYTHONPATH"] = src
-    digests = []
-    for run_env in (env, {**env, "OPENBLAS_CORETYPE": "Prescott"}):
-        proc = subprocess.run(
-            [sys.executable, "-c", _KERNEL_PROBE], env=run_env, capture_output=True, text=True, timeout=300
-        )
-        assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.split())
-    assert len(digests[0]) == 4
-    assert digests[0] == digests[1]
+    default, prescott = outputs_per_openblas_kernel(_KERNEL_PROBE)
+    assert len(default) == 4
+    assert default == prescott
 
 
 def test_usable_cores_counts_the_affinity_mask(monkeypatch):

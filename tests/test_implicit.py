@@ -22,6 +22,7 @@ from treescan.implicit import (
     DEFAULT_EPSILON_SCALE,
     FitConfig,
     ImplicitSurface,
+    _axes,
     _batched_affines,
     _pair_distances,
     _pair_moments,
@@ -36,7 +37,7 @@ from treescan.mesh import TriangleMesh
 from treescan.primitives import icosphere
 from treescan.rng import derive_seed
 
-from .conftest import CACHE_FAULTS, damaged_cache
+from .conftest import CACHE_FAULTS, damaged_cache, openblas_dynamic_arch, outputs_per_openblas_kernel
 
 # a generic skewed triangle roughly unit distance from the origin
 SKEW_TRI = np.array(
@@ -404,9 +405,10 @@ def small_preset_mesh(master_seed=1):
 
 def test_fit_memory_peak_is_bounded():
     # the fit works in bounded pieces: the descent in batches under a pair
-    # budget, the moments in small blocks, the cell index in sphere chunks.
-    # Holding a whole level's pairs and a 262,144-pair moment batch at once
-    # peaked at 130 MB here.
+    # budget, each run of leaves fitted as it settles with its moments in
+    # small blocks, the cell index in sphere chunks.  No list of every
+    # member pair is held; holding a whole level's pairs and a moment batch
+    # of 262,144 member pairs at once peaked at 130 MB here.
     mesh = small_preset_mesh()
     tracemalloc.start()
     try:
@@ -419,14 +421,18 @@ def test_fit_memory_peak_is_bounded():
 
 
 @pytest.mark.parametrize(
-    "fit",
+    "fit, moment_block, descent_pairs",
     [
-        {},
+        ({}, 3, 16),
         # at this scale a cell splits less; a low cap takes it deep again
-        {"sphere_radius_scale": 0.6, "max_triangles_per_cell": 4},
+        ({"sphere_radius_scale": 0.6, "max_triangles_per_cell": 4}, 3, 16),
+        # one pair a moment block and about one node a descent batch, so
+        # runs of leaves are short: a cell's moments depend on neither
+        ({}, 1, 1),
     ],
+    ids=["fit0", "fit1", "fit2"],
 )
-def test_fit_is_piece_size_independent(monkeypatch, fit):
+def test_fit_is_piece_size_independent(monkeypatch, fit, moment_block, descent_pairs):
     # tiny moment blocks, index chunks and descent batches give the bits of
     # the default sizes: each piece's results depend on its own pairs alone,
     # and the descent puts its leaves back in level order
@@ -434,9 +440,9 @@ def test_fit_is_piece_size_independent(monkeypatch, fit):
     set_octree(monkeypatch, **fit)
     cfg = FitConfig()
     whole = build_surface(mesh, cfg)
-    monkeypatch.setattr(implicit, "_MOMENT_BLOCK", 3)
+    monkeypatch.setattr(implicit, "_MOMENT_BLOCK", moment_block)
     monkeypatch.setattr(implicit, "_INDEX_CHUNK", 7)
-    monkeypatch.setattr(implicit, "_DESCENT_PAIRS", 16)
+    monkeypatch.setattr(implicit, "_DESCENT_PAIRS", descent_pairs)
     pieces = build_surface(mesh, cfg)
 
     # the tree splits to depth 5 or more, so many batches ran
@@ -445,6 +451,31 @@ def test_fit_is_piece_size_independent(monkeypatch, fit):
         assert np.array_equal(getattr(pieces, name), getattr(whole, name))
     assert np.array_equal(pieces.index.csr_cells, whole.index.csr_cells)
     assert np.array_equal(pieces.index.csr_start, whole.index.csr_start)
+
+
+# the cell arrays of one fit of a saved mesh; prints one SHA-256 digest a line
+_FIT_PROBE = """
+import hashlib, sys
+import numpy as np
+from treescan.implicit import build_surface
+from treescan.mesh import TriangleMesh
+
+surf = build_surface(TriangleMesh(np.load(sys.argv[1]), np.load(sys.argv[2])))
+for array in (surf.centers, surf.radii, surf.normals, surf.offsets):
+    print(hashlib.sha256(array.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not openblas_dynamic_arch(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+def test_fit_gives_the_same_bits_on_every_openblas_kernel(tmp_path):
+    # both fits read one saved mesh: `sweep_mesh` still takes 1-D norms and
+    # dots through BLAS, so the mesh itself may differ by kernel
+    mesh = small_preset_mesh()
+    np.save(tmp_path / "vertices.npy", mesh.vertices)
+    np.save(tmp_path / "triangles.npy", mesh.triangles)
+    default, prescott = outputs_per_openblas_kernel(_FIT_PROBE, tmp_path / "vertices.npy", tmp_path / "triangles.npy")
+    assert len(default) == 4
+    assert default == prescott
 
 
 def random_triangles(rng, n):
@@ -593,7 +624,7 @@ def corner_spheres():
 
 
 def assert_pairs_match_brute_force(surf, pts):
-    rows, cells, r = surf._pairs(pts)
+    rows, cells, r = surf._pairs(pts, _axes(pts))
     dist = np.linalg.norm(pts[:, None, :] - surf.centers[None, :, :], axis=2)
     want_rows, want_cells = np.nonzero(dist < surf.radii[None, :])
     # same pairs in the same order (by point, then ascending cell), so the
@@ -678,7 +709,7 @@ def test_pair_prefilter_keeps_spheres_whose_square_underflows():
     axes = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
     pts = (steps[:, None, None, None] * tiny[None, :, None, None] * axes[None, None]).reshape(-1, 3)
     assert_pairs_match_brute_force(surf, pts)
-    _, cells, _ = surf._pairs(pts)
+    _, cells, _ = surf._pairs(pts, _axes(pts))
     assert np.sum(cells == len(radii)) >= 4 and np.sum(cells == len(radii) + 1) >= 4
 
 
@@ -833,7 +864,7 @@ def test_shape_values_sum_in_einsums_order():
 def einsum_blend(surf, points):
     """Reference: the blend's values and gradients with <p, n> an einsum."""
     n = len(points)
-    rows, cells, r = surf._pairs(points)
+    rows, cells, r = surf._pairs(points, _axes(points))
     radii = surf.radii[cells]
     u = r / radii
     inner = u <= (1.0 / 3.0)
@@ -950,7 +981,7 @@ def test_surface_cache_rejects_corruption(tmp_path, sphere_surface_320):
     with pytest.raises(SurfaceCacheError):
         load_surface(stub)
 
-    for version in (1, 2, 999):
+    for version in (1, 2, 3, 999):
         bad_version = tmp_path / "version.mpuf"
         bad_version.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
         with pytest.raises(SurfaceCacheError, match="version"):

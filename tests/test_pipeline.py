@@ -235,6 +235,23 @@ def test_surface_cache_refits_when_stale(tmp_path, monkeypatch):
     assert role_digests(third) == role_digests(second)
 
 
+def test_surface_cache_of_version_3_is_refitted(tmp_path, monkeypatch):
+    # version 3 summed the moments in another order: its cache holds this
+    # mesh's key but other cell bits, so a rerun refits rather than adopt it
+    out = tmp_path / "cached"
+    first = run_pipeline(tiny_config(out, name="model", cache_surface=True))
+    cache = out / "model.mpuf"
+    blob = cache.read_bytes()
+    cache.write_bytes(blob[:4] + (3).to_bytes(4, "little") + blob[8:])
+    fits = counting(monkeypatch, pipeline, "build_surface")
+    again = run_pipeline(tiny_config(out, name="model", cache_surface=True))
+    assert len(fits) == 1
+    assert len(again.warnings) == 1
+    assert again.warnings[0].startswith("surface cache refitted: ") and "version 3" in again.warnings[0]
+    assert cache.read_bytes() == blob
+    assert role_digests(again) == role_digests(first)
+
+
 @pytest.mark.parametrize("resolution, views", [(100, 4), (60, 6)])
 def test_density_reuses_the_clean_scan(tmp_path, monkeypatch, resolution, views):
     # two views at each marched resolution: the clean scan, the march at 150
