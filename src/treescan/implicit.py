@@ -491,13 +491,15 @@ def _child_keep(centers, sizes, diff, d, tri_ids, corners, child_radii, slack):
 
     Row i pairs a node with triangle tri_ids[i]: the node's center and box
     sizes, and diff, its center minus the kernel's closest point on the
-    triangle, are (3, n) with coordinates as rows; d[i] is diff[:, i]'s
-    norm.  Returns (n, 8) bool, children in `_CHILD_OFFSETS` order, False
-    where a half-space bound proves the triangle farther than the child
-    radius plus slack from that child's center (module docstring): for the
-    unit u = diff / d, every point of the triangle has <., u> at most
-    top = max_i <v_i, u>, so d(x + o, T) >= <x, u> - top + <o, u>.  A pair
-    with d within the slack keeps every child, its u being unreliable.
+    triangle, are (3, n) with coordinates as rows (sizes (3, 1) and
+    child_radii a scalar when every row shares one box); d[i] is
+    diff[:, i]'s norm.  Returns (n, 8) bool, children in `_CHILD_OFFSETS`
+    order, False where a half-space bound proves the triangle farther than
+    the child radius plus slack from that child's center (module
+    docstring): for the unit u = diff / d, every point of the triangle has
+    <., u> at most top = max_i <v_i, u>, so d(x + o, T) >= <x, u> - top +
+    <o, u>.  A pair with d within the slack keeps every child, its u being
+    unreliable.
     """
     near = d <= slack
     u = diff / np.where(near, 1.0, d)
@@ -585,16 +587,17 @@ def _descend(lo, hi, corners, fit):
     # (depth, path, centers, radii, normals, offsets); an empty run at depth
     # 0 keeps the concatenations defined when no leaf settles
     leaf_runs = [(0, 0, np.empty((0, 3)), np.empty(0), np.empty((0, 3)), np.empty(0))]
-    # a batch: depth, node paths, centers, box sizes, flat candidates,
-    # candidates per node.  A path holds one base-8 digit per level below
-    # the root, so it fits an int64 (`MAX_DEPTH`)
+    # a batch: depth, node paths, centers, flat candidates, candidates per
+    # node.  A path holds one base-8 digit per level below the root, so it
+    # fits an int64 (`MAX_DEPTH`).  Every node of a depth has the same box
     root = ((lo + hi) / 2.0)[None, :]
-    batches = [(1, np.zeros(1, dtype=np.int64), root, (hi - lo)[None, :], np.arange(n_tris), np.array([n_tris]))]
+    batches = [(1, np.zeros(1, dtype=np.int64), root, np.arange(n_tris), np.array([n_tris]))]
     while batches:
-        depth, paths, centers, sizes, cand, counts = batches.pop()
+        depth, paths, centers, cand, counts = batches.pop()
         n_nodes = len(centers)
-        diag = np.linalg.norm(sizes, axis=1)
-        radii = scale * diag
+        size = (hi - lo) / 2.0 ** (depth - 1)
+        diag = np.sqrt(np.add.reduce(size * size))  # a 1-D norm would call BLAS's dot
+        radius = scale * diag
         node_of_pair = np.repeat(np.arange(n_nodes), counts)
         # each pair's node center, and the center minus its closest point
         # on the triangle, coordinates as rows
@@ -602,7 +605,7 @@ def _descend(lo, hi, corners, fit):
         diff = np.empty_like(pair_centers)
         d = _pair_distances(pair_centers, cand, corners, flat, diff)
 
-        member_mask = d <= radii[node_of_pair]
+        member_mask = d <= radius
         member_counts = np.bincount(node_of_pair[member_mask], minlength=n_nodes)
         split = (member_counts > MAX_TRIANGLES_PER_CELL) & (depth < MAX_DEPTH)
         # empty leaves are dropped; a leaf with any member is a cell
@@ -613,7 +616,7 @@ def _descend(lo, hi, corners, fit):
             keep_pair = settle[node_of_pair] & member_mask
             local = np.cumsum(settle) - 1
             fitted = fit(centers[ids], local[node_of_pair[keep_pair]], cand[keep_pair])
-            leaf_runs.append((depth, paths[ids[0]], centers[ids], radii[ids], *fitted))
+            leaf_runs.append((depth, paths[ids[0]], centers[ids], np.full(len(ids), radius), *fitted))
         if not np.any(split):
             continue
 
@@ -621,14 +624,13 @@ def _descend(lo, hi, corners, fit):
         # which hold their own boxes (scale > 1/2): anything within scale x
         # child diagonal of a child center lies within this bound of the parent
         child_bound = (0.5 * scale + 0.25) * diag
-        seg = np.flatnonzero(split[node_of_pair] & (d <= child_bound[node_of_pair]))
+        seg = np.flatnonzero(split[node_of_pair] & (d <= child_bound))
         seg_node = node_of_pair[seg]
         split_ids = np.flatnonzero(split)
         # the (candidate, child) pairs the half-space bound keeps; a child's
         # radius is half its parent's
         keep = _child_keep(
-            pair_centers[:, seg], sizes[seg_node].T, diff[:, seg], d[seg], cand[seg], corners,
-            0.5 * radii[seg_node], slack,
+            pair_centers[:, seg], size[:, None], diff[:, seg], d[seg], cand[seg], corners, 0.5 * radius, slack
         )
         rows, child_of_row = np.divmod(np.flatnonzero(keep), 8)
         # children numbered in path order; a stable sort by child keeps
@@ -639,10 +641,7 @@ def _descend(lo, hi, corners, fit):
         ends = np.cumsum(child_counts)
         del rows, child_of_row, entry_child
         child_paths = (paths[split_ids][:, None] * 8 + np.arange(8)).ravel()
-        child_centers = (
-            centers[split_ids][:, None, :] + _CHILD_OFFSETS[None, :, :] * sizes[split_ids][:, None, :]
-        ).reshape(-1, 3)
-        child_sizes = np.repeat(sizes[split_ids] / 2.0, 8, axis=0)
+        child_centers = (centers[split_ids][:, None, :] + _CHILD_OFFSETS[None, :, :] * size).reshape(-1, 3)
 
         # cut the children into batches, each before a child whose pairs
         # start past a new multiple of `_DESCENT_PAIRS`: a batch holds fewer
@@ -657,7 +656,6 @@ def _descend(lo, hi, corners, fit):
                     depth + 1,
                     child_paths[s:e],
                     child_centers[s:e],
-                    child_sizes[s:e],
                     child_cand[first[s] : ends[e - 1]],
                     child_counts[s:e],
                 )

@@ -41,13 +41,13 @@ class TriangleMesh:
         return triangle_areas_normals(*self.corners())
 
 
-def _ring(center: np.ndarray, radius: float, u: np.ndarray, v: np.ndarray, sides: int) -> np.ndarray:
-    ang = 2.0 * math.pi * np.arange(sides) / sides
-    return center + radius * (np.cos(ang)[:, None] * u + np.sin(ang)[:, None] * v)
-
-
 def sweep_mesh(skeleton: SkeletonGraph, sides: int = 24) -> TriangleMesh:
     """Sweep tubes along every skeleton edge.
+
+    The arrays are sized up front: with E edges and a cap per root edge and
+    per leaf, 2*sides*E + caps vertices and sides*(2E + caps) triangles.  The
+    walk writes each edge as one block: its two rings, its 2*sides tube
+    triangles, then the apex and fan of each cap it closes (root end first).
 
     Raises ZeroLengthEdgeError if any edge has coincident endpoints; such an
     edge has no axis to sweep around.
@@ -58,37 +58,32 @@ def sweep_mesh(skeleton: SkeletonGraph, sides: int = 24) -> TriangleMesh:
 
     kids = skeleton.children()
     index = {n.id: n for n in skeleton.nodes}
+    n_edges = len(skeleton.edges)
+    n_caps = len(kids[skeleton.root]) + sum(not kids[c] for _, c in skeleton.edges)
+    vertices = np.empty((2 * sides * n_edges + n_caps, 3))
+    triangles = np.empty((sides * (2 * n_edges + n_caps), 3), dtype=np.int64)
 
-    vertices: list[np.ndarray] = []
-    triangles: list[tuple[int, int, int]] = []
+    ang = 2.0 * math.pi * np.arange(sides) / sides
+    cos, sin = np.cos(ang)[:, None], np.sin(ang)[:, None]
+    k = np.arange(sides)
+    k1 = (k + 1) % sides
+    # two outward triangles per side between ring a (parent end) and ring b
+    tube = np.column_stack([k, k1, sides + k, k1, sides + k1, sides + k]).reshape(-1, 3)
+    # (apex, ring + k, ring + k1): outward at a leaf; the root's fan is flipped
+    leaf_fan = np.column_stack([np.zeros(sides, dtype=np.int64), k, k1])
+    root_fan = leaf_fan[:, [0, 2, 1]]
+    n_v = n_t = 0
 
-    def add_ring(center, radius, u, v) -> int:
-        base = len(vertices)
-        vertices.extend(_ring(center, radius, u, v, sides))
-        return base
-
-    def add_tube(ring_a: int, ring_b: int) -> None:
-        # ring_a at the parent end, ring_b at the child end; outward winding
-        for k in range(sides):
-            k1 = (k + 1) % sides
-            triangles.append((ring_a + k, ring_a + k1, ring_b + k))
-            triangles.append((ring_a + k1, ring_b + k1, ring_b + k))
-
-    def add_cap(apex: np.ndarray, ring: int, outward_flip: bool) -> None:
-        base = len(vertices)
-        vertices.append(apex)
-        for k in range(sides):
-            k1 = (k + 1) % sides
-            if outward_flip:
-                triangles.append((base, ring + k1, ring + k))
-            else:
-                triangles.append((base, ring + k, ring + k1))
+    def cap(apex: np.ndarray, ring: int, fan: np.ndarray) -> None:
+        nonlocal n_v, n_t
+        vertices[n_v] = apex
+        triangles[n_t : n_t + sides] = (n_v, ring, ring) + fan
+        n_v, n_t = n_v + 1, n_t + sides
 
     # one minimal-rotation frame per edge, carried depth-first along paths
     # so each child edge inherits its parent edge's frame
-    work: list[tuple[int, int, np.ndarray | None, np.ndarray | None]] = []
-    for c in reversed(kids[skeleton.root]):
-        work.append((skeleton.root, c, None, None))
+    work: list[tuple[int, int, np.ndarray | None, np.ndarray | None]]
+    work = [(skeleton.root, c, None, None) for c in reversed(kids[skeleton.root])]
     while work:
         p, c, d_prev, u_prev = work.pop()
         a = index[p].position
@@ -105,17 +100,19 @@ def sweep_mesh(skeleton: SkeletonGraph, sides: int = 24) -> TriangleMesh:
             u = u - d * np.dot(u, d)  # re-orthogonalize against drift
             u = u / np.linalg.norm(u)
             v = np.cross(d, u)
-        ring_a = add_ring(a, index[p].radius, u, v)
-        ring_b = add_ring(b, index[c].radius, u, v)
-        add_tube(ring_a, ring_b)
+        ring = cos * u + sin * v
+        vertices[n_v : n_v + sides] = a + index[p].radius * ring
+        vertices[n_v + sides : n_v + 2 * sides] = b + index[c].radius * ring
+        triangles[n_t : n_t + 2 * sides] = n_v + tube
+        ring_a, n_v, n_t = n_v, n_v + 2 * sides, n_t + 2 * sides
         if p == skeleton.root:
-            add_cap(a, ring_a, outward_flip=True)
+            cap(a, ring_a, root_fan)
         if not kids[c]:
-            add_cap(b, ring_b, outward_flip=False)
+            cap(b, ring_a + sides, leaf_fan)
         for g in reversed(kids[c]):
             work.append((c, g, d, u))
 
-    return TriangleMesh(np.array(vertices), np.array(triangles, dtype=np.int64))
+    return TriangleMesh(vertices, triangles)
 
 
 def save_obj(mesh: TriangleMesh, path) -> None:

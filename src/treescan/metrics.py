@@ -57,22 +57,28 @@ def hausdorff(g, s) -> float:
 
 
 def sample_skeleton(skeleton: SkeletonGraph, spacing: float | None = None) -> SkeletonPointSet:
-    """Skeleton nodes, optionally densified along edges at <= spacing gaps."""
+    """Skeleton nodes, optionally densified along edges at <= spacing gaps.
+
+    An edge (a, b) cut into n = ceil(|b - a| / spacing) segments adds the
+    points a + (j / n) (b - a) for j = 1 .. n - 1, after the nodes, in edge
+    order and then j order.
+    """
     positions = skeleton.positions()
     if spacing is None:
         return SkeletonPointSet(positions, VERTICES_ONLY)
     if not spacing > 0.0:
         raise InvalidParameterError("spacing must be positive")
     index = {node.id: i for i, node in enumerate(skeleton.nodes)}
-    extra = []
-    for parent, child in skeleton.edges:
-        a, b = positions[index[parent]], positions[index[child]]
-        length = float(np.linalg.norm(b - a))
-        n_seg = int(np.ceil(length / spacing))
-        for j in range(1, n_seg):
-            extra.append(a + (j / n_seg) * (b - a))
-    pts = positions if not extra else np.concatenate([positions, np.array(extra)], axis=0)
-    return SkeletonPointSet(pts, f"{EDGE_SAMPLED}({spacing:g})")
+    ends = np.array([(index[p], index[c]) for p, c in skeleton.edges], dtype=np.int64).reshape(-1, 2)
+    a = positions[ends[:, 0]]
+    seg = positions[ends[:, 1]] - a
+    n_seg = np.ceil(np.linalg.norm(seg, axis=1) / spacing).astype(np.int64)
+    per_edge = np.maximum(n_seg - 1, 0)
+    edge = np.repeat(np.arange(len(ends)), per_edge)
+    # j counts 1, 2, ... within each edge's run of samples
+    j = np.arange(1, len(edge) + 1) - np.repeat(np.cumsum(per_edge) - per_edge, per_edge)
+    extra = a[edge] + (j / n_seg[edge])[:, None] * seg[edge]
+    return SkeletonPointSet(np.concatenate([positions, extra]), f"{EDGE_SAMPLED}({spacing:g})")
 
 
 def _digest(skeleton: SkeletonGraph) -> str:

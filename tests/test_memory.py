@@ -1,9 +1,10 @@
-"""Bounded memory of the neighbour stages, measured with tracemalloc.
+"""Bounded memory of the neighbour stages and the sweep, measured with tracemalloc.
 
-Each stage works in chunks of k-d tree leaf order and in entry-budgeted PCA
-batches, so its traced peak grows with its output, not with its
-neighbourhoods. The budgets hold a margin over the chunked code and fail
-an all-at-once query or a (6, entries) product array.
+Each neighbour stage works in chunks of k-d tree leaf order and in
+entry-budgeted PCA batches, so its traced peak grows with its output, not
+with its neighbourhoods. The budgets hold a margin over the chunked code and
+fail an all-at-once query or a (6, entries) product array. The sweep writes
+into arrays sized up front, so its peak is about the mesh it returns.
 """
 
 import tracemalloc
@@ -14,7 +15,10 @@ import pytest
 from treescan.cloud import PointCloud
 from treescan.degrade import UnevenParams, uneven_density
 from treescan.geometry import principal_axes
+from treescan.mesh import sweep_mesh
+from treescan.rng import derive_seed
 from treescan.scanner import estimate_normals, orient_normals
+from treescan.skeleton import TreeParams, generate_skeleton
 
 CYLINDER_POINTS = 50_000
 UNEVEN_NEIGHBOURS = 60  # expected points within the uneven radius
@@ -71,3 +75,11 @@ def test_neighbour_stages_stay_within_a_per_point_budget(noisy_cylinder, stage, 
         r = float(np.sqrt(UNEVEN_NEIGHBOURS * 3.0 / n))  # a disc of pi r^2 in an area of 3 pi holds n r^2 / 3
         args = (uneven_density, cloud, UnevenParams(region=((-1.0, -1.0, -1.0), (1.0, 1.0, 4.0)), r=r, seed=1))
     assert traced_peak(*args) / n < budget
+
+
+def test_sweep_mesh_peak_stays_near_the_mesh_it_returns():
+    tree = generate_skeleton(TreeParams.preset("medium", seed=derive_seed(1, "skeleton")))
+    mesh = sweep_mesh(tree)
+    returned = mesh.vertices.nbytes + mesh.triangles.nbytes
+    # lists of one small array per vertex and one tuple per triangle peak at about 8.2x
+    assert traced_peak(sweep_mesh, tree) < 1.5 * returned

@@ -12,6 +12,8 @@ from treescan import (
     sweep_mesh,
 )
 from treescan.errors import InvalidParameterError, ObjParseError
+from treescan.geometry import perpendicular_frame, rotate_align
+from treescan.rng import derive_seed
 from treescan.skeleton import SkeletonGraph, SkeletonNode
 
 from .conftest import make_cylinder_skeleton
@@ -109,6 +111,84 @@ def test_frames_carry_without_twist():
     third_ring0 = mesh.vertices[2 * sides + 1]  # after rings + one cap apex
     azimuth = lambda p: np.arctan2(p[1], p[0])  # noqa: E731
     assert abs(azimuth(first_ring0) - azimuth(third_ring0)) < 0.2
+
+
+def per_vertex_sweep(skeleton, sides):
+    """The sweep one vertex and one triangle at a time: the bits `sweep_mesh` must give."""
+    kids = skeleton.children()
+    index = {n.id: n for n in skeleton.nodes}
+    vertices, triangles = [], []
+    ang = 2.0 * np.pi * np.arange(sides) / sides
+
+    def add_ring(center, radius, u, v):
+        base = len(vertices)
+        vertices.extend(center + radius * (np.cos(ang)[:, None] * u + np.sin(ang)[:, None] * v))
+        return base
+
+    def add_cap(apex, ring, flip):
+        base = len(vertices)
+        vertices.append(apex)
+        for k in range(sides):
+            k1 = (k + 1) % sides
+            triangles.append((base, ring + k1, ring + k) if flip else (base, ring + k, ring + k1))
+
+    work = [(skeleton.root, c, None, None) for c in reversed(kids[skeleton.root])]
+    while work:
+        p, c, d_prev, u_prev = work.pop()
+        a, b = index[p].position, index[c].position
+        d = (b - a) / float(np.linalg.norm(b - a))
+        if d_prev is None:
+            u, v = perpendicular_frame(d)
+        else:
+            u = rotate_align(u_prev, d_prev, d)
+            u = u - d * np.dot(u, d)
+            u = u / np.linalg.norm(u)
+            v = np.cross(d, u)
+        ring_a = add_ring(a, index[p].radius, u, v)
+        ring_b = add_ring(b, index[c].radius, u, v)
+        for k in range(sides):
+            k1 = (k + 1) % sides
+            triangles.append((ring_a + k, ring_a + k1, ring_b + k))
+            triangles.append((ring_a + k1, ring_b + k1, ring_b + k))
+        if p == skeleton.root:
+            add_cap(a, ring_a, flip=True)
+        if not kids[c]:
+            add_cap(b, ring_b, flip=False)
+        for g in reversed(kids[c]):
+            work.append((c, g, d, u))
+    return np.array(vertices, dtype=np.float64).reshape(-1, 3), np.array(triangles, dtype=np.int64).reshape(-1, 3)
+
+
+def star_graph():
+    """A root with three children, one of which has a child of its own."""
+    positions = [[0, 0, 0], [0.3, 0, 1], [-0.2, 0.4, 0.9], [0, -0.5, 0.8], [0.4, 0.1, 2]]
+    nodes = [SkeletonNode(i, np.asarray(p, dtype=float), 0.1 / (1 + i)) for i, p in enumerate(positions)]
+    return SkeletonGraph(nodes=nodes, edges=[(0, 1), (0, 2), (0, 3), (1, 4)], root=0)
+
+
+SWEEP_CASES = [("small", seed, sides) for seed in range(1, 9) for sides in (3, 4, 7, 24)] + [
+    ("medium", seed, sides) for seed in (1, 2, 3) for sides in (3, 24)
+]
+
+
+@pytest.mark.parametrize("size, master_seed, sides", SWEEP_CASES)
+def test_sweep_gives_the_per_vertex_bits(size, master_seed, sides):
+    g = generate_skeleton(TreeParams.preset(size, seed=derive_seed(master_seed, "skeleton")))
+    mesh = sweep_mesh(g, sides=sides)
+    vertices, triangles = per_vertex_sweep(g, sides)
+    assert mesh.vertices.tobytes() == vertices.tobytes()
+    assert mesh.triangles.tobytes() == triangles.tobytes()
+
+
+@pytest.mark.parametrize("sides", [3, 8])
+def test_sweep_gives_the_per_vertex_bits_on_small_graphs(sides):
+    lone = SkeletonGraph(nodes=[SkeletonNode(0, np.zeros(3), 0.1)], edges=[], root=0)
+    for g in (lone, star_graph()):
+        mesh = sweep_mesh(g, sides=sides)
+        vertices, triangles = per_vertex_sweep(g, sides)
+        assert mesh.vertices.shape == vertices.shape and mesh.triangles.shape == triangles.shape
+        assert mesh.vertices.tobytes() == vertices.tobytes()
+        assert mesh.triangles.tobytes() == triangles.tobytes()
 
 
 def test_sides_below_three_rejected():

@@ -186,6 +186,31 @@ def test_interior_samples_lie_on_their_edges():
     assert np.all(ok)
 
 
+def per_edge_samples(skeleton, spacing):
+    """The sampling one edge and one point at a time: the points `sample_skeleton` must give."""
+    pos = {n.id: n.position for n in skeleton.nodes}
+    extra = []
+    for parent, child in skeleton.edges:
+        a, b = pos[parent], pos[child]
+        n_seg = int(np.ceil(float(np.linalg.norm(b - a)) / spacing))
+        for j in range(1, n_seg):
+            extra.append(a + (j / n_seg) * (b - a))
+    return np.concatenate([skeleton.positions(), np.array(extra).reshape(-1, 3)])
+
+
+def test_sampling_matches_a_per_edge_loop():
+    zero_edge = path_graph([[0, 0, 0], [0, 0, 1], [0, 0, 1], [0.5, 0.2, 1.3]])
+    lone = SkeletonGraph(nodes=[SkeletonNode(0, np.ones(3), 0.1)], edges=[], root=0)
+    trees = [generate_skeleton(TreeParams.preset(size, seed=seed)) for size in ("small", "medium") for seed in (1, 2)]
+    for g in (zero_edge, lone, *trees):
+        for spacing in (0.0137, 0.1, 0.25, 100.0):
+            got = sample_skeleton(g, spacing=spacing)
+            assert got.points.tobytes() == per_edge_samples(g, spacing).tobytes()
+            assert got.source == f"{EDGE_SAMPLED}({spacing:g})"
+    # a spacing longer than every edge keeps the nodes alone
+    assert np.array_equal(sample_skeleton(trees[0], spacing=100.0).points, trees[0].positions())
+
+
 def test_sample_rejects_bad_spacing():
     g = path_graph([[0, 0, 0], [0, 0, 1]])
     with pytest.raises(InvalidParameterError):
