@@ -104,6 +104,28 @@ def tree_order_neighbours(
             yield rows, tree.query_ball_point(points[rows], r, return_sorted=False, workers=query_threads())
 
 
+def neighbour_distances(points: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """|points[i] - points[ids[i, j]]| for every entry, with the bits of the
+    distances cKDTree.query returns for these neighbours.
+
+    cKDTree sums the squared coordinate differences in axis order, then takes
+    the square root: sqrt((dx*dx + dy*dy) + dz*dz). So does this, in chunks
+    of _QUERY_ROWS rows, so its temporaries stay within a few arrays of a
+    query chunk's.
+    """
+    out = np.empty(ids.shape)
+    for lo in range(0, len(ids), _QUERY_ROWS):
+        block = ids[lo : lo + _QUERY_ROWS]
+        sums = out[lo : lo + _QUERY_ROWS]
+        sums[...] = 0.0
+        for coord in points.T:
+            diff = coord[block] - coord[lo : lo + len(block), None]
+            diff *= diff
+            sums += diff
+        np.sqrt(sums, out=sums)
+    return out
+
+
 # neighbour entries per principal_axes batch (a larger neighbourhood takes a
 # batch of its own); each neighbourhood being summed on its own, the batches
 # do not change the result

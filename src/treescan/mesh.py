@@ -115,13 +115,24 @@ def sweep_mesh(skeleton: SkeletonGraph, sides: int = 24) -> TriangleMesh:
     return TriangleMesh(vertices, triangles)
 
 
+# records per write of save_obj
+_OBJ_BLOCK = 1 << 16
+
+
 def save_obj(mesh: TriangleMesh, path) -> None:
-    """Wavefront OBJ with v/f records only; indices are 1-based."""
+    """Wavefront OBJ with v/f records only; indices are 1-based.
+
+    Each block of _OBJ_BLOCK records is formatted by one %-operation on
+    Python floats and ints (a coordinate's "%.9g" is its f"{x:.9g}") and
+    written at once.
+    """
     with open(path, "w", encoding="ascii") as fh:
-        for p in mesh.vertices:
-            fh.write(f"v {p[0]:.9g} {p[1]:.9g} {p[2]:.9g}\n")
-        for t in mesh.triangles:
-            fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
+        for lo in range(0, len(mesh.vertices), _OBJ_BLOCK):
+            block = mesh.vertices[lo : lo + _OBJ_BLOCK]
+            fh.write(("v %.9g %.9g %.9g\n" * len(block)) % tuple(block.ravel().tolist()))
+        for lo in range(0, len(mesh.triangles), _OBJ_BLOCK):
+            block = mesh.triangles[lo : lo + _OBJ_BLOCK] + 1
+            fh.write(("f %d %d %d\n" * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _vertex_index(token: str, count: int) -> int:

@@ -12,27 +12,45 @@ import hashlib
 
 import numpy as np
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
+_GAMMA = 0x9E3779B97F4A7C15
+_M1 = 0xBF58476D1CE4E5B9
+_M2 = 0x94D049BB133111EB
+_MASK = (1 << 64) - 1
 _INV_2_53 = float(2.0**-53)
 
 
 def mix64(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, elementwise on uint64 (wraparound intended)."""
     with np.errstate(over="ignore"):
-        z = (x + _GAMMA).astype(np.uint64)
-        z = (z ^ (z >> np.uint64(30))) * _M1
-        z = (z ^ (z >> np.uint64(27))) * _M2
+        z = (x + np.uint64(_GAMMA)).astype(np.uint64)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
         return z ^ (z >> np.uint64(31))
+
+
+def _mix64_int(x: int) -> int:
+    """`mix64` of one value held in a Python int, masked to 64 bits."""
+    z = (x + _GAMMA) & _MASK
+    z = ((z ^ (z >> 30)) * _M1) & _MASK
+    z = ((z ^ (z >> 27)) * _M2) & _MASK
+    return z ^ (z >> 31)
 
 
 def _hash(seed: int, stream: int, index, slot: int) -> np.ndarray:
     idx = np.asarray(index, dtype=np.uint64)
-    h = mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + np.zeros_like(idx))
-    h = mix64(h ^ np.uint64(stream & 0xFFFFFFFFFFFFFFFF))
+    h = mix64(np.uint64(seed & _MASK) + np.zeros_like(idx))
+    h = mix64(h ^ np.uint64(stream & _MASK))
     h = mix64(h ^ idx)
-    return mix64(h ^ np.uint64(slot & 0xFFFFFFFFFFFFFFFF))
+    return mix64(h ^ np.uint64(slot & _MASK))
+
+
+def _hash_int(seed: int, stream: int, index: int, slot: int) -> int:
+    """`_hash` of one index on Python ints: the same bits, without the cost
+    of numpy scalars, for draws taken one at a time."""
+    h = _mix64_int(seed & _MASK)
+    h = _mix64_int(h ^ (stream & _MASK))
+    h = _mix64_int(h ^ (index & _MASK))
+    return _mix64_int(h ^ (slot & _MASK))
 
 
 def uniform(seed: int, stream: int, index, slot: int = 0) -> np.ndarray:
@@ -70,7 +88,8 @@ class Stream:
 
     Used where a generator walks a structure in a fixed order (skeleton
     growth).  The state is just an integer counter, so two runs with the
-    same seed produce identical sequences on any platform.
+    same seed produce identical sequences on any platform.  Each draw is
+    `uniform` (or `uniform_int`) at the next index, hashed on Python ints.
     """
 
     def __init__(self, seed: int, stream: int = 0):
@@ -83,10 +102,16 @@ class Stream:
         self._counter += 1
         return i
 
+    def _next_uniform(self) -> float:
+        """`uniform` at the next index, slot 0, on Python ints."""
+        return (_hash_int(self.seed, self.stream, self._next_index(), 0) >> 11) * _INV_2_53
+
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        u = float(uniform(self.seed, self.stream, self._next_index()))
-        return lo + u * (hi - lo)
+        return lo + self._next_uniform() * (hi - lo)
 
     def integer(self, lo: int, hi: int) -> int:
-        """Uniform int in [lo, hi] inclusive."""
-        return int(uniform_int(self.seed, self.stream, self._next_index(), lo, hi))
+        """Uniform int in [lo, hi] inclusive: `uniform_int` at the next index."""
+        u = self._next_uniform()
+        if hi < lo:
+            raise ValueError(f"empty range [{lo}, {hi}]")
+        return int(lo + min(int(u * (hi - lo + 1)), hi - lo))

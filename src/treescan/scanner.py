@@ -29,15 +29,24 @@ every hit, has the bits of the plain march.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
+from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
 from .errors import InvalidParameterError, MissingNormalsError, TooFewPointsError
-from .geometry import _dot, least_aligned_axis, normalize, principal_axes, tree_order_neighbours
+from .geometry import (
+    _dot,
+    least_aligned_axis,
+    neighbour_distances,
+    normalize,
+    principal_axes,
+    query_threads,
+    tree_order_neighbours,
+)
 from .implicit import ImplicitSurface
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -397,8 +406,9 @@ def scan_views(surface: ImplicitSurface, cfg: ScanConfig, min_feature: float) ->
 
 def merge_views(views: list[PointCloud], normal_mode: str) -> PointCloud:
     """The views' hits concatenated in view order; PCA+MST normals attached
-    here when normal_mode is "pca-mst". The result carries normals, (0, 3)
-    when empty."""
+    here when normal_mode is "pca-mst", `orient_normals` reusing the
+    neighbour query of `estimate_normals`. The result carries normals,
+    (0, 3) when empty."""
     points = np.concatenate([view.points for view in views], axis=0)
     if normal_mode == "analytic":
         return PointCloud(points, np.concatenate([view.normals for view in views], axis=0))
@@ -413,30 +423,86 @@ def scan_surface(surface: ImplicitSurface, cfg: ScanConfig, min_feature: float) 
     return merge_views(scan_views(surface, cfg, min_feature), cfg.normal_mode)
 
 
-def estimate_normals(cloud: PointCloud, k: int) -> PointCloud:
-    """Unoriented PCA normals from the k nearest neighbors of each point."""
+@dataclass
+class NormalEstimate(PointCloud):
+    """`estimate_normals`' result. Its points are read-only, and so is
+    neighbours: row i holds the k + 1 nearest points of point i, in
+    cKDTree.query's order, for `orient_normals` to build its graph from;
+    None when the cloud has only k points.
+
+    The graph belongs to the points array it was queried on, which
+    estimate_normals records in _queried. That field is not an init
+    argument, so a cloud made by `dataclasses.replace` carries no usable
+    graph."""
+
+    neighbours: np.ndarray | None = None
+    _queried: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def graph(self, width: int) -> np.ndarray | None:
+        """neighbours, if it was queried on these very points with width
+        columns; else None."""
+        if self.neighbours is None or self._queried is not self.points or self.neighbours.shape[1] != width:
+            return None
+        return self.neighbours
+
+
+def estimate_normals(cloud: PointCloud, k: int) -> NormalEstimate:
+    """Unoriented PCA normals from the k nearest neighbors of each point
+    (itself included), carrying each point's k + 1 nearest for
+    `orient_normals`.
+
+    When there are more than k points, one query asks for k + 1 neighbours.
+    A row whose k + 1 distances increase strictly has a unique k-nearest
+    set and order, so its first k columns are what a k-query gives, bit for
+    bit. A row with a tie (a copy of a point included, at distance 0) is
+    queried again with k, on a tree built at the first such row, since with
+    ties the (k+1)-query's prefix may hold other points or another order.
+    """
     if k < 3:
         raise InvalidParameterError("k must be >= 3")
     n = len(cloud)
     if n < k:
         raise TooFewPointsError(f"need at least k={k} points, got {n}")
+    points = cloud.points.copy()
+    points.flags.writeable = False
+    carry = n > k
+    width = k + 1 if carry else k
+    ids = np.empty((n, width), dtype=np.int32) if carry else None
     normals = np.empty((n, 3))
-    for rows, (_, nbr) in tree_order_neighbours(cloud.points, k=k):  # each includes the point itself
-        _, _, eigvecs = principal_axes(cloud.points, nbr.ravel(), np.arange(0, nbr.size, k))
+    tree = None  # for the rows with a tie
+    for rows, (dist, nbr) in tree_order_neighbours(points, k=width):  # each includes the point itself
+        if carry:
+            # the PCA reads the rows back from ids, so that the query's
+            # arrays are freed before its batches run
+            ids[rows] = nbr
+            tied = np.flatnonzero(np.any(dist[:, 1:] <= dist[:, :-1], axis=1))
+            del dist
+            nbr = ids[rows, :k]
+            if len(tied):
+                tree = cKDTree(points) if tree is None else tree
+                nbr[tied] = tree.query(points[rows[tied]], k=k, workers=query_threads())[1]
+        _, _, eigvecs = principal_axes(points, nbr.ravel(), np.arange(0, nbr.size, k))
         normals[rows] = normalize(eigvecs[:, :, 0])  # smallest eigenvalue first
-    return PointCloud(cloud.points.copy(), normals)
+    if carry:
+        ids.flags.writeable = False
+    est = NormalEstimate(points, normals, ids)
+    est._queried = est.points
+    return est
 
 
 def orient_normals(cloud: PointCloud, k: int = PCA_K) -> PointCloud:
     """Resolve normal signs by flip propagation over the Euclidean MST.
 
     The graph joins each point to its k nearest others (Hoppe et al., 1992),
-    weighted by distance. Its rows are queried in bounded chunks and written
-    straight into a CSR matrix, which the MST may overwrite; a pair of
-    mutual neighbours is one entry, in the lower row. The seed is the
-    highest point (ties: lowest index); its normal points away from the
-    centroid. Each connected component of the k-NN graph is seeded the same
-    way.
+    weighted by distance. Its rows are the k + 1 neighbours an
+    `estimate_normals` result carries, if they were queried on these very
+    points, with their distances recomputed to the query's bits
+    (`neighbour_distances`); otherwise they are queried in bounded chunks.
+    They are written straight into a CSR matrix, which the MST may
+    overwrite; a pair of mutual neighbours is one entry, in the lower row.
+    The seed is the highest point (ties: lowest index); its normal points
+    away from the centroid. Each connected component of the k-NN graph is
+    seeded the same way.
     """
     if not cloud.has_normals():
         raise MissingNormalsError("orient_normals needs normals")
@@ -452,11 +518,17 @@ def orient_normals(cloud: PointCloud, k: int = PCA_K) -> PointCloud:
     # the graph's rows in input order: each point's kk + 1 nearest points
     # but the first (itself, or with duplicates maybe a copy of it), a zero
     # distance floored so that the graph keeps it as an edge
-    weights = np.empty((n, kk))
-    ids = np.empty((n, kk), dtype=np.int32)
-    for rows, (dist, nbr) in tree_order_neighbours(points, k=kk + 1):
-        weights[rows] = np.maximum(dist[:, 1:], 1e-300)
-        ids[rows] = nbr[:, 1:]
+    carried = cloud.graph(kk + 1) if isinstance(cloud, NormalEstimate) else None
+    if carried is None:
+        weights = np.empty((n, kk))
+        ids = np.empty((n, kk), dtype=np.int32)
+        for rows, (dist, nbr) in tree_order_neighbours(points, k=kk + 1):
+            weights[rows] = dist[:, 1:]
+            ids[rows] = nbr[:, 1:]
+    else:
+        ids = carried[:, 1:]
+        weights = neighbour_distances(points, ids)
+    np.maximum(weights, 1e-300, out=weights)
     # a mutual pair (i, j), i < j, sits in both rows with equal weights;
     # the MST's stable order by weight reaches row i's copy first, and always
     # rejects the second, so row j's copy is left out.  Row j's entry has a

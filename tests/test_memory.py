@@ -36,7 +36,8 @@ def traced_peak(func, *args) -> int:
 
 @pytest.fixture(scope="module")
 def noisy_cylinder():
-    """Radius 0.5, height 3, radial noise of 1 % of the radius, with PCA normals."""
+    """Radius 0.5, height 3, radial noise of 1 % of the radius, with PCA
+    normals and the neighbours estimate_normals carries."""
     rng = np.random.default_rng(71)
     n = CYLINDER_POINTS
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
@@ -57,9 +58,12 @@ def test_principal_axes_temporaries_stay_within_the_entry_budget():
 @pytest.mark.parametrize(
     "stage, budget",
     [
-        # bytes per point; an all-at-once query takes about 635, 816 and 4,510
+        # bytes per point. Chunked, the stages take about 320, 345 (on the
+        # rows estimate_normals carries), 420 (querying its own) and 1,220;
+        # all at once, the three queries took about 635, 816 and 4,510
         ("estimate_normals", 400),
         ("orient_normals", 600),
+        ("orient_normals_fresh", 600),
         ("uneven_density", 2000),
     ],
 )
@@ -70,6 +74,8 @@ def test_neighbour_stages_stay_within_a_per_point_budget(noisy_cylinder, stage, 
         args = (estimate_normals, PointCloud(cloud.points), 16)
     elif stage == "orient_normals":
         args = (orient_normals, cloud, 16)
+    elif stage == "orient_normals_fresh":
+        args = (orient_normals, PointCloud(cloud.points.copy(), cloud.normals), 16)
     else:
         # a box holding the whole cloud: every point is queried
         r = float(np.sqrt(UNEVEN_NEIGHBOURS * 3.0 / n))  # a disc of pi r^2 in an area of 3 pi holds n r^2 / 3

@@ -5,12 +5,14 @@ import pytest
 
 from treescan import (
     TreeParams,
+    TriangleMesh,
     ZeroLengthEdgeError,
     generate_skeleton,
     load_obj,
     save_obj,
     sweep_mesh,
 )
+from treescan import mesh as mesh_module
 from treescan.errors import InvalidParameterError, ObjParseError
 from treescan.geometry import perpendicular_frame, rotate_align
 from treescan.rng import derive_seed
@@ -210,6 +212,27 @@ def test_obj_round_trip(tmp_path):
     back = load_obj(path)
     assert np.array_equal(mesh.triangles, back.triangles)
     assert np.allclose(mesh.vertices, back.vertices, atol=1e-8)
+
+
+def per_record_obj(mesh) -> str:
+    """Reference writer: one f-string per record."""
+    lines = [f"v {p[0]:.9g} {p[1]:.9g} {p[2]:.9g}\n" for p in mesh.vertices]
+    lines += [f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n" for t in mesh.triangles]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("block", [None, 1, 4])
+def test_obj_blocks_write_the_per_record_bytes(tmp_path, monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(mesh_module, "_OBJ_BLOCK", block)
+    rng = np.random.default_rng(17)
+    special = [-0.0, 0.0, 1e-300, -1e-300, 1e17, -1e17, 3.0, -12.0, 1e9, 123456789.0, 0.1, 2.0**-1074]
+    scaled = rng.normal(size=(7, 3)) * 10.0 ** rng.integers(-12, 12, (7, 1))
+    vertices = np.concatenate([np.reshape(special, (-1, 3)), scaled])
+    mesh = TriangleMesh(vertices, rng.integers(0, len(vertices), (9, 3)))
+    path = tmp_path / "m.obj"
+    save_obj(mesh, path)
+    assert path.read_bytes() == per_record_obj(mesh).encode("ascii")
 
 
 def test_obj_reader_handles_slashes_and_polygons(tmp_path):

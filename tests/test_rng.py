@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treescan.rng import Stream, derive_seed, normal, uniform, uniform_int
+from treescan.rng import Stream, _hash, _hash_int, derive_seed, normal, uniform, uniform_int
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 indices = st.lists(st.integers(min_value=0, max_value=2**32), min_size=1, max_size=64)
@@ -79,3 +79,28 @@ def test_stream_integer_within_bounds():
     vals = [s.integer(1, 3) for _ in range(200)]
     assert set(vals) <= {1, 2, 3}
     assert len(set(vals)) == 3
+
+
+EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
+
+
+@given(
+    st.lists(st.one_of(seeds, st.sampled_from(EDGES + [-1, -(2**63)])), min_size=1, max_size=8),
+    st.lists(st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(EDGES)), min_size=1, max_size=4),
+    st.lists(st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(EDGES)), min_size=1, max_size=16),
+    st.sampled_from([0, 1, 2, 7, 2**64 - 1]),
+)
+def test_python_int_hash_matches_the_array_path(seeds_, streams, idx, slot):
+    for seed in seeds_:
+        for stream in streams:
+            want = _hash(seed, stream, np.array(idx, dtype=np.uint64), slot)
+            assert [_hash_int(seed, stream, i, slot) for i in idx] == want.tolist()
+
+
+@given(seeds, st.integers(0, 2**64 - 1), st.integers(-5, 5), st.integers(0, 40))
+def test_stream_draws_match_the_array_functions(seed, stream, lo, span):
+    draws = Stream(seed, stream)
+    uniforms = [draws.uniform(-2.0, 3.0) for _ in range(24)]
+    integers = [draws.integer(lo, lo + span) for _ in range(24)]
+    assert uniforms == (-2.0 + uniform(seed, stream, np.arange(24)) * 5.0).tolist()
+    assert integers == uniform_int(seed, stream, np.arange(24, 48), lo, lo + span).tolist()

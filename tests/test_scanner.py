@@ -1,5 +1,7 @@
 """Virtual scanning: viewpoints, ray marching, merging, and normal recovery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
@@ -14,7 +16,7 @@ from treescan.errors import (
     MissingNormalsError,
     TooFewPointsError,
 )
-from treescan.geometry import principal_axes
+from treescan.geometry import neighbour_distances, principal_axes
 from treescan.implicit import ImplicitSurface
 from treescan.scanner import (
     ScanConfig,
@@ -717,6 +719,116 @@ def test_orientation_with_duplicated_points_matches_the_coo_graph(monkeypatch, t
     assert np.array_equal(estimate_normals(PointCloud(pts), 16).normals, want)
     oriented = orient_normals(PointCloud(pts, scattered), 16)
     assert np.array_equal(oriented.normals, parent_orient_normals(pts, scattered, 16))
+
+
+def duplicated_cylinder():
+    """The input of the duplicated-points test: 600 points, 250 copies."""
+    rng = np.random.default_rng(29)
+    theta, z = rng.uniform(0.0, 2.0 * np.pi, 600), rng.uniform(0.0, 2.0, 600)
+    base = np.column_stack([np.cos(theta), np.sin(theta), z])
+    return np.concatenate([base, base[:200], base[:50]])[rng.permutation(850)]
+
+
+def lattice_plane(copies):
+    """The input of the lattice test: 900 points of a tilted plane lattice
+    and copies of them."""
+    rng = np.random.default_rng(37)
+    ticks = np.arange(50.0)
+    x, y = (a.ravel() for a in np.meshgrid(ticks, ticks))
+    plane = np.column_stack([x, y, 0.5 * x - 0.25 * y])[rng.choice(2500, size=900, replace=False)]
+    return np.concatenate([plane, plane[rng.integers(900, size=copies)]])[rng.permutation(900 + copies)]
+
+
+TIED_INPUTS = [
+    pytest.param(duplicated_cylinder, 16, id="duplicated-cylinder"),
+    pytest.param(lambda: lattice_plane(0), 4, id="lattice-0-k4"),
+    pytest.param(lambda: lattice_plane(0), 16, id="lattice-0-k16"),
+    pytest.param(lambda: lattice_plane(150), 4, id="lattice-150-k4"),
+    pytest.param(lambda: lattice_plane(150), 16, id="lattice-150-k16"),
+]
+
+
+def count_queries(monkeypatch) -> list:
+    """Record the k of every tree_order_neighbours call the scanner makes."""
+    calls = []
+
+    def counted(points, k=None, **kwargs):
+        calls.append(k)
+        return geometry.tree_order_neighbours(points, k=k, **kwargs)
+
+    monkeypatch.setattr(scanner, "tree_order_neighbours", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make, k", TIED_INPUTS)
+@pytest.mark.parametrize("threads, budget", QUERY_SPLITS)
+def test_the_carried_graph_orients_as_a_fresh_query(monkeypatch, make, k, threads, budget):
+    # ties and copies send rows back to a k-query for the PCA, while the
+    # carried rows stay the (k+1)-query's
+    pts = make()
+    scattered = np.random.default_rng(3).normal(size=(len(pts), 3))
+    split_queries(monkeypatch, threads, budget)
+    calls = count_queries(monkeypatch)
+    est = estimate_normals(PointCloud(pts), k)
+    assert np.array_equal(est.normals, parent_estimate_normals(pts, k))
+    est.normals = scattered  # random signs show any other spanning tree
+    oriented = orient_normals(est, k)
+    assert calls == [k + 1]
+    assert np.array_equal(oriented.normals, orient_normals(PointCloud(est.points.copy(), scattered), k).normals)
+    assert np.array_equal(oriented.normals, parent_orient_normals(pts, scattered, k))
+
+
+def test_an_estimate_is_read_only():
+    est = estimate_normals(PointCloud(duplicated_cylinder()), 16)
+    assert est.neighbours.shape == (850, 17) and est.neighbours.dtype == np.int32
+    with pytest.raises(ValueError):
+        est.points[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        est.neighbours[0, 0] = 1
+
+
+def test_a_rebuilt_cloud_queries_afresh(monkeypatch):
+    pts = duplicated_cylinder()
+    est = estimate_normals(PointCloud(pts), 16)
+    moved = pts[::-1] + 1.0
+    calls = count_queries(monkeypatch)
+    assert np.array_equal(orient_normals(est, 16).normals, parent_orient_normals(pts, est.normals, 16))
+    assert calls == []
+    # another k needs rows of another width
+    assert np.array_equal(orient_normals(est, 8).normals, parent_orient_normals(pts, est.normals, 8))
+    assert calls == [9]
+    rebuilt = [
+        (replace(est, points=pts), pts),
+        (replace(est, points=moved), moved),
+        (PointCloud(est.points, est.normals), pts),
+    ]
+    for cloud, points in rebuilt:
+        calls.clear()
+        assert np.array_equal(orient_normals(cloud, 16).normals, parent_orient_normals(points, est.normals, 16))
+        assert calls == [17]
+    est.points = moved
+    calls.clear()
+    assert np.array_equal(orient_normals(est, 16).normals, parent_orient_normals(moved, est.normals, 16))
+    assert calls == [17]
+
+
+def test_an_estimate_of_k_points_carries_no_graph():
+    pts = fibonacci_sphere(16)
+    est = estimate_normals(PointCloud(pts), 16)
+    assert est.neighbours is None
+    assert np.array_equal(est.normals, parent_estimate_normals(pts, 16))
+    oriented = orient_normals(est, 16)
+    assert np.array_equal(oriented.normals, parent_orient_normals(pts, est.normals, 16))
+
+
+@pytest.mark.parametrize("budget", [None, 7])
+def test_recomputed_weights_are_the_query_distances(monkeypatch, budget):
+    split_queries(monkeypatch, None, budget)
+    rng = np.random.default_rng(41)
+    scaled = rng.normal(size=(2000, 3)) * 10.0 ** rng.integers(-3, 4, (1, 3))
+    for pts in (scaled, lattice_plane(150), duplicated_cylinder()):
+        dist, nbr = cKDTree(pts).query(pts, k=17)
+        assert np.array_equal(neighbour_distances(pts, nbr), dist)
 
 
 def test_orientation_single_point_noop():
